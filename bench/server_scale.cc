@@ -1,17 +1,16 @@
 // Server connection-scale sweep: how the network server behaves as the
 // number of concurrent client connections grows. For each client count N
 // in {1, 8, 64, 256} an in-process net::Server (serial per-plan engines,
-// loopback TCP) serves N connections, each submitting one private plan
-// over a client-namespaced label alphabet and pushing a fixed per-client
-// stream — so total offered load grows with N while every client's match
-// set stays that of a standalone single-pattern run (the ses_loadgen
+// loopback TCP) serves N connections, each submitting one plan over a
+// client-namespaced label alphabet, pushing a fixed per-client stream and
+// flushing it — so total offered load grows with N while every client's
+// match set stays that of a standalone single-pattern run (the ses_loadgen
 // workload shape, docs/SERVER.md).
 //
 // Reported per N: wall time, aggregate events/sec through the wire, and
 // the exact total match count (gated by the committed baseline —
 // bench/baselines/BENCH_server.json — in the perf-smoke CI job). Every
-// repetition starts a fresh server: the engine's Flush is terminal, and a
-// cold server per rep keeps repetitions independent.
+// repetition starts a fresh server, so repetitions stay independent.
 //
 // Caveat for absolute numbers: clients, server readers, and ingest
 // workers all share the machine; on a single-core CI runner the sweep
@@ -64,9 +63,9 @@ std::string ClientQuery(int index) {
          "' AND a.ID = b.ID\nWITHIN 1000s";
 }
 
-/// One full load: fresh server, N concurrent clients, coordinated flush
-/// (client 0 runs the global barrier once everyone pushed). Returns the
-/// total matches delivered over the wire.
+/// One full load: fresh server, N concurrent clients, each flushing its
+/// own stream once pushed. Returns the total matches delivered over the
+/// wire.
 int64_t RunLoad(int clients, int64_t events_per_client, int64_t batch) {
   net::ServerOptions options;
   options.schema = ServedSchema();
@@ -81,8 +80,6 @@ int64_t RunLoad(int clients, int64_t events_per_client, int64_t batch) {
   }
 
   std::atomic<int64_t> matches{0};
-  std::atomic<int> pushed{0};
-  std::atomic<bool> flushed{false};
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (int c = 0; c < clients; ++c) {
@@ -111,16 +108,7 @@ int64_t RunLoad(int clients, int64_t events_per_client, int64_t batch) {
         Result<bool> ok = (*client)->Push(slab);
         SES_CHECK(ok.ok() && *ok) << ok.status().ToString();
       }
-      ++pushed;
-      // Coordinated flush: one global barrier, the rest drain after it.
-      if (c == 0) {
-        while (pushed.load() < clients) std::this_thread::yield();
-        SES_CHECK((*client)->Flush().ok());
-        flushed.store(true);
-      } else {
-        while (!flushed.load()) std::this_thread::yield();
-        SES_CHECK((*client)->Flush().ok());
-      }
+      SES_CHECK((*client)->Flush().ok());
       matches.fetch_add(local);
       (*client)->Close();
     });
@@ -162,7 +150,7 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nEach client's match set equals a standalone single-pattern run "
-      "(disjoint label alphabets); wall time covers connect, handshake, "
+      "over its own stream; wall time covers connect, handshake, "
       "framed ingest, evaluation, and match delivery. Single-machine "
       "loopback: clients and server share cores.\n");
   MaybeWriteReport(args, report);

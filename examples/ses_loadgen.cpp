@@ -8,25 +8,24 @@
 //   # dump per-client streams + queries + matches for differential checks
 //   ses_loadgen --port 7341 --clients 8 --dump-dir /tmp/load
 //
-// Each client submits one private plan over a client-namespaced label
-// alphabet ("A3"/"B3" for client 3), so concurrent streams never interact:
-// every client's match set equals a standalone single-pattern run over its
-// own stream. --dump-dir writes exactly what tools/server_smoke.sh needs
-// to replay each stream through ses_cli and diff the match listings.
+// Each connection is its own stream on the server, so every client's match
+// set equals a standalone single-pattern run over its own stream; each
+// client flushes as soon as it has pushed. Clients use distinct label
+// alphabets ("A3"/"B3" for client 3) so that their expected matches
+// differ: a MatchBatch delivered to the wrong connection shows up in the
+// diff. --dump-dir writes exactly what tools/server_smoke.sh needs to
+// replay each stream through ses_cli and diff the match listings.
 //
 // Requires the served schema to carry at least one STRING attribute (the
 // label) and one INT attribute (the join key); extra attributes are filled
 // with deterministic values.
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -193,47 +192,8 @@ struct ClientResult {
   std::string query;
 };
 
-/// Coordinates the end-of-run Flush across client threads. The server's
-/// Flush is a global end-of-stream barrier, so it must order after EVERY
-/// client's pushes: each client arrives here when done pushing, client 0
-/// flushes once all have arrived, and the rest flush after — an
-/// idempotent engine no-op whose transact drains the MatchBatch frames
-/// the global flush already wrote to their sockets. Arrival is
-/// unconditional (failed clients arrive too), so no thread ever strands
-/// a peer.
-struct FlushGate {
-  explicit FlushGate(int clients) : waiting_for(clients) {}
-
-  void ArrivePushed() {
-    std::lock_guard<std::mutex> lock(mu);
-    --waiting_for;
-    cv.notify_all();
-  }
-
-  void WaitAllPushed() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return waiting_for == 0; });
-  }
-
-  void MarkFlushed() {
-    std::lock_guard<std::mutex> lock(mu);
-    flushed = true;
-    cv.notify_all();
-  }
-
-  void WaitFlushed() {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [this] { return flushed; });
-  }
-
-  std::mutex mu;
-  std::condition_variable cv;
-  int waiting_for;
-  bool flushed = false;
-};
-
 /// Connect → submit → push every slab. On OK return, `*client` is live
-/// and ready for the coordinated Flush.
+/// and ready for its Flush.
 Status PushPhase(int index, const LoadgenArgs& args, ClientResult* out,
                  std::unique_ptr<net::Client>* client,
                  std::vector<int64_t>* push_ns) {
@@ -244,7 +204,7 @@ Status PushPhase(int index, const LoadgenArgs& args, ClientResult* out,
 
   // Per-slab push wall times; a delivered match is attributed to the slab
   // holding its end event, so latency spans evaluation + delivery. Owned
-  // by RunClient — the sink runs during the post-gate Flush too.
+  // by RunClient — the sink runs during the Flush too.
   auto slab_of = [push_ns, &args](Timestamp end_time) -> size_t {
     const long row = static_cast<long>(end_time) - 1;  // timestamps are 1..N
     return std::min(push_ns->size() - 1,
@@ -310,25 +270,11 @@ Status PushPhase(int index, const LoadgenArgs& args, ClientResult* out,
   return Status::OK();
 }
 
-void RunClient(int index, const LoadgenArgs& args, FlushGate* gate,
-               ClientResult* out) {
+void RunClient(int index, const LoadgenArgs& args, ClientResult* out) {
   std::unique_ptr<net::Client> client;
   std::vector<int64_t> push_ns;
-  Status status = PushPhase(index, args, out, &client, &push_ns);
-  gate->ArrivePushed();
-  if (status.ok()) {
-    if (index == 0) {
-      gate->WaitAllPushed();
-      status = client->Flush();
-      gate->MarkFlushed();
-    } else {
-      gate->WaitFlushed();
-      status = client->Flush();
-    }
-  } else if (index == 0) {
-    gate->MarkFlushed();  // don't strand the other clients
-  }
-  out->status = status;
+  out->status = PushPhase(index, args, out, &client, &push_ns);
+  if (out->status.ok()) out->status = client->Flush();
   if (client != nullptr) client->Close();
 }
 
@@ -341,12 +287,10 @@ Status Run(const LoadgenArgs& args) {
           (args.columnar ? "/columnar" : "/row"),
       static_cast<int64_t>(args.clients) * args.events,
       [&](bench::CaseRun& run) {
-        FlushGate gate(args.clients);
         std::vector<std::thread> threads;
         threads.reserve(args.clients);
         for (int c = 0; c < args.clients; ++c) {
-          threads.emplace_back(RunClient, c, std::cref(args), &gate,
-                               &results[c]);
+          threads.emplace_back(RunClient, c, std::cref(args), &results[c]);
         }
         for (std::thread& thread : threads) thread.join();
 

@@ -1,7 +1,8 @@
 // ses_server — the long-running SES network server: serves the sesnet wire
 // protocol (src/net/protocol.h) on 127.0.0.1, evaluating standing queries
 // submitted by net::Client connections over client-pushed event streams.
-// docs/SERVER.md is the operator guide.
+// Each connection is its own stream: its plans see only its events, and
+// its Flush ends only its stream. docs/SERVER.md is the operator guide.
 //
 //   # serve the demo schema on an ephemeral port (printed on stdout)
 //   ses_server --schema "ID INT, L STRING, V DOUBLE, U STRING"
@@ -18,9 +19,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 
+#include "common/strings.h"
 #include "engine/registry.h"
 #include "net/server.h"
 
@@ -34,11 +37,11 @@ void HandleSignal(int) { g_stop = 1; }
 
 struct ServerArgs {
   std::string schema_text;
-  int port = 0;
+  int64_t port = 0;
   std::string engine = "serial";
-  int threads = 0;
-  int queue_capacity = 64;
-  long idle_timeout_ms = 60'000;
+  int64_t threads = 0;
+  int64_t queue_capacity = 64;
+  int64_t idle_timeout_ms = 60'000;
   std::string checkpoint_dir;
   bool quiet = false;
 };
@@ -48,12 +51,12 @@ void PrintUsage(const char* argv0) {
       "usage: %s --schema \"NAME TYPE, ...\" [options]\n"
       "  --schema TEXT        stream schema (required), e.g.\n"
       "                       \"ID INT, L STRING, V DOUBLE, U STRING\"\n"
-      "  --port N             TCP port on 127.0.0.1 (default 0 = ephemeral;\n"
-      "                       the chosen port is printed on stdout)\n"
+      "  --port N             TCP port on 127.0.0.1, 0..65535 (default 0 =\n"
+      "                       ephemeral; the chosen port is printed on stdout)\n"
       "  --engine NAME        per-plan engine (default serial; see\n"
       "                       ses_cli --list-engines)\n"
       "  --threads N          shorthand for --engine parallel with N shards\n"
-      "  --queue-capacity N   per-connection ingest queue slots before\n"
+      "  --queue-capacity N   per-connection ingest queue slots (>= 1) before\n"
       "                       PushEvents answers Busy (default 64)\n"
       "  --idle-timeout-ms N  close connections idle this long (default\n"
       "                       60000; 0 disables)\n"
@@ -65,6 +68,8 @@ void PrintUsage(const char* argv0) {
 
 ses::Result<ServerArgs> ParseArgs(int argc, char** argv) {
   ServerArgs args;
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
   for (int i = 1; i < argc; ++i) {
     std::string_view flag = argv[i];
     auto next = [&]() -> Result<std::string> {
@@ -73,22 +78,30 @@ ses::Result<ServerArgs> ParseArgs(int argc, char** argv) {
       }
       return std::string(argv[++i]);
     };
+    // The value of a numeric flag: a whole integer within [min, max].
+    auto next_int = [&](int64_t min, int64_t max) -> Result<int64_t> {
+      SES_ASSIGN_OR_RETURN(std::string text, next());
+      Result<int64_t> value = strings::ParseInt64(text);
+      if (!value.ok() || *value < min || *value > max) {
+        return Status::InvalidArgument(
+            std::string(flag) + " must be an integer in [" +
+            std::to_string(min) + ", " + std::to_string(max) + "], got '" +
+            text + "'");
+      }
+      return *value;
+    };
     if (flag == "--schema") {
       SES_ASSIGN_OR_RETURN(args.schema_text, next());
     } else if (flag == "--port") {
-      SES_ASSIGN_OR_RETURN(std::string v, next());
-      args.port = std::atoi(v.c_str());
+      SES_ASSIGN_OR_RETURN(args.port, next_int(0, 65535));
     } else if (flag == "--engine") {
       SES_ASSIGN_OR_RETURN(args.engine, next());
     } else if (flag == "--threads") {
-      SES_ASSIGN_OR_RETURN(std::string v, next());
-      args.threads = std::atoi(v.c_str());
+      SES_ASSIGN_OR_RETURN(args.threads, next_int(0, kIntMax));
     } else if (flag == "--queue-capacity") {
-      SES_ASSIGN_OR_RETURN(std::string v, next());
-      args.queue_capacity = std::atoi(v.c_str());
+      SES_ASSIGN_OR_RETURN(args.queue_capacity, next_int(1, kInt64Max));
     } else if (flag == "--idle-timeout-ms") {
-      SES_ASSIGN_OR_RETURN(std::string v, next());
-      args.idle_timeout_ms = std::atol(v.c_str());
+      SES_ASSIGN_OR_RETURN(args.idle_timeout_ms, next_int(0, kInt64Max));
     } else if (flag == "--checkpoint-dir") {
       SES_ASSIGN_OR_RETURN(args.checkpoint_dir, next());
     } else if (flag == "--quiet") {
@@ -113,7 +126,7 @@ Status Run(const ServerArgs& args) {
   options.engine = args.engine;
   if (args.threads > 0) {
     options.engine = "parallel";
-    options.engine_options.num_shards = args.threads;
+    options.engine_options.num_shards = static_cast<int>(args.threads);
   }
   options.queue_capacity = static_cast<size_t>(args.queue_capacity);
   options.idle_timeout_ms = args.idle_timeout_ms;
@@ -127,10 +140,11 @@ Status Run(const ServerArgs& args) {
   std::fflush(stdout);
   if (!args.quiet) {
     std::fprintf(stderr,
-                 "ses_server: engine=%s queue-capacity=%d idle-timeout=%ldms"
-                 " checkpoints=%s\n",
+                 "ses_server: engine=%s queue-capacity=%lld"
+                 " idle-timeout=%lldms checkpoints=%s\n",
                  args.threads > 0 ? "parallel" : args.engine.c_str(),
-                 args.queue_capacity, args.idle_timeout_ms,
+                 static_cast<long long>(args.queue_capacity),
+                 static_cast<long long>(args.idle_timeout_ms),
                  args.checkpoint_dir.empty() ? "<off>"
                                              : args.checkpoint_dir.c_str());
   }

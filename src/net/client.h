@@ -72,15 +72,17 @@ class Client {
   /// Pushes a columnar batch (its schema must equal schema()).
   Result<bool> PushColumnar(const ColumnarBatch& batch);
 
-  /// End-of-stream barrier: when this returns OK, every match of every
-  /// plan this connection owns has been received (and dispatched).
+  /// Ends this connection's stream: when this returns OK, every match of
+  /// every plan this connection owns has been received (and dispatched).
+  /// The next Push starts a new stream, whose timestamps may restart.
   Status Flush();
 
-  /// Asks the server to checkpoint the shared engine; returns the server-
-  /// side file path.
+  /// Asks the server to checkpoint this connection's engine, covering
+  /// every slab pushed before; returns the server-side file path.
   Result<std::string> Checkpoint();
 
-  /// The server's statistics snapshot (catalog + per-plan engine stats).
+  /// This connection's statistics snapshot (catalog + per-plan engine
+  /// stats), covering every slab pushed before.
   Result<StatsResponse> Stats();
 
   /// Matches accumulated so far (only when no match_sink is set), keyed by

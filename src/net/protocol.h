@@ -67,7 +67,7 @@ enum class PacketType : uint8_t {
   kSubmitPlan = 2,    // register a standing query
   kRemovePlan = 3,    // unregister one of this connection's queries
   kPushEvents = 4,    // a slab of stream events (row or columnar payload)
-  kFlush = 5,         // end-of-stream barrier for the served stream
+  kFlush = 5,         // ends the connection's stream
   kCheckpoint = 6,    // checkpoint the engine state to the server's dir
   kStatsRequest = 7,  // ask for the engine/catalog statistics snapshot
 
@@ -124,9 +124,10 @@ struct HelloRequest {
 };
 
 /// SubmitPlan: register a standing query under a client-chosen id. Ids are
-/// global to the server (AlreadyExists on a duplicate); the submitting
-/// connection owns the plan — matches route back to it, and its plans are
-/// freed when it disconnects.
+/// scoped to the connection (AlreadyExists on a duplicate within it; other
+/// connections may use the same id); the plan sees only this connection's
+/// events, its matches route back to it, and it is freed when the
+/// connection disconnects.
 struct SubmitPlanRequest {
   std::string plan_id;
   /// Pattern DSL text, parsed against the served stream schema.

@@ -40,29 +40,9 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
   if (!options.clock_ms) options.clock_ms = SteadyNowMs;
 
   std::unique_ptr<Server> server(new Server(std::move(options)));
-  server->catalog_ = std::make_shared<catalog::QueryCatalog>();
-
-  catalog::CatalogOptions catalog_options;
-  catalog_options.engine = server->options_.engine;
-  catalog_options.engine_options = server->options_.engine_options;
-  catalog_options.shared_type_index = server->options_.shared_type_index;
-  catalog_options.shared_prefilter = server->options_.shared_prefilter;
-  catalog_options.type_attribute = server->options_.type_attribute;
-  // The demux sink runs inside engine calls, which all hold engine_mu_ —
-  // that lock is what makes the plan_owner_/pending access safe here.
-  Server* raw = server.get();
-  catalog_options.sink = [raw](std::string_view plan_id, Match&& match) {
-    auto it = raw->plan_owner_.find(std::string(plan_id));
-    if (it == raw->plan_owner_.end()) return;  // owner already disconnected
-    it->second->pending[std::string(plan_id)].push_back(std::move(match));
-  };
-  SES_ASSIGN_OR_RETURN(server->engine_,
-                       catalog::CatalogEngine::Create(
-                           server->catalog_, std::move(catalog_options)));
-
   SES_ASSIGN_OR_RETURN(server->listener_,
                        ListenTcp(server->options_.port, &server->port_));
-  server->accept_thread_ = std::thread(&Server::AcceptLoop, raw);
+  server->accept_thread_ = std::thread(&Server::AcceptLoop, server.get());
   return server;
 }
 
@@ -79,7 +59,7 @@ void Server::Stop() {
     conns.swap(conns_);
   }
   // Wake every reader blocked in poll/recv; readers tear down their own
-  // worker, plans, and queue on the way out.
+  // worker, stream, and queue on the way out.
   for (const auto& conn : conns) conn->sock.ShutdownBoth();
   for (const auto& conn : conns) {
     if (conn->reader.joinable()) conn->reader.join();
@@ -96,7 +76,14 @@ size_t Server::num_connections() const {
   return live;
 }
 
-size_t Server::num_plans() const { return catalog_->size(); }
+size_t Server::num_plans() const {
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  size_t plans = 0;
+  for (const auto& conn : conns_) {
+    if (!conn->done.load()) plans += conn->catalog->size();
+  }
+  return plans;
+}
 
 void Server::AcceptLoop() {
   while (!stop_.load()) {
@@ -161,14 +148,14 @@ Result<Frame> Server::ReadFrameIdle(Connection* conn) {
 void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
   if (Handshake(conn.get())) {
     conn->worker = std::thread(&Server::WorkerLoop, this, conn);
-    ServeLoop(conn);
+    ServeLoop(conn.get());
   }
   // Teardown, in dependency order: stop feeding the worker, wait for it to
-  // finish every admitted slab, then release this connection's plans and
+  // finish every admitted slab, then release this connection's stream and
   // signal the peer.
   conn->queue.Close();
   if (conn->worker.joinable()) conn->worker.join();
-  CleanupPlans(conn.get());
+  conn->engine.reset();
   conn->sock.ShutdownBoth();
   conn->done.store(true);
 }
@@ -200,6 +187,24 @@ bool Server::Handshake(Connection* conn) {
     return false;
   }
   conn->name = hello->client_name;
+  // The connection's private stream, built before the HelloAck so every
+  // plan the client submits is registered after the engine exists.
+  catalog::CatalogOptions catalog_options;
+  catalog_options.engine = options_.engine;
+  catalog_options.engine_options = options_.engine_options;
+  catalog_options.shared_type_index = options_.shared_type_index;
+  catalog_options.shared_prefilter = options_.shared_prefilter;
+  catalog_options.type_attribute = options_.type_attribute;
+  catalog_options.sink = [conn](std::string_view plan_id, Match&& match) {
+    conn->pending[std::string(plan_id)].push_back(std::move(match));
+  };
+  Result<std::unique_ptr<catalog::CatalogEngine>> engine =
+      catalog::CatalogEngine::Create(conn->catalog, std::move(catalog_options));
+  if (!engine.ok()) {
+    SendError(conn, engine.status());
+    return false;
+  }
+  conn->engine = std::move(*engine);
   HelloResponse ack;
   ack.version = kProtocolVersion;
   ack.schema_text = FormatSchemaText(options_.schema);
@@ -207,9 +212,9 @@ bool Server::Handshake(Connection* conn) {
   return SendFrame(conn, PacketType::kHelloAck, ack.Encode()).ok();
 }
 
-void Server::ServeLoop(const std::shared_ptr<Connection>& conn) {
+void Server::ServeLoop(Connection* conn) {
   for (;;) {
-    Result<Frame> frame = ReadFrameIdle(conn.get());
+    Result<Frame> frame = ReadFrameIdle(conn);
     if (!frame.ok()) {
       const StatusCode code = frame.status().code();
       if (code == StatusCode::kCorruption ||
@@ -217,7 +222,7 @@ void Server::ServeLoop(const std::shared_ptr<Connection>& conn) {
           code == StatusCode::kFailedPrecondition) {
         // Bad frame or idle expiry: tell the peer why, then close — a
         // corrupt byte stream has no resynchronization point.
-        SendError(conn.get(), frame.status());
+        SendError(conn, frame.status());
       }
       return;
     }
@@ -231,30 +236,20 @@ void Server::ServeLoop(const std::shared_ptr<Connection>& conn) {
       case PacketType::kPushEvents:
         HandlePushEvents(conn, *frame);
         break;
-      case PacketType::kFlush: {
-        IngestItem item;
-        item.kind = IngestItem::Kind::kFlush;
-        // Blocking admission: the barrier must order after every admitted
-        // slab; the worker sends the Ack once the engine flushed. From
-        // here on this connection's pushes are rejected at admission —
-        // they could never drain past the queued flush.
-        conn->flush_queued.store(true);
-        if (!conn->queue.Push(std::move(item))) return;
-        break;
-      }
+      case PacketType::kFlush:
       case PacketType::kCheckpoint:
-        HandleCheckpoint(conn.get());
-        break;
       case PacketType::kStatsRequest:
-        HandleStats(conn.get());
+        // The worker answers these after every slab queued before them; a
+        // full queue blocks the reader, as the client awaits the answer.
+        if (!conn->queue.Push(IngestItem{frame->type, {}})) return;
         break;
       case PacketType::kHello:
-        SendError(conn.get(), Status::FailedPrecondition(
-                                  "handshake already completed"));
+        SendError(conn, Status::FailedPrecondition(
+                            "handshake already completed"));
         break;
       default:
         // A response packet type from a client is a protocol violation.
-        SendError(conn.get(),
+        SendError(conn,
                   Status::InvalidArgument(
                       "unexpected packet type " +
                       std::string(PacketTypeName(frame->type)) +
@@ -264,16 +259,15 @@ void Server::ServeLoop(const std::shared_ptr<Connection>& conn) {
   }
 }
 
-void Server::HandleSubmitPlan(const std::shared_ptr<Connection>& conn,
-                              const Frame& frame) {
+void Server::HandleSubmitPlan(Connection* conn, const Frame& frame) {
   Result<SubmitPlanRequest> req = SubmitPlanRequest::Decode(frame.payload);
   if (!req.ok()) {
-    SendError(conn.get(), req.status());
+    SendError(conn, req.status());
     return;
   }
   Result<Pattern> pattern = ParsePattern(req->query, options_.schema);
   if (!pattern.ok()) {
-    SendError(conn.get(),
+    SendError(conn,
               Status(pattern.status().code(), "plan '" + req->plan_id +
                                                   "': " +
                                                   pattern.status().message()));
@@ -282,108 +276,55 @@ void Server::HandleSubmitPlan(const std::shared_ptr<Connection>& conn,
   Result<std::shared_ptr<const plan::CompiledPlan>> plan =
       plan::CompilePlan(*pattern, plan::PlanOptions{});
   if (!plan.ok()) {
-    SendError(conn.get(),
+    SendError(conn,
               Status(plan.status().code(),
                      "plan '" + req->plan_id + "': " +
                          plan.status().message()));
     return;
   }
-  Status added;
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    added = catalog_->Add(req->plan_id, std::move(*plan));
-    if (added.ok()) {
-      plan_owner_[req->plan_id] = conn;
-      conn->plan_ids.push_back(req->plan_id);
-    }
-  }
+  const Status added = conn->catalog->Add(req->plan_id, std::move(*plan));
   if (!added.ok()) {
-    SendError(conn.get(), added);
+    SendError(conn, added);
     return;
   }
-  SendAck(conn.get(), PacketType::kSubmitPlan, req->plan_id);
+  SendAck(conn, PacketType::kSubmitPlan, req->plan_id);
 }
 
-void Server::HandleRemovePlan(const std::shared_ptr<Connection>& conn,
-                              const Frame& frame) {
+void Server::HandleRemovePlan(Connection* conn, const Frame& frame) {
   Result<RemovePlanRequest> req = RemovePlanRequest::Decode(frame.payload);
   if (!req.ok()) {
-    SendError(conn.get(), req.status());
+    SendError(conn, req.status());
     return;
   }
-  Status removed;
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    auto it = plan_owner_.find(req->plan_id);
-    if (it == plan_owner_.end()) {
-      removed = Status::NotFound("no plan '" + req->plan_id + "'");
-    } else if (it->second != conn) {
-      removed = Status::FailedPrecondition(
-          "plan '" + req->plan_id + "' is owned by another connection");
-    } else {
-      removed = catalog_->Remove(req->plan_id);
-      if (removed.ok()) {
-        plan_owner_.erase(it);
-        std::erase(conn->plan_ids, req->plan_id);
-        conn->pending.erase(req->plan_id);
-      }
-    }
-  }
-  if (!removed.ok()) {
-    SendError(conn.get(), removed);
+  if (Status removed = conn->catalog->Remove(req->plan_id); !removed.ok()) {
+    SendError(conn, removed);
     return;
   }
-  SendAck(conn.get(), PacketType::kRemovePlan, req->plan_id);
+  SendAck(conn, PacketType::kRemovePlan, req->plan_id);
 }
 
-void Server::HandlePushEvents(const std::shared_ptr<Connection>& conn,
-                              const Frame& frame) {
+void Server::HandlePushEvents(Connection* conn, const Frame& frame) {
   {
     std::lock_guard<std::mutex> lock(conn->status_mu);
     if (!conn->stream_status.ok()) {
-      SendError(conn.get(), conn->stream_status);
+      SendError(conn, conn->stream_status);
       return;
     }
-  }
-  if (flushed_.load() || conn->flush_queued.load()) {
-    SendError(conn.get(),
-              Status::FailedPrecondition(
-                  "stream already flushed; no further events accepted"));
-    return;
   }
   Result<PushEventsRequest> req =
       PushEventsRequest::Decode(frame.payload, options_.schema);
   if (!req.ok()) {
-    SendError(conn.get(), req.status());
+    SendError(conn, req.status());
     return;
   }
-  // Admission is atomic with the flush-barrier state: a barrier already
-  // draining answers Busy (retry later), a completed flush answers the
-  // flushed error — a slab can never be admitted into the window between
-  // the drain and the engine Flush.
-  switch (TryAdmitPush()) {
-    case Admission::kFlushed:
-      SendError(conn.get(),
-                Status::FailedPrecondition(
-                    "stream already flushed; no further events accepted"));
-      return;
-    case Admission::kDraining:
-      SendBusy(conn.get());
-      return;
-    case Admission::kAdmitted:
-      break;
-  }
-  IngestItem item;
-  item.kind = IngestItem::Kind::kPush;
-  item.push = std::move(*req);
+  IngestItem item{PacketType::kPushEvents, std::move(*req)};
   if (!conn->queue.TryPush(std::move(item))) {
-    SubInflight();
-    SendBusy(conn.get());
+    SendBusy(conn);
     return;
   }
   // Admission ack: evaluation happens on the worker; an evaluation error
   // surfaces as the Error reply to the next request on this connection.
-  SendAck(conn.get(), PacketType::kPushEvents, "queued");
+  SendAck(conn, PacketType::kPushEvents, "queued");
 }
 
 void Server::HandleCheckpoint(Connection* conn) {
@@ -393,11 +334,7 @@ void Server::HandleCheckpoint(Connection* conn) {
     return;
   }
   storage::CheckpointWriter writer;
-  Status status;
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    status = engine_->Checkpoint(&writer);
-  }
+  Status status = conn->engine->Checkpoint(&writer);
   if (!status.ok()) {
     SendError(conn, status);
     return;
@@ -415,112 +352,73 @@ void Server::HandleCheckpoint(Connection* conn) {
 
 void Server::HandleStats(Connection* conn) {
   StatsResponse stats;
-  {
-    std::lock_guard<std::mutex> lock(engine_mu_);
-    stats.catalog = engine_->stats();
-    stats.plans = engine_->plan_stats();
-  }
+  stats.catalog = conn->engine->stats();
+  stats.plans = conn->engine->plan_stats();
   SendFrame(conn, PacketType::kStats, stats.Encode()).ok();
 }
 
 void Server::WorkerLoop(std::shared_ptr<Connection> conn) {
+  catalog::CatalogEngine& engine = *conn->engine;
+  // Set by a Flush: the stream has ended, and the next slab starts a new
+  // one. The reset waits for that slab, so Stats and Checkpoint in between
+  // still cover the finished stream.
+  bool ended = false;
   while (std::optional<IngestItem> item = conn->queue.Pop()) {
     if (options_.eval_gate) options_.eval_gate();
-    if (item->kind == IngestItem::Kind::kPush) {
-      Status status;
-      std::vector<Delivery> out;
-      {
-        std::lock_guard<std::mutex> lock(engine_mu_);
-        status =
+    switch (item->request) {
+      case PacketType::kPushEvents: {
+        if (ended) {
+          engine.Reset();
+          ended = false;
+        }
+        const Status status =
             item->push.layout == PushEventsRequest::Layout::kColumnar
-                ? engine_->PushColumnar(item->push.columnar)
-                : engine_->PushBatch(std::span<const Event>(item->push.events));
-        out = TakePendingLocked();
+                ? engine.PushColumnar(item->push.columnar)
+                : engine.PushBatch(std::span<const Event>(item->push.events));
+        DeliverPending(conn.get());
+        if (!status.ok()) {
+          std::lock_guard<std::mutex> lock(conn->status_mu);
+          if (conn->stream_status.ok()) conn->stream_status = status;
+        }
+        break;
       }
-      Deliver(std::move(out));
-      if (!status.ok()) {
-        std::lock_guard<std::mutex> lock(conn->status_mu);
-        if (conn->stream_status.ok()) conn->stream_status = status;
+      case PacketType::kFlush: {
+        Status status = engine.Flush();
+        ended = true;
+        {
+          // A slab that failed evaluation fails the Flush too — otherwise
+          // the stream would end silently missing matches. The error is
+          // reported once; the next stream starts clean.
+          std::lock_guard<std::mutex> lock(conn->status_mu);
+          if (status.ok()) status = conn->stream_status;
+          conn->stream_status = Status::OK();
+        }
+        // Matches first, then the Ack: once a client sees the Flush Ack,
+        // every match of the stream has been written to its socket.
+        DeliverPending(conn.get());
+        if (status.ok()) {
+          SendAck(conn.get(), PacketType::kFlush, "");
+        } else {
+          SendError(conn.get(), status);
+        }
+        break;
       }
-      SubInflight();
-    } else {
-      // The engine Flush is global: it ends the stream for every plan of
-      // every connection. Raise the barrier first — new pushes answer Busy
-      // server-wide — then wait for all admitted slabs, so a concurrent
-      // client's queued-but-unevaluated events are evaluated rather than
-      // invalidated, and sustained pushes cannot starve the drain. (This
-      // connection's own slabs are already done — they precede the flush
-      // in its FIFO queue.)
-      BeginFlushBarrier();
-      Status status;
-      std::vector<Delivery> out;
-      {
-        std::lock_guard<std::mutex> lock(engine_mu_);
-        status = engine_->Flush();
-        if (status.ok()) flushed_.store(true);
-        out = TakePendingLocked();
-      }
-      EndFlushBarrier();
-      // A slab of this connection that failed evaluation must fail the
-      // barrier too — otherwise the engine's idempotent-OK re-flush would
-      // silently mask a stream with missing matches.
-      if (status.ok()) {
-        std::lock_guard<std::mutex> lock(conn->status_mu);
-        status = conn->stream_status;
-      }
-      // Matches first, then the barrier Ack: once a client sees the Flush
-      // Ack, every match of the stream has been written to its socket.
-      Deliver(std::move(out));
-      if (status.ok()) {
-        SendAck(conn.get(), PacketType::kFlush, "");
-      } else {
-        SendError(conn.get(), status);
-      }
+      case PacketType::kCheckpoint:
+        HandleCheckpoint(conn.get());
+        break;
+      default:  // kStatsRequest; the reader queues nothing else
+        HandleStats(conn.get());
+        break;
     }
   }
 }
 
-Server::Admission Server::TryAdmitPush() {
-  std::lock_guard<std::mutex> lock(inflight_mu_);
-  if (flushed_.load()) return Admission::kFlushed;
-  if (flush_waiters_ > 0) return Admission::kDraining;
-  ++inflight_pushes_;
-  return Admission::kAdmitted;
-}
-
-void Server::SubInflight() {
-  std::lock_guard<std::mutex> lock(inflight_mu_);
-  if (--inflight_pushes_ == 0) inflight_cv_.notify_all();
-}
-
-void Server::BeginFlushBarrier() {
-  std::unique_lock<std::mutex> lock(inflight_mu_);
-  // From here on TryAdmitPush answers kDraining, so the in-flight count
-  // drains monotonically to zero. Every admitted slab is evaluated even
-  // during teardown (BoundedQueue consumers drain after Close), so the
-  // count always reaches zero; the timed wait is a belt-and-braces guard
-  // against a missed wakeup.
-  ++flush_waiters_;
-  while (inflight_pushes_ != 0) {
-    inflight_cv_.wait_for(lock, std::chrono::milliseconds(100));
+void Server::DeliverPending(Connection* conn) {
+  for (const auto& [plan_id, matches] : conn->pending) {
+    const std::string payload = MatchBatchResponse::Encode(
+        plan_id, std::span<const Match>(matches), options_.schema);
+    SendFrame(conn, PacketType::kMatchBatch, payload).ok();
   }
-}
-
-void Server::EndFlushBarrier() {
-  // flushed_ was stored (on success) before this runs, so a push admitted
-  // after the barrier drops sees kFlushed, never the engine's post-flush
-  // state.
-  std::lock_guard<std::mutex> lock(inflight_mu_);
-  --flush_waiters_;
-}
-
-void Server::CleanupPlans(Connection* conn) {
-  std::lock_guard<std::mutex> lock(engine_mu_);
-  for (const std::string& id : conn->plan_ids) {
-    catalog_->Remove(id).ok();  // the engine drops it at its next refresh
-    plan_owner_.erase(id);
-  }
-  conn->plan_ids.clear();
   conn->pending.clear();
 }
 
@@ -550,32 +448,6 @@ void Server::SendBusy(Connection* conn) {
   busy.queue_depth = conn->queue.depth();
   busy.queue_capacity = conn->queue.capacity();
   SendFrame(conn, PacketType::kBusy, busy.Encode()).ok();
-}
-
-std::vector<Server::Delivery> Server::TakePendingLocked() {
-  std::vector<Delivery> out;
-  for (auto& [id, conn] : plan_owner_) {
-    auto it = conn->pending.find(id);
-    if (it == conn->pending.end() || it->second.empty()) continue;
-    Delivery delivery;
-    delivery.conn = conn;
-    delivery.plan_id = id;
-    delivery.matches = std::move(it->second);
-    it->second.clear();
-    out.push_back(std::move(delivery));
-  }
-  return out;
-}
-
-void Server::Deliver(std::vector<Delivery> deliveries) {
-  for (Delivery& delivery : deliveries) {
-    const std::string payload = MatchBatchResponse::Encode(
-        delivery.plan_id, std::span<const Match>(delivery.matches),
-        options_.schema);
-    std::lock_guard<std::mutex> lock(delivery.conn->write_mu);
-    WriteFrame(delivery.conn->sock.fd(), PacketType::kMatchBatch, payload)
-        .ok();
-  }
 }
 
 }  // namespace ses::net

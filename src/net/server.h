@@ -2,7 +2,6 @@
 #define SES_NET_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -10,7 +9,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "catalog/catalog_engine.h"
@@ -70,22 +68,23 @@ struct ServerOptions {
 /// catalog runtime (docs/SERVER.md is the ops guide, net/protocol.h the
 /// wire contract).
 ///
-/// One shared catalog::CatalogEngine serves every connection, so plans
-/// from different clients share the type index and pre-filter work exactly
-/// as an in-process catalog run would. Per connection the server runs two
-/// threads: a reader that speaks the protocol (handshake first, then
-/// request dispatch) and answers control requests synchronously, and an
-/// ingest worker that drains that connection's bounded queue
-/// (exec::BoundedQueue) into the engine — so a slow evaluation never stops
-/// the reader from answering, and a full queue becomes an explicit Busy
-/// response. Matches are routed back to the connection that submitted the
-/// matching plan, as MatchBatch frames.
+/// Every connection is its own stream: it gets a private
+/// catalog::QueryCatalog and catalog::CatalogEngine built from the
+/// ServerOptions, so its plan ids, timestamp ordering, Flush, Stats and
+/// Checkpoint never see another connection. Per connection the server runs
+/// two threads: a reader that speaks the protocol (handshake first, then
+/// request dispatch) and answers SubmitPlan/RemovePlan itself, and an
+/// ingest worker — the only thread that calls the engine — serving
+/// PushEvents, Flush, StatsRequest and Checkpoint from a bounded queue
+/// (exec::BoundedQueue) in arrival order. A slow evaluation never stops the
+/// reader from answering, and a full queue becomes an explicit Busy
+/// response.
 ///
-/// Plan ids are global across the server (AlreadyExists on a duplicate);
-/// a connection owns the plans it submitted, and they are removed — with
-/// any undelivered matches — when it disconnects, times out idle, or
-/// sends a malformed frame (a corrupt stream cannot be resynchronized, so
-/// the server answers with a typed Error and closes).
+/// Flush ends the connection's stream; its next PushEvents starts a new one
+/// (timestamps may restart). A connection's plans — with any undelivered
+/// matches — are freed when it disconnects, times out idle, or sends a
+/// malformed frame (a corrupt stream cannot be resynchronized, so the
+/// server answers with a typed Error and closes).
 class Server {
  public:
   /// Validates the options (schema non-empty, engine registered), binds
@@ -107,48 +106,45 @@ class Server {
   /// Currently live connections (monitoring and tests).
   size_t num_connections() const;
 
-  /// Currently registered plans across all connections.
+  /// Currently registered plans across all live connections.
   size_t num_plans() const;
 
  private:
-  /// One queued unit of ingest work: a decoded PushEvents slab, or the
-  /// Flush barrier (which the worker acknowledges itself, so the Ack
-  /// orders after every admitted slab's evaluation).
+  /// One queued request for the ingest worker: a decoded PushEvents slab,
+  /// or a Flush, StatsRequest or Checkpoint, which the worker answers
+  /// itself — so each answer covers every slab queued before it.
   struct IngestItem {
-    enum class Kind { kPush, kFlush };
-    Kind kind = Kind::kPush;
+    PacketType request = PacketType::kPushEvents;
+    /// The slab, for kPushEvents.
     PushEventsRequest push;
   };
 
   /// Per-connection state. Thread roles: `reader` owns the socket's read
-  /// side and all synchronous replies; `worker` drains `queue`. Both write
-  /// frames under `write_mu` (as do other connections' workers delivering
-  /// matches). `plan_ids` and `pending` are guarded by the server's
-  /// engine_mu_; `stream_status` by `status_mu`.
+  /// side and the synchronous replies; `worker` drains `queue` and alone
+  /// touches `engine` and `pending`. Both write frames under `write_mu`;
+  /// `stream_status` is guarded by `status_mu`.
   struct Connection {
     explicit Connection(size_t queue_capacity) : queue(queue_capacity) {}
 
     Socket sock;
     std::mutex write_mu;
     exec::BoundedQueue<IngestItem> queue;
-    std::thread reader;
-    std::thread worker;
     /// Reader finished (including worker join); the accept loop reaps it.
     std::atomic<bool> done{false};
-    /// A Flush is queued behind this connection's admitted slabs. Further
-    /// PushEvents are rejected at admission: the flush worker waits for
-    /// every connection's in-flight slabs, and a push queued behind its
-    /// own connection's flush could never drain.
-    std::atomic<bool> flush_queued{false};
-    /// Plans this connection submitted (engine_mu_).
-    std::vector<std::string> plan_ids;
-    /// Matches produced but not yet written to the socket, per plan
-    /// (engine_mu_; filled by the catalog sink during engine calls).
+    /// This connection's plans: the reader registers them, the engine
+    /// picks them up at its next batch boundary (QueryCatalog is
+    /// thread-safe).
+    std::shared_ptr<catalog::QueryCatalog> catalog =
+        std::make_shared<catalog::QueryCatalog>();
+    /// Built at the handshake, released at teardown.
+    std::unique_ptr<catalog::CatalogEngine> engine;
+    /// Matches the engine produced during its current call, per plan; the
+    /// worker writes them out right after the call returns.
     std::map<std::string, std::vector<Match>> pending;
     std::mutex status_mu;
-    /// First asynchronous evaluation error; surfaced as the Error reply to
-    /// the connection's next request (admission Acks mean push errors are
-    /// detected after the Ack).
+    /// First asynchronous evaluation error of the current stream; surfaced
+    /// as the Error reply to the connection's next PushEvents or Flush
+    /// (admission Acks mean push errors are detected after the Ack).
     Status stream_status;
     /// Client-announced name, for log lines.
     std::string name;
@@ -159,14 +155,8 @@ class Server {
     /// waiting — so a fake clock advanced while the reader is between
     /// frames still expires the connection.
     int64_t last_activity_ms = 0;
-  };
-
-  /// An extracted pending-match buffer, handed from under engine_mu_ to
-  /// the socket writes outside it.
-  struct Delivery {
-    std::shared_ptr<Connection> conn;
-    std::string plan_id;
-    std::vector<Match> matches;
+    std::thread reader;
+    std::thread worker;
   };
 
   explicit Server(ServerOptions options);
@@ -183,22 +173,23 @@ class Server {
   /// deadline are observed; FailedPrecondition signals idle expiry.
   Result<Frame> ReadFrameIdle(Connection* conn);
 
-  /// True when the handshake completed and the connection may proceed.
+  /// True when the handshake completed, the connection's engine is built,
+  /// and the connection may proceed.
   bool Handshake(Connection* conn);
   /// Serves decoded frames until disconnect/error; returns on teardown.
-  void ServeLoop(const std::shared_ptr<Connection>& conn);
+  void ServeLoop(Connection* conn);
 
-  void HandleSubmitPlan(const std::shared_ptr<Connection>& conn,
-                        const Frame& frame);
-  void HandleRemovePlan(const std::shared_ptr<Connection>& conn,
-                        const Frame& frame);
-  void HandlePushEvents(const std::shared_ptr<Connection>& conn,
-                        const Frame& frame);
+  void HandleSubmitPlan(Connection* conn, const Frame& frame);
+  void HandleRemovePlan(Connection* conn, const Frame& frame);
+  void HandlePushEvents(Connection* conn, const Frame& frame);
+
+  /// Run on the worker, in queue order.
   void HandleCheckpoint(Connection* conn);
   void HandleStats(Connection* conn);
 
-  /// Removes every plan the connection owns and drops its pending matches.
-  void CleanupPlans(Connection* conn);
+  /// Writes the engine's pending matches as MatchBatch frames (write
+  /// errors are the reader's problem to notice) and clears them.
+  void DeliverPending(Connection* conn);
 
   Status SendFrame(Connection* conn, PacketType type,
                    std::string_view payload);
@@ -206,52 +197,11 @@ class Server {
   void SendError(Connection* conn, const Status& status);
   void SendBusy(Connection* conn);
 
-  /// In-flight slab accounting and the Flush barrier. Every admitted
-  /// PushEvents slab increments the count; its evaluation decrements it.
-  /// A Flush barrier first raises flush_waiters_, which makes TryAdmitPush
-  /// answer kDraining (a server-wide Busy) — so the count drains
-  /// monotonically to zero instead of the barrier chasing a momentary zero
-  /// under sustained pushes, and no slab can be admitted into the window
-  /// between the drain and the engine Flush.
-  enum class Admission { kAdmitted, kDraining, kFlushed };
-  /// Atomically checks the flush state and, when open, counts the slab
-  /// in-flight. The one admission point for PushEvents.
-  Admission TryAdmitPush();
-  void SubInflight();
-  /// Closes admission (kDraining), then waits for every admitted slab to
-  /// evaluate. Paired with EndFlushBarrier after the engine Flush ran.
-  void BeginFlushBarrier();
-  void EndFlushBarrier();
-
-  /// Moves every connection's pending buffers out. Caller holds engine_mu_.
-  std::vector<Delivery> TakePendingLocked();
-  /// Writes the extracted buffers as MatchBatch frames (no engine lock
-  /// held; write errors are the owning reader's problem to notice).
-  void Deliver(std::vector<Delivery> deliveries);
-
   ServerOptions options_;
   Socket listener_;
   uint16_t port_ = 0;
-
-  /// Engine state: every CatalogEngine call (and the plan-ownership maps
-  /// the sink updates during those calls) happens under engine_mu_.
-  mutable std::mutex engine_mu_;
-  std::shared_ptr<catalog::QueryCatalog> catalog_;
-  std::unique_ptr<catalog::CatalogEngine> engine_;
-  std::unordered_map<std::string, std::shared_ptr<Connection>> plan_owner_;
-  /// Set once a Flush was evaluated; later PushEvents are rejected with
-  /// FailedPrecondition at admission (the engine is not auto-reset, so a
-  /// StatsRequest after Flush still reports the full run).
-  std::atomic<bool> flushed_{false};
+  /// Numbers checkpoint files server-wide, so connections never collide.
   std::atomic<int64_t> checkpoint_seq_{0};
-
-  /// Admitted-but-not-yet-evaluated PushEvents slabs across every
-  /// connection, and the count of Flush barriers currently draining
-  /// (see TryAdmitPush).
-  mutable std::mutex inflight_mu_;
-  std::condition_variable inflight_cv_;
-  int64_t inflight_pushes_ = 0;
-  int64_t flush_waiters_ = 0;
 
   mutable std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;

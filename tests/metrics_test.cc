@@ -97,8 +97,8 @@ TEST(Metrics, StopwatchMeasuresElapsedTime) {
   // Can't assert wall time robustly; only monotonicity and non-negativity.
   double first = watch.ElapsedSeconds();
   EXPECT_GE(first, 0.0);
-  volatile int sink = 0;
-  for (int i = 0; i < 100000; ++i) sink = sink + i;
+  volatile unsigned sink = 0;  // unsigned: the sum wraps without UB
+  for (unsigned i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(watch.ElapsedSeconds(), first);
   EXPECT_GE(watch.ElapsedNanos(), 0);
   watch.Restart();

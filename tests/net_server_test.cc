@@ -1,14 +1,17 @@
 // Loopback integration tests for the network server (src/net/server.h):
 // the end-to-end differential — matches delivered over the wire must be
-// BYTE-identical (as CheckpointMatch encodings) to an in-process
-// CatalogEngine run over the same plans and events, across engine kinds
-// {serial, parallel x 4}, payload encodings {row, columnar}, and client
-// counts {1, 8} — plus the connection lifecycle: disconnects free plans
-// and pending matches, a full ingest queue answers Busy without dropping
-// admitted slabs, idle connections are torn down on the injected clock,
-// corrupt frames get a typed Error and a clean close without hurting
-// other connections, and the Stats packet carries field-for-field parity
-// with the in-process engine.
+// BYTE-identical (as CheckpointMatch encodings) to a standalone in-process
+// CatalogEngine run over the connection's own plan and stream, across
+// engine kinds {serial, parallel x 4}, payload encodings {row, columnar},
+// client counts {1, 8}, and clients sharing one plan id, query and label
+// alphabet — plus per-connection stream scope: a Flush ends only its own
+// connection's stream, a new stream may follow with restarted timestamps,
+// and Stats answers in queue order. And the connection lifecycle:
+// disconnects free plans and pending matches, a full ingest queue answers
+// Busy without dropping admitted slabs, idle connections are torn down on
+// the injected clock, corrupt frames get a typed Error and a clean close
+// without hurting other connections, and the Stats packet carries
+// field-for-field parity with the in-process engine.
 
 #include <gtest/gtest.h>
 
@@ -49,18 +52,19 @@ Schema TestSchema() {
   return *schema;
 }
 
-/// The stream of client `index`: timestamps 1..events, labels alternating
-/// A<index>/B<index>, consecutive pairs sharing an ID join key — the same
-/// shape ses_loadgen generates, so each client's plan matches only its own
-/// events.
-EventRelation ClientStream(int index, int events) {
+/// A stream over label alphabet `index`: timestamps 1..events, labels
+/// alternating A<index>/B<index>, consecutive pairs sharing an ID join key
+/// (0..3, plus `key_offset`) — the shape ses_loadgen generates. Distinct
+/// key offsets make two streams over one alphabet produce different match
+/// bytes.
+EventRelation ClientStream(int index, int events, int64_t key_offset = 0) {
   EventRelation relation(TestSchema());
   const std::string a = "A" + std::to_string(index);
   const std::string b = "B" + std::to_string(index);
   for (int i = 0; i < events; ++i) {
     relation.AppendUnchecked(
         static_cast<Timestamp>(i + 1),
-        {Value(static_cast<int64_t>((i / 2) % 4)),
+        {Value(key_offset + (i / 2) % 4),
          Value(i % 2 == 0 ? a : b), Value(static_cast<double>(i))});
   }
   return relation;
@@ -91,56 +95,33 @@ engine::EngineOptions EngineOptionsFor(const std::string& engine) {
   return options;
 }
 
-/// The reference: an in-process CatalogEngine over the same plans and the
-/// same per-client streams (each client's stream pushed in its own order;
-/// plans are disjoint across clients, so per-plan match sets are
-/// independent of interleaving).
-std::map<std::string, std::string> InProcessReference(
-    const std::string& engine, int clients, int events) {
+/// The reference: a standalone in-process CatalogEngine running one plan
+/// over one connection's stream, as the canonical match-set encoding.
+std::string StandaloneReference(const std::string& engine,
+                                const std::string& query,
+                                const EventRelation& stream) {
   const Schema schema = TestSchema();
   auto catalog = std::make_shared<QueryCatalog>();
-  std::map<std::string, std::vector<Match>> matches;
+  std::vector<Match> matches;
   CatalogOptions options;
   options.engine = engine;
   options.engine_options = EngineOptionsFor(engine);
-  options.sink = [&](std::string_view plan_id, Match&& match) {
-    matches[std::string(plan_id)].push_back(std::move(match));
+  options.sink = [&](std::string_view, Match&& match) {
+    matches.push_back(std::move(match));
   };
-  for (int c = 0; c < clients; ++c) {
-    Result<Pattern> pattern = ParsePattern(ClientQuery(c), schema);
-    EXPECT_TRUE(pattern.ok()) << pattern.status().ToString();
-    Result<std::shared_ptr<const plan::CompiledPlan>> plan =
-        plan::CompilePlan(*pattern, plan::PlanOptions{});
-    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-    EXPECT_TRUE(
-        catalog->Add("plan-" + std::to_string(c), std::move(*plan)).ok());
-  }
+  Result<Pattern> pattern = ParsePattern(query, schema);
+  EXPECT_TRUE(pattern.ok()) << pattern.status().ToString();
+  Result<std::shared_ptr<const plan::CompiledPlan>> plan =
+      plan::CompilePlan(*pattern, plan::PlanOptions{});
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(catalog->Add("plan", std::move(*plan)).ok());
   Result<std::unique_ptr<CatalogEngine>> built =
       CatalogEngine::Create(catalog, std::move(options));
   EXPECT_TRUE(built.ok()) << built.status().ToString();
-  // Interleave the client streams slab-by-slab, as concurrent connections
-  // would; each plan only sees its own client's labels either way.
-  const int slab = 64;
-  std::vector<EventRelation> streams;
-  streams.reserve(clients);
-  for (int c = 0; c < clients; ++c) {
-    streams.push_back(ClientStream(c, events));
-  }
-  for (int offset = 0; offset < events; offset += slab) {
-    for (int c = 0; c < clients; ++c) {
-      std::span<const Event> all(streams[c].events());
-      std::span<const Event> part = all.subspan(
-          offset, std::min<size_t>(slab, all.size() - offset));
-      EXPECT_TRUE((*built)->PushBatch(part).ok());
-    }
-  }
+  EXPECT_TRUE(
+      (*built)->PushBatch(std::span<const Event>(stream.events())).ok());
   EXPECT_TRUE((*built)->Flush().ok());
-
-  std::map<std::string, std::string> encoded;
-  for (auto& [id, set] : matches) {
-    encoded[id] = EncodeMatchSet(std::move(set), schema);
-  }
-  return encoded;
+  return EncodeMatchSet(std::move(matches), schema);
 }
 
 std::unique_ptr<net::Server> StartServer(net::ServerOptions options) {
@@ -161,12 +142,15 @@ Result<std::unique_ptr<net::Client>> ConnectClient(uint16_t port,
 
 // --- Differential: server matches == in-process matches, byte for byte ---
 
+/// (engine, columnar, clients, shared): when `shared`, every client submits
+/// the same plan id and query over the same labels, and only its join keys
+/// differ — so a match delivered to the wrong connection changes the bytes.
 class DifferentialTest
     : public ::testing::TestWithParam<
-          std::tuple<std::string, bool, int>> {};
+          std::tuple<std::string, bool, int, bool>> {};
 
 TEST_P(DifferentialTest, WireMatchesEqualInProcessMatches) {
-  const auto& [engine, columnar, clients] = GetParam();
+  const auto& [engine, columnar, clients, shared] = GetParam();
   const int events = 400;
 
   net::ServerOptions server_options;
@@ -174,15 +158,15 @@ TEST_P(DifferentialTest, WireMatchesEqualInProcessMatches) {
   server_options.engine_options = EngineOptionsFor(engine);
   std::unique_ptr<net::Server> server = StartServer(std::move(server_options));
 
-  // Concurrent connections, one thread each, loadgen's flush protocol:
-  // everyone pushes, then client 0 runs the global Flush (the server
-  // drains every admitted slab first), then the rest Flush idempotently
-  // to collect their MatchBatch frames.
+  // Concurrent connections, one thread each; every client flushes right
+  // after its own pushes, while its neighbors may still be pushing.
   const Schema schema = TestSchema();
+  auto label_of = [&](int c) { return shared ? 0 : c; };
+  auto stream_of = [&](int c) {
+    return ClientStream(label_of(c), events, shared ? 4 * c : 0);
+  };
   std::vector<std::unique_ptr<net::Client>> clients_vec(clients);
   std::vector<Status> statuses(clients, Status::OK());
-  std::atomic<int> pushed{0};
-  std::atomic<bool> flushed{false};
   std::vector<std::thread> threads;
   for (int c = 0; c < clients; ++c) {
     threads.emplace_back([&, c] {
@@ -190,14 +174,14 @@ TEST_P(DifferentialTest, WireMatchesEqualInProcessMatches) {
           ConnectClient(server->port(), /*busy_retry_ms=*/2);
       if (!client.ok()) {
         statuses[c] = client.status();
-        ++pushed;
         return;
       }
       clients_vec[c] = std::move(*client);
       net::Client& cl = *clients_vec[c];
-      Status status = cl.SubmitPlan("plan-" + std::to_string(c),
-                                    ClientQuery(c));
-      const EventRelation stream = ClientStream(c, events);
+      const int label = label_of(c);
+      Status status = cl.SubmitPlan("plan-" + std::to_string(label),
+                                    ClientQuery(label));
+      const EventRelation stream = stream_of(c);
       std::span<const Event> all(stream.events());
       for (size_t offset = 0; status.ok() && offset < all.size();
            offset += 64) {
@@ -209,20 +193,7 @@ TEST_P(DifferentialTest, WireMatchesEqualInProcessMatches) {
                 : cl.Push(slab);
         if (!ok.ok()) status = ok.status();
       }
-      ++pushed;
-      if (status.ok()) {
-        if (c == 0) {
-          while (pushed.load() < clients) std::this_thread::yield();
-          status = cl.Flush();
-          flushed.store(true);
-        } else {
-          while (!flushed.load()) std::this_thread::yield();
-          status = cl.Flush();
-        }
-      } else if (c == 0) {
-        flushed.store(true);
-      }
-      statuses[c] = status;
+      statuses[c] = status.ok() ? cl.Flush() : status;
     });
   }
   for (std::thread& thread : threads) thread.join();
@@ -231,32 +202,43 @@ TEST_P(DifferentialTest, WireMatchesEqualInProcessMatches) {
         << "client " << c << ": " << statuses[c].ToString();
   }
 
-  const std::map<std::string, std::string> want =
-      InProcessReference(engine, clients, events);
   for (int c = 0; c < clients; ++c) {
-    const std::string id = "plan-" + std::to_string(c);
+    const int label = label_of(c);
+    const std::string id = "plan-" + std::to_string(label);
     std::map<std::string, std::vector<Match>> got =
         clients_vec[c]->TakeMatches();
     ASSERT_EQ(got.size(), 1u) << "client " << c;
     ASSERT_TRUE(got.contains(id)) << "client " << c;
-    ASSERT_TRUE(want.contains(id)) << "client " << c;
     EXPECT_FALSE(got[id].empty()) << "client " << c;
-    EXPECT_EQ(EncodeMatchSet(std::move(got[id]), schema), want.at(id))
+    EXPECT_EQ(EncodeMatchSet(std::move(got[id]), schema),
+              StandaloneReference(engine, ClientQuery(label), stream_of(c)))
         << "client " << c << " match bytes differ";
     clients_vec[c]->Close();
   }
   server->Stop();
 }
 
+std::string DifferentialName(
+    const ::testing::TestParamInfo<DifferentialTest::ParamType>& info) {
+  return std::get<0>(info.param) +
+         std::string(std::get<1>(info.param) ? "_columnar" : "_row") + "_" +
+         std::to_string(std::get<2>(info.param)) + "c" +
+         (std::get<3>(info.param) ? "_shared" : "");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     EnginesEncodingsClients, DifferentialTest,
     ::testing::Combine(::testing::Values("serial", "parallel"),
-                       ::testing::Bool(), ::testing::Values(1, 8)),
-    [](const auto& info) {
-      return std::get<0>(info.param) +
-             std::string(std::get<1>(info.param) ? "_columnar" : "_row") +
-             "_" + std::to_string(std::get<2>(info.param)) + "c";
-    });
+                       ::testing::Bool(), ::testing::Values(1, 8),
+                       ::testing::Values(false)),
+    DifferentialName);
+
+INSTANTIATE_TEST_SUITE_P(
+    SharedPlanIds, DifferentialTest,
+    ::testing::Combine(::testing::Values("serial", "parallel"),
+                       ::testing::Bool(), ::testing::Values(8),
+                       ::testing::Values(true)),
+    DifferentialName);
 
 // --- Connection lifecycle ---
 
@@ -336,9 +318,8 @@ TEST(ServerLifecycle, FullQueueAnswersBusyAndDropsNothing) {
   ASSERT_TRUE((*client)->Flush().ok());
 
   std::map<std::string, std::vector<Match>> got = (*client)->TakeMatches();
-  const Schema schema = TestSchema();
-  EXPECT_EQ(EncodeMatchSet(std::move(got["plan-0"]), schema),
-            InProcessReference("serial", 1, 60).at("plan-0"));
+  EXPECT_EQ(EncodeMatchSet(std::move(got["plan-0"]), TestSchema()),
+            StandaloneReference("serial", ClientQuery(0), stream));
   (*client)->Close();
   server->Stop();
 }
@@ -505,60 +486,129 @@ TEST(ServerStats, WireStatsMatchInProcessFieldForField) {
   server->Stop();
 }
 
-// --- Flush semantics across connections ---
+// --- Flush scope: each connection is its own stream ---
 
-TEST(ServerFlush, GlobalFlushWaitsForOtherConnectionsAdmittedSlabs) {
-  // Client B's slab is admitted but its worker is held at the gate when
-  // client A flushes: the flush barrier must wait, evaluate B's slab, and
-  // deliver B's matches — not invalidate them.
-  std::counting_semaphore<1024> gate(0);
-  std::atomic<bool> gate_open{false};
+/// An eval_gate that holds the first item evaluated after Arm() until
+/// Open(). The hold is bounded, so a server that waits for the held worker
+/// fails the test instead of hanging it.
+class HoldGate {
+ public:
+  void Arm() { armed_.store(true); }
+  void Enter() {
+    if (!armed_.exchange(false)) return;
+    held_.release();
+    if (!open_.try_acquire_for(std::chrono::seconds(5))) {
+      timed_out_.store(true);
+    }
+  }
+  void WaitHeld() { held_.acquire(); }
+  void Open() { open_.release(); }
+  bool timed_out() const { return timed_out_.load(); }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::atomic<bool> timed_out_{false};
+  std::binary_semaphore held_{0};
+  std::binary_semaphore open_{0};
+};
+
+std::string Describe(const Result<bool>& pushed) {
+  if (!pushed.ok()) return pushed.status().ToString();
+  return *pushed ? "ok" : "busy";
+}
+
+TEST(ServerFlush, FlushEndsOnlyItsConnectionsStream) {
+  HoldGate gate;
   net::ServerOptions options;
-  options.eval_gate = [&] {
-    if (!gate_open.load()) gate.acquire();
-  };
+  options.eval_gate = [&gate] { gate.Enter(); };
   std::unique_ptr<net::Server> server = StartServer(std::move(options));
-
   Result<std::unique_ptr<net::Client>> a = ConnectClient(server->port());
   Result<std::unique_ptr<net::Client>> b = ConnectClient(server->port());
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE((*a)->SubmitPlan("plan-0", ClientQuery(0)).ok());
   ASSERT_TRUE((*b)->SubmitPlan("plan-1", ClientQuery(1)).ok());
 
-  const EventRelation stream_a = ClientStream(0, 40);
-  const EventRelation stream_b = ClientStream(1, 40);
-  Result<bool> pushed_b =
-      (*b)->Push(std::span<const Event>(stream_b.events()));
-  ASSERT_TRUE(pushed_b.ok() && *pushed_b);  // admitted, not yet evaluated
-  Result<bool> pushed_a =
-      (*a)->Push(std::span<const Event>(stream_a.events()));
-  ASSERT_TRUE(pushed_a.ok() && *pushed_a);
-
-  // A's flush from a helper thread (it blocks on the barrier); open the
-  // gate shortly after so both workers drain.
-  std::thread flusher([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    gate_open.store(true);
-    gate.release(1000);
-  });
-  ASSERT_TRUE((*a)->Flush().ok());
-  flusher.join();
-  ASSERT_TRUE((*b)->Flush().ok());  // idempotent; drains B's matches
-
+  // B is mid-stream: its first slab is Acked but held at the gate, and a
+  // StatsRequest waits behind it (on a helper thread, since the answer
+  // comes only once the slab is evaluated).
   const Schema schema = TestSchema();
-  std::map<std::string, std::vector<Match>> got_b = (*b)->TakeMatches();
-  EXPECT_FALSE(got_b["plan-1"].empty())
-      << "B's admitted slab was lost by A's flush";
-  EXPECT_EQ(EncodeMatchSet(std::move(got_b["plan-1"]), schema),
-            InProcessReference("serial", 2, 40).at("plan-1"));
+  const EventRelation stream_b = ClientStream(1, 80);
+  std::span<const Event> all_b(stream_b.events());
+  gate.Arm();
+  Result<bool> held = (*b)->Push(all_b.subspan(0, 40));
+  ASSERT_TRUE(held.ok() && *held) << Describe(held);
+  gate.WaitHeld();
+  Result<net::StatsResponse> stats_b = Status::Internal("not answered");
+  std::thread stats_thread([&] { stats_b = (*b)->Stats(); });
 
-  // After the global flush, pushes on any connection fail typed.
-  Result<bool> late = (*a)->Push(std::span<const Event>(stream_a.events()));
-  ASSERT_FALSE(late.ok());
-  EXPECT_EQ(late.status().code(), StatusCode::kFailedPrecondition);
+  // (a) A runs three push -> Flush cycles, timestamps restarting at 1; each
+  // cycle equals a standalone run. Checks stay non-fatal so that every case
+  // reports.
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    const EventRelation stream = ClientStream(0, 40 + 30 * cycle);
+    Result<bool> pushed = (*a)->Push(std::span<const Event>(stream.events()));
+    EXPECT_TRUE(pushed.ok() && *pushed)
+        << "cycle " << cycle << ": " << Describe(pushed);
+    const Status flushed = (*a)->Flush();
+    EXPECT_TRUE(flushed.ok())
+        << "cycle " << cycle << ": " << flushed.ToString();
+    EXPECT_EQ(EncodeMatchSet(std::move((*a)->TakeMatches()["plan-0"]), schema),
+              StandaloneReference("serial", ClientQuery(0), stream))
+        << "cycle " << cycle;
+  }
+  // Until the next push, Stats still reports the finished stream.
+  Result<net::StatsResponse> stats_a = (*a)->Stats();
+  ASSERT_TRUE(stats_a.ok()) << stats_a.status().ToString();
+  EXPECT_EQ(stats_a->catalog.events_pushed, 100);
+
+  // (b) A's flushes never waited for B's held slab, and B's stream goes on
+  // to equal its standalone run.
+  EXPECT_FALSE(gate.timed_out()) << "a flush waited for another connection";
+  gate.Open();
+  stats_thread.join();
+  Result<bool> rest = (*b)->Push(all_b.subspan(40));
+  EXPECT_TRUE(rest.ok() && *rest) << Describe(rest);
+  const Status flushed_b = (*b)->Flush();
+  EXPECT_TRUE(flushed_b.ok()) << flushed_b.ToString();
+  EXPECT_EQ(EncodeMatchSet(std::move((*b)->TakeMatches()["plan-1"]), schema),
+            StandaloneReference("serial", ClientQuery(1), stream_b));
+
+  // (c) The StatsRequest sent after B's Acked slab counts that slab.
+  ASSERT_TRUE(stats_b.ok()) << stats_b.status().ToString();
+  EXPECT_EQ(stats_b->catalog.events_pushed, 40);
 
   (*a)->Close();
   (*b)->Close();
+  server->Stop();
+}
+
+TEST(ServerFlush, FailedStreamEndsAtFlushAndTheNextStartsClean) {
+  std::unique_ptr<net::Server> server = StartServer({});
+  Result<std::unique_ptr<net::Client>> client = ConnectClient(server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)->SubmitPlan("plan-0", ClientQuery(0)).ok());
+
+  // The same timestamps twice without a Flush go back in time: the second
+  // slab is Acked at admission, then fails evaluation.
+  const EventRelation stream = ClientStream(0, 40);
+  std::span<const Event> events(stream.events());
+  Result<bool> first = (*client)->Push(events);
+  ASSERT_TRUE(first.ok() && *first) << Describe(first);
+  Result<bool> second = (*client)->Push(events);
+  ASSERT_TRUE(second.ok() && *second) << Describe(second);
+  // The Flush reports the error and ends the failed stream.
+  const Status failed = (*client)->Flush();
+  EXPECT_EQ(failed.code(), StatusCode::kInvalidArgument) << failed.ToString();
+  (*client)->TakeMatches();
+
+  // The next stream starts clean and equals a standalone run.
+  Result<bool> again = (*client)->Push(events);
+  ASSERT_TRUE(again.ok() && *again) << Describe(again);
+  ASSERT_TRUE((*client)->Flush().ok());
+  std::map<std::string, std::vector<Match>> got = (*client)->TakeMatches();
+  EXPECT_EQ(EncodeMatchSet(std::move(got["plan-0"]), TestSchema()),
+            StandaloneReference("serial", ClientQuery(0), stream));
+  (*client)->Close();
   server->Stop();
 }
 

@@ -2,14 +2,19 @@
 # End-to-end smoke for the network server (docs/SERVER.md): starts a real
 # ses_server process, drives it with ses_loadgen over loopback TCP, then
 # replays every dumped client stream through ses_cli and diffs the match
-# listings byte for byte. The server is the system under test — in CI it
-# is built with ASan+UBSan, so a single out-of-bounds read in the codec or
-# connection handling fails the job even when the diffs happen to pass.
+# listings byte for byte — twice against the same server, so a server that
+# stops serving once its clients have flushed fails the second pass. The
+# server is the system under test — in CI it is built with ASan+UBSan, so
+# a single out-of-bounds read in the codec or connection handling fails the
+# job even when the diffs happen to pass.
 #
-# Each loadgen client uses a private label alphabet ("A3"/"B3" for client
-# 3), so its match set must equal a standalone single-pattern ses_cli run
-# over its own dumped stream; both sides print the same
-# `match,variable,event,T` CSV, so plain diff is the whole check.
+# Each connection is its own stream, so every loadgen client's match set
+# must equal a standalone single-pattern ses_cli run over its own dumped
+# stream; both sides print the same `match,variable,event,T` CSV, so plain
+# diff is the whole check. Clients use distinct label alphabets ("A3"/"B3"
+# for client 3), so a match delivered to the wrong connection shows up.
+#
+# Before that, out-of-range numeric flags must be refused with exit 2.
 #
 # Usage: tools/server_smoke.sh [CLIENTS] [EVENTS]
 #   CLIENTS  concurrent loadgen connections (default 8)
@@ -23,8 +28,9 @@
 #   SES_KEEP_DIR       on failure, copy the workdir (logs, dumps, diffs) here
 #                      for the CI artifact upload
 #
-# Exit status: 0 when every client's wire-delivered matches reproduced the
-# ses_cli reference and the server shut down cleanly, non-zero otherwise.
+# Exit status: 0 when the bad flags were refused, every client's
+# wire-delivered matches reproduced the ses_cli reference in both passes,
+# and the server shut down cleanly; non-zero otherwise.
 # Run from the repository root. Used by the server-smoke CI job
 # (.github/workflows/ci.yml), once row-encoded and once --columnar.
 
@@ -69,6 +75,20 @@ cleanup() {
 }
 trap cleanup EXIT
 
+# 0. Numeric flags out of range are usage errors, never a server on a
+#    wrapped port or with an unbounded queue. The timeout turns a server
+#    that wrongly starts into a failure instead of a hang.
+for bad in "--port 70000" "--port abc" "--queue-capacity 0" \
+  "--queue-capacity -1" "--idle-timeout-ms -1" "--threads -1"; do
+  code=0
+  # shellcheck disable=SC2086  # split "--flag value"
+  timeout 20 "$SERVER" --schema "$SCHEMA" $bad > /dev/null 2>&1 || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "error: ses_server $bad exited $code, want 2" >&2
+    exit 1
+  fi
+done
+
 # 1. Start the server on an ephemeral port and parse the port line it
 #    prints on stdout. A sanitizer-instrumented server can be slow to come
 #    up, hence the generous poll loop.
@@ -100,28 +120,33 @@ echo "server_smoke: port=$port clients=$CLIENTS events=$EVENTS" \
 # 2. Drive it: N concurrent clients, small batches so the queue-capacity
 #    16 server answers some Busy frames under load, dumping each client's
 #    stream + query + wire-delivered matches for the differential check.
-mkdir -p "$workdir/dump"
-"$LOADGEN" --port "$port" --clients "$CLIENTS" --events "$EVENTS" \
-  --batch 128 --dump-dir "$workdir/dump" \
-  "${EXTRA[@]+"${EXTRA[@]}"}" | tee "$workdir/loadgen.out"
-
-# 3. Replay every dumped stream through ses_cli and diff. The loadgen
+#    Then replay every dumped stream through ses_cli and diff. The loadgen
 #    writes matches in SortMatches order with ids assigned by rank, which
 #    is exactly what `ses_cli --format csv` prints for the same stream.
-fail=0
-for c in $(seq 0 $((CLIENTS - 1))); do
-  base="$workdir/dump/client$c"
-  "$CLI" --schema "$SCHEMA" --data "$base.csv" --query-file "$base.query" \
-    --format csv > "$base.ref.csv"
-  if ! diff -u "$base.ref.csv" "$base.matches.csv" > "$base.diff"; then
-    echo "error: client $c wire matches diverged from ses_cli" >&2
-    head -20 "$base.diff" >&2
-    fail=1
-  fi
-done
-if [ "$fail" -ne 0 ]; then
-  exit 1
-fi
+run_pass() {
+  local dump="$workdir/dump$1"
+  mkdir -p "$dump"
+  "$LOADGEN" --port "$port" --clients "$CLIENTS" --events "$EVENTS" \
+    --batch 128 --dump-dir "$dump" \
+    "${EXTRA[@]+"${EXTRA[@]}"}" | tee "$workdir/loadgen$1.out"
+  local fail=0
+  for c in $(seq 0 $((CLIENTS - 1))); do
+    local base="$dump/client$c"
+    "$CLI" --schema "$SCHEMA" --data "$base.csv" --query-file "$base.query" \
+      --format csv > "$base.ref.csv"
+    if ! diff -u "$base.ref.csv" "$base.matches.csv" > "$base.diff"; then
+      echo "error: pass $1: client $c wire matches diverged from ses_cli" >&2
+      head -20 "$base.diff" >&2
+      fail=1
+    fi
+  done
+  return "$fail"
+}
+
+# 3. Two passes against the same server: every client of pass 1 flushed
+#    its own stream, and the server must keep serving new connections.
+run_pass 1
+run_pass 2
 
 # 4. Clean shutdown: SIGTERM, then require exit 0 so sanitizer reports
 #    (including leaks found at exit) fail the run.
@@ -133,6 +158,6 @@ if ! wait "$server_pid"; then
 fi
 server_pid=""
 
-matches=$(awk 'END { print NR - 1 }' "$workdir"/dump/client0.matches.csv)
-echo "server_smoke: OK ($CLIENTS client(s) x $EVENTS events," \
+matches=$(awk 'END { print NR - 1 }' "$workdir"/dump2/client0.matches.csv)
+echo "server_smoke: OK (2 passes x $CLIENTS client(s) x $EVENTS events," \
      "client0 delivered $matches match row(s), all diffs clean)"
