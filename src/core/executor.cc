@@ -1,6 +1,7 @@
 #include "core/executor.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "storage/checkpoint.h"
@@ -42,92 +43,133 @@ void SesExecutor::Consume(const Event& event, std::vector<Match>* out) {
   ++stats_.events_processed;
   if (observer_ != nullptr) observer_->OnEvent(event, /*filtered=*/false);
   ++event_epoch_;
-
-  auto shared_event = std::make_shared<const Event>(event);
-  const Duration window = automaton_->window();
+  ExpireUpTo(event.timestamp(), out);
 
   // Line 4 of Algorithm 1: a fresh instance in the start state. It dies in
-  // ConsumeOnInstance unless this event fires one of its transitions.
+  // StepInstance unless this event fires one of its transitions.
   instances_.push_back(
       AutomatonInstance{automaton_->start_state(), MatchBuffer()});
 
-  next_.clear();
-  for (const AutomatonInstance& instance : instances_) {
-    if (!instance.buffer.empty() &&
-        event.timestamp() - instance.buffer.min_timestamp() > window) {
-      // Lines 7-10: the window expired; an accepting instance reports its
-      // buffer as a matching substitution, the instance is removed.
-      ++stats_.instances_expired;
-      bool accepted = automaton_->IsAccepting(instance.state);
-      if (observer_ != nullptr) observer_->OnExpired(instance, accepted);
-      if (accepted) {
-        EmitMatch(instance, out);
-      }
+  // Lines 5-15: every instance consumes the event in place (see the class
+  // comment); branches still waiting at the end follow the last slot.
+  std::shared_ptr<const Event> bound;
+  const size_t end = instances_.size();
+  write_ = head_;
+  for (size_t read = head_; read < end; ++read) {
+    // Most of Ω is finished matches waiting out their window: from a state
+    // without outgoing transitions nothing can fire, so the instance keeps
+    // its slot unless branches wait for it (or an observer must see it).
+    if (write_ == read && spill_head_ == spill_.size() &&
+        observer_ == nullptr &&
+        automaton_->outgoing(instances_[read].state).empty()) {
+      ++write_;
       continue;
     }
-    ConsumeOnInstance(instance, shared_event);
+    StepInstance(read, event, &bound);
   }
-  std::swap(instances_, next_);
+  Drain(end);
+  if (spill_head_ < spill_.size()) {
+    auto waiting = spill_.begin() + static_cast<ptrdiff_t>(spill_head_);
+    instances_.insert(instances_.end(), std::make_move_iterator(waiting),
+                      std::make_move_iterator(spill_.end()));
+  } else {
+    instances_.resize(write_);
+  }
+  spill_.clear();
+  spill_head_ = 0;
   stats_.max_simultaneous_instances =
       std::max(stats_.max_simultaneous_instances,
-               static_cast<int64_t>(instances_.size()));
-  RecomputePendingFloor();
+               static_cast<int64_t>(num_active_instances()));
 }
 
 void SesExecutor::ExpireUpTo(Timestamp now, std::vector<Match>* out) {
-  if (pending_floor_ == kNoPending ||
-      now - pending_floor_ <= automaton_->window()) {
+  const Duration window = automaton_->window();
+  const size_t first = head_;
+  while (PendingFloor() != kNoPending && now - PendingFloor() > window) {
+    AutomatonInstance& instance = instances_[head_++];
+    ++stats_.instances_expired;
+    bool accepted = automaton_->IsAccepting(instance.state);
+    if (observer_ != nullptr) observer_->OnExpired(instance, accepted);
+    if (accepted) {
+      EmitMatch(instance, out);
+    }
+    instance.buffer = MatchBuffer();  // release the bindings now
+  }
+  // Drop the dead prefix once it is as long as Ω: the vector stays O(|Ω|)
+  // at O(1) amortized moves per expired instance.
+  if (head_ > first && 2 * head_ >= instances_.size()) {
+    instances_.erase(instances_.begin(),
+                     instances_.begin() + static_cast<ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
+void SesExecutor::StepInstance(size_t read, const Event& event,
+                               std::shared_ptr<const Event>* bound) {
+  const AutomatonInstance& instance = instances_[read];
+  const std::vector<Transition>& outgoing =
+      automaton_->outgoing(instance.state);
+  for (size_t t = 0; t < outgoing.size(); ++t) {
+    ++stats_.transitions_evaluated;
+    if (EvaluateTransition(outgoing[t], instance.buffer, event)) {
+      Branch(read, t, event, bound);
+      return;
+    }
+  }
+  // A fresh start-state instance that fired nothing is discarded
+  // (Algorithm 2, lines 8-10); its slot stays free.
+  if (instance.state == automaton_->start_state()) return;
+  // No transition fired: the event is ignored and the instance survives
+  // unchanged (skip-till-next-match), in its slot unless branches wait.
+  if (observer_ != nullptr) observer_->OnIgnored(instance, event);
+  if (write_ == read && spill_head_ == spill_.size()) {
+    ++write_;
     return;
   }
-  const Duration window = automaton_->window();
-  size_t kept = 0;
-  for (AutomatonInstance& instance : instances_) {
-    if (!instance.buffer.empty() &&
-        now - instance.buffer.min_timestamp() > window) {
-      ++stats_.instances_expired;
-      bool accepted = automaton_->IsAccepting(instance.state);
-      if (observer_ != nullptr) observer_->OnExpired(instance, accepted);
-      if (accepted) {
-        EmitMatch(instance, out);
-      }
-      continue;
+  Place(std::move(instances_[read]), read + 1);
+}
+
+void SesExecutor::Branch(size_t read, size_t first, const Event& event,
+                         std::shared_ptr<const Event>* bound) {
+  // The instance leaves its slot: its branches refill Ω′ from there.
+  const AutomatonInstance source = std::move(instances_[read]);
+  if (*bound == nullptr) {
+    *bound = std::make_shared<const Event>(event.Shared());
+  }
+  const std::vector<Transition>& outgoing = automaton_->outgoing(source.state);
+  for (size_t t = first; t < outgoing.size(); ++t) {
+    const Transition& transition = outgoing[t];
+    if (t > first) {
+      ++stats_.transitions_evaluated;
+      if (!EvaluateTransition(transition, source.buffer, event)) continue;
     }
-    instances_[kept++] = std::move(instance);
-  }
-  instances_.resize(kept);
-  RecomputePendingFloor();
-}
-
-void SesExecutor::RecomputePendingFloor() {
-  pending_floor_ = kNoPending;
-  for (const AutomatonInstance& instance : instances_) {
-    if (instance.buffer.empty()) continue;
-    pending_floor_ = std::min(pending_floor_, instance.buffer.min_timestamp());
-  }
-}
-
-void SesExecutor::ConsumeOnInstance(
-    const AutomatonInstance& instance,
-    const std::shared_ptr<const Event>& event) {
-  bool fired = false;
-  for (const Transition& transition : automaton_->outgoing(instance.state)) {
-    ++stats_.transitions_evaluated;
-    if (!EvaluateTransition(transition, instance.buffer, *event)) continue;
-    fired = true;
     ++stats_.transitions_fired;
     ++stats_.instances_created;
-    next_.push_back(AutomatonInstance{
-        transition.to, instance.buffer.Extend(transition.variable, event)});
+    AutomatonInstance& branched = Place(
+        AutomatonInstance{transition.to,
+                          source.buffer.Extend(transition.variable, *bound)},
+        read + 1);
     if (observer_ != nullptr) {
-      observer_->OnTransition(instance, transition, *event, next_.back());
+      observer_->OnTransition(source, transition, event, branched);
     }
   }
-  if (!fired && instance.state != automaton_->start_state()) {
-    // No transition fired: the event is ignored and the instance survives
-    // unchanged (skip-till-next-match). A fresh start-state instance that
-    // fired nothing is discarded (Algorithm 2, lines 8-10).
-    if (observer_ != nullptr) observer_->OnIgnored(instance, *event);
-    next_.push_back(instance);
+}
+
+AutomatonInstance& SesExecutor::Place(AutomatonInstance instance,
+                                      size_t free_end) {
+  Drain(free_end);
+  if (write_ < free_end) {
+    AutomatonInstance& slot = instances_[write_++];
+    slot = std::move(instance);
+    return slot;
+  }
+  spill_.push_back(std::move(instance));
+  return spill_.back();
+}
+
+void SesExecutor::Drain(size_t free_end) {
+  while (spill_head_ < spill_.size() && write_ < free_end) {
+    instances_[write_++] = std::move(spill_[spill_head_++]);
   }
 }
 
@@ -210,8 +252,8 @@ void SesExecutor::EmitMatch(const AutomatonInstance& instance,
 }
 
 void SesExecutor::Flush(std::vector<Match>* out) {
-  for (const AutomatonInstance& instance : instances_) {
-    if (instance.buffer.empty()) continue;
+  for (size_t i = head_; i < instances_.size(); ++i) {
+    const AutomatonInstance& instance = instances_[i];
     ++stats_.instances_expired;
     bool accepted = automaton_->IsAccepting(instance.state);
     if (observer_ != nullptr) observer_->OnExpired(instance, accepted);
@@ -220,21 +262,20 @@ void SesExecutor::Flush(std::vector<Match>* out) {
     }
   }
   instances_.clear();
-  next_.clear();
-  pending_floor_ = kNoPending;
+  head_ = 0;
 }
 
 void SesExecutor::Reset() {
   instances_.clear();
-  next_.clear();
-  pending_floor_ = kNoPending;
+  head_ = 0;
   stats_ = ExecutorStats{};
 }
 
 void SesExecutor::Checkpoint(std::string* out) const {
   const Schema& schema = automaton_->pattern().schema();
-  storage::PutCount(out, instances_.size());
-  for (const AutomatonInstance& instance : instances_) {
+  storage::PutCount(out, num_active_instances());
+  for (size_t i = head_; i < instances_.size(); ++i) {
+    const AutomatonInstance& instance = instances_[i];
     storage::PutSigned(out, instance.state);
     // Bindings in chronological order, so Restore can rebuild the buffer
     // with the same Extend() chain. Structural sharing across instances is
@@ -285,7 +326,16 @@ Status SesExecutor::Restore(const char** p, const char* limit) {
         return s;
       }
       buffer = buffer.Extend(static_cast<VariableId>(variable),
-                             std::make_shared<const Event>(std::move(event)));
+                             std::make_shared<const Event>(event.Shared()));
+    }
+    // Expiry by head cursor relies on Ω's invariant: every instance holds a
+    // binding, in first-binding order.
+    if (buffer.empty() ||
+        (!instances_.empty() &&
+         buffer.min_timestamp() < instances_.back().buffer.min_timestamp())) {
+      Reset();
+      return Status::Corruption(
+          "checkpoint instance unbound or out of first-binding order");
     }
     instances_.push_back(
         AutomatonInstance{static_cast<StateId>(state), std::move(buffer)});
@@ -303,7 +353,6 @@ Status SesExecutor::Restore(const char** p, const char* limit) {
   SES_RETURN_IF_ERROR(
       storage::GetSigned(p, limit, &stats_.conditions_evaluated));
   SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.matches_emitted));
-  RecomputePendingFloor();
   return Status::OK();
 }
 

@@ -54,6 +54,16 @@ struct ExecutorStats {
 /// reports a match when an instance's window expires, so matches still
 /// pending at the end of a finite relation would be lost; Flush() treats
 /// end-of-stream as expiry and must be called after the last event.
+///
+/// Ω is one vector stepped in place, ordered by first-binding time
+/// (MatchBuffer::min_timestamp()). An instance that fires nothing keeps its
+/// slot untouched; a fired instance's branches take its slot in transition
+/// order, and only the branches that would overrun slots not yet read wait
+/// in a side buffer; the fresh start instance's branches bind the newest
+/// event and go last. Branches keep their parent's first binding, so the
+/// order holds, and the instances whose window an event exceeds are always
+/// a prefix: expiry advances a head cursor, and the earliest pending
+/// binding is the head's.
 class SesExecutor {
  public:
   /// `automaton` must outlive the executor and is not owned. The executor
@@ -92,7 +102,7 @@ class SesExecutor {
   Status Restore(const char** p, const char* limit);
 
   const ExecutorStats& stats() const { return stats_; }
-  size_t num_active_instances() const { return instances_.size(); }
+  size_t num_active_instances() const { return instances_.size() - head_; }
   const SesAutomaton& automaton() const { return *automaton_; }
 
   /// Installs an observer (nullptr to remove). Not owned; must outlive the
@@ -100,12 +110,29 @@ class SesExecutor {
   void set_observer(ExecutionObserver* observer) { observer_ = observer; }
 
  private:
-  /// Algorithm 2: lets one instance consume `event`; derived instances are
-  /// appended to next_. Returns nothing: a firing transition replaces the
-  /// instance by its branches, a non-firing event leaves the instance
-  /// unchanged unless it still sits in the start state.
-  void ConsumeOnInstance(const AutomatonInstance& instance,
-                         const std::shared_ptr<const Event>& event);
+  /// Read-only view of Ω for tests (tests/executor_test_peer.h).
+  friend class SesExecutorTestPeer;
+
+  /// Algorithm 2 for the instance in slot `read`: a firing transition
+  /// replaces it by its branches, a non-firing event leaves it unchanged
+  /// unless it still sits in the start state. `bound` is the event's shared
+  /// node, made when a transition first binds the event.
+  void StepInstance(size_t read, const Event& event,
+                    std::shared_ptr<const Event>* bound);
+
+  /// Moves the instance out of slot `read` and appends to Ω′ one branch per
+  /// firing transition, from outgoing transition `first` (already known to
+  /// fire) on.
+  void Branch(size_t read, size_t first, const Event& event,
+              std::shared_ptr<const Event>* bound);
+
+  /// Appends `instance` to Ω′ and returns where it landed: the next free
+  /// slot below `free_end`, or the side buffer once no slot is free or
+  /// earlier branches already wait there (Ω′ order is first-in, first-out).
+  AutomatonInstance& Place(AutomatonInstance instance, size_t free_end);
+
+  /// Moves waiting branches into the free slots below `free_end`.
+  void Drain(size_t free_end);
 
   /// Evaluates Θδ of `transition` for binding `event`, against the
   /// bindings collected in `buffer`.
@@ -119,16 +146,24 @@ class SesExecutor {
                                  const MatchBuffer& buffer,
                                  const Event& event);
 
-  /// Window-expiry sweep for events that skip the instance loop (§4.5
-  /// pre-filtered). A filtered event cannot fire a transition, but it still
-  /// advances time: instances whose window it exceeds must emit/expire NOW,
-  /// or delivery is delayed until the next unfiltered event — unacceptable
-  /// for streaming consumers that prune state against a time watermark.
-  /// O(1) unless something actually expires (guarded by pending_floor_).
+  /// Expires the prefix of Ω whose window `now` exceeds (lines 7-10 of
+  /// Algorithm 1): accepting instances report their buffer, all of them
+  /// are dropped by advancing head_. Runs for filtered events too: a §4.5
+  /// pre-filtered event cannot fire a transition, but it still advances
+  /// time, and delivery must not wait for the next unfiltered event — a
+  /// streaming consumer prunes state against a time watermark. O(1) unless
+  /// something actually expires.
   void ExpireUpTo(Timestamp now, std::vector<Match>* out);
 
-  /// Recomputes pending_floor_ from the live instance set.
-  void RecomputePendingFloor();
+  /// Sentinel: no instance holds a binding, nothing can expire.
+  static constexpr Timestamp kNoPending =
+      std::numeric_limits<Timestamp>::max();
+  /// The earliest first-binding time in Ω (the head's), or kNoPending.
+  Timestamp PendingFloor() const {
+    return head_ < instances_.size()
+               ? instances_[head_].buffer.min_timestamp()
+               : kNoPending;
+  }
 
   void EmitMatch(const AutomatonInstance& instance, std::vector<Match>* out);
 
@@ -137,17 +172,16 @@ class SesExecutor {
   /// Shared with sibling executors when handed in at construction (one
   /// filter per compiled plan), privately owned otherwise.
   std::shared_ptr<const EventPreFilter> filter_;
-  std::vector<AutomatonInstance> instances_;  // Ω
-  std::vector<AutomatonInstance> next_;       // Ω'
+  /// Ω is instances_[head_, end); the slots below head_ held expired
+  /// instances and are erased once there are as many as live ones.
+  std::vector<AutomatonInstance> instances_;
+  size_t head_ = 0;
+  /// Ω′ under construction while an event is consumed: slots
+  /// [head_, write_) followed by spill_[spill_head_, end).
+  size_t write_ = 0;
+  std::vector<AutomatonInstance> spill_;
+  size_t spill_head_ = 0;
   ExecutorStats stats_;
-
-  /// Sentinel: no instance holds a binding, nothing can expire.
-  static constexpr Timestamp kNoPending =
-      std::numeric_limits<Timestamp>::max();
-  /// Lower bound on min over Ω of buffer.min_timestamp() (non-empty
-  /// buffers only); exact after every processed event and every sweep.
-  /// Lets ExpireUpTo skip the Ω scan when no window can have expired.
-  Timestamp pending_floor_ = kNoPending;
 
   /// Per-event memo for shared constant-condition evaluation, indexed by
   /// Transition::id. An entry is valid when its epoch equals event_epoch_.

@@ -2,6 +2,7 @@
 #define SES_EVENT_EVENT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,19 +23,29 @@ constexpr EventId kInvalidEventId = -1;
 /// timestamp (paper §3.1). The attribute layout is defined by a Schema held
 /// by the enclosing EventRelation; an Event does not own a schema pointer so
 /// events stay compact.
+///
+/// An event owns its values, and a copy duplicates them, unless the event
+/// came from Shared(): its values are then immutable and reference-counted,
+/// so every further copy shares them. The matcher shares each event it
+/// binds, so match buffers and reported matches never duplicate attributes.
 class Event {
  public:
   Event() : id_(kInvalidEventId), timestamp_(0) {}
   Event(EventId id, Timestamp timestamp, std::vector<Value> values)
-      : id_(id), timestamp_(timestamp), values_(std::move(values)) {}
+      : id_(id), timestamp_(timestamp), owned_(std::move(values)) {}
 
   EventId id() const { return id_; }
   Timestamp timestamp() const { return timestamp_; }
-  int num_values() const { return static_cast<int>(values_.size()); }
+  int num_values() const { return static_cast<int>(values().size()); }
   const Value& value(int attribute_index) const {
-    return values_[attribute_index];
+    return values()[attribute_index];
   }
-  const std::vector<Value>& values() const { return values_; }
+  const std::vector<Value>& values() const {
+    return shared_ != nullptr ? *shared_ : owned_;
+  }
+
+  /// A copy of this event whose values are shared by all of its copies.
+  Event Shared() const;
 
   void set_id(EventId id) { id_ = id; }
   void set_timestamp(Timestamp t) { timestamp_ = t; }
@@ -45,7 +56,9 @@ class Event {
  private:
   EventId id_;
   Timestamp timestamp_;
-  std::vector<Value> values_;
+  // Exactly one holds the values: owned_ unless the event is shared.
+  std::vector<Value> owned_;
+  std::shared_ptr<const std::vector<Value>> shared_;
 };
 
 }  // namespace ses

@@ -36,6 +36,10 @@ class EventRelation {
   /// when the event carries kInvalidEventId.
   Status Append(Event event);
 
+  /// Reserves room for `n` events, so a reader that knows the relation's
+  /// size appends without regrowing.
+  void Reserve(size_t n) { events_.reserve(n); }
+
   /// Appends values with the next timestamp/id without checks; for trusted
   /// generators. Still keeps ids consistent.
   void AppendUnchecked(Timestamp timestamp, std::vector<Value> values);

@@ -36,6 +36,9 @@ Result<TableReader> TableReader::Open(const std::string& path) {
   if (crc32c::Value(f, 36) != footer_crc) {
     return Status::Corruption("footer checksum mismatch: " + path);
   }
+  if (num_events > static_cast<uint64_t>(file_size)) {
+    return Status::Corruption("event count exceeds the file size: " + path);
+  }
   uint64_t index_size =
       static_cast<uint64_t>(file_size) - kFooterSize - index_offset;
   if (index_offset > static_cast<uint64_t>(file_size) - kFooterSize) {
@@ -124,6 +127,9 @@ Result<EventRelation> TableReader::Scan(Timestamp from_ts,
                                         Timestamp to_ts) const {
   EventRelation relation(schema_);
   if (index_.empty() || from_ts > to_ts) return relation;
+  if (from_ts <= min_ts_ && to_ts >= max_ts_) {
+    relation.Reserve(static_cast<size_t>(num_events_));
+  }
 
   // First page whose successor starts after from_ts: events with T >=
   // from_ts cannot live in an earlier page because pages are time-ordered.

@@ -19,6 +19,7 @@ Result<EventRelation> ReplicateDataset(const EventRelation& relation,
     }
   }
   EventRelation replicated(relation.schema());
+  replicated.Reserve(relation.size() * static_cast<size_t>(factor));
   for (const Event& event : relation) {
     for (int k = 0; k < factor; ++k) {
       replicated.AppendUnchecked(event.timestamp() + k, event.values());

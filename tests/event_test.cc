@@ -104,6 +104,20 @@ TEST(Event, AccessorsAndToString) {
   EXPECT_EQ(e.ToString(), "e3@2+11:00:00{1, B, 84}");
 }
 
+TEST(Event, SharedCopiesShareTheirValues) {
+  Event e(3, 7, {Value(int64_t{1}), Value("B"), Value(84.0)});
+  Event owned = e;
+  EXPECT_NE(&owned.values(), &e.values());
+  Event shared = e.Shared();
+  Event copy = shared;
+  copy.set_id(4);
+  EXPECT_EQ(&copy.values(), &shared.values());
+  EXPECT_EQ(&copy.Shared().values(), &shared.values());
+  EXPECT_EQ(shared.id(), 3);
+  EXPECT_EQ(copy.value(1).string(), "B");
+  EXPECT_EQ(shared.ToString(), e.ToString());
+}
+
 TEST(EventRelation, AppendValidatesArityTypeAndOrder) {
   EventRelation r(TestSchema());
   EXPECT_TRUE(

@@ -4,11 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "baseline/reference_matcher.h"
+#include "common/crc32c.h"
 #include "core/matcher.h"
+#include "core/trace.h"
+#include "storage/checkpoint.h"
 #include "query/parser.h"
 #include "workload/paper_fixture.h"
 
@@ -427,6 +431,175 @@ TEST(Executor, GroupOnlyPatternReportsMaximalRuns) {
   ASSERT_EQ(sets.size(), 2u);
   EXPECT_EQ(sets[0], std::vector<EventId>({1, 2}));
   EXPECT_EQ(sets[1], std::vector<EventId>({2}));
+}
+
+TEST(Executor, RestoreRejectsUnboundOrUnorderedInstances) {
+  // Expiry only looks at the head of Ω, so a checkpoint must hold bound
+  // instances in first-binding order; anything else is Corruption.
+  Pattern p = MustParse(
+      "PATTERN {a} -> {b} WHERE a.L = 'A' AND b.L = 'B' WITHIN 10h");
+  std::shared_ptr<const SesAutomaton> automaton = CompileAutomaton(p);
+  EventRelation events = MakeStream({{"A", 1}, {"A", 2}});
+  const Transition& bind_a =
+      automaton->outgoing(automaton->start_state()).front();
+  // One instance per entry, each binding `a` to the listed events.
+  auto checkpoint = [&](const std::vector<std::vector<size_t>>& omega) {
+    std::string bytes;
+    storage::PutCount(&bytes, omega.size());
+    for (const std::vector<size_t>& bindings : omega) {
+      storage::PutSigned(&bytes, bind_a.to);
+      storage::PutCount(&bytes, bindings.size());
+      for (size_t e : bindings) {
+        storage::PutSigned(&bytes, bind_a.variable);
+        storage::PutEventRecord(&bytes, events.event(e), p.schema());
+      }
+    }
+    for (int counter = 0; counter < 10; ++counter) {
+      storage::PutSigned(&bytes, 0);
+    }
+    return bytes;
+  };
+  auto restore = [&](const std::string& bytes) {
+    SesExecutor executor(automaton.get(), ExecutorOptions{});
+    const char* cursor = bytes.data();
+    return executor.Restore(&cursor, bytes.data() + bytes.size()).code();
+  };
+  EXPECT_EQ(restore(checkpoint({{0}, {1}})), StatusCode::kOk);
+  EXPECT_EQ(restore(checkpoint({{1}, {0}})), StatusCode::kCorruption);
+  EXPECT_EQ(restore(checkpoint({{0}, {}})), StatusCode::kCorruption);
+}
+
+// --- Pinned runs: Ω order, emission order, statistics and checkpoints ---
+//
+// The executor steps Ω in place; the values below were recorded from the
+// rebuilding executor it replaced (a fresh Ω′ per event), so any change to
+// Ω′ order, the unsorted emission order, one of the ten counters, the
+// checkpoint bytes or the trace shows here.
+
+std::string StatsLine(const ExecutorStats& s) {
+  std::ostringstream line;
+  line << "seen=" << s.events_seen << " filtered=" << s.events_filtered
+       << " processed=" << s.events_processed
+       << " created=" << s.instances_created
+       << " expired=" << s.instances_expired
+       << " max=" << s.max_simultaneous_instances
+       << " evaluated=" << s.transitions_evaluated
+       << " fired=" << s.transitions_fired
+       << " conditions=" << s.conditions_evaluated
+       << " matches=" << s.matches_emitted;
+  return line.str();
+}
+
+uint32_t Crc(const std::string& bytes) {
+  return crc32c::Value(bytes.data(), bytes.size());
+}
+
+struct PinnedRun {
+  std::vector<std::string> matches;  // emission order, unsorted
+  std::string stats;
+  std::string checkpoint;  // Matcher::Checkpoint after `checkpoint_after`
+  std::string trace;       // TextTracer over the whole run
+};
+
+PinnedRun RunOnce(const Pattern& pattern, const EventRelation& stream,
+                  size_t checkpoint_after, bool traced) {
+  Matcher matcher(pattern);
+  TextTracer tracer(&matcher.automaton());
+  if (traced) matcher.set_observer(&tracer);
+  PinnedRun run;
+  std::vector<Match> matches;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    EXPECT_TRUE(matcher.Push(stream.event(i), &matches).ok());
+    if (i + 1 == checkpoint_after) matcher.Checkpoint(&run.checkpoint);
+  }
+  matcher.Flush(&matches);
+  for (const Match& m : matches) run.matches.push_back(m.ToString(pattern));
+  run.stats = StatsLine(matcher.stats());
+  run.trace = tracer.trace();
+  return run;
+}
+
+/// Runs the stream untraced (the executor's fast path for finished
+/// instances only runs without an observer) and traced; tracing must not
+/// change the run.
+PinnedRun RunPinned(const Pattern& pattern, const EventRelation& stream,
+                    size_t checkpoint_after) {
+  PinnedRun run = RunOnce(pattern, stream, checkpoint_after, false);
+  PinnedRun traced = RunOnce(pattern, stream, checkpoint_after, true);
+  EXPECT_EQ(traced.matches, run.matches);
+  EXPECT_EQ(traced.stats, run.stats);
+  EXPECT_EQ(Crc(traced.checkpoint), Crc(run.checkpoint));
+  run.trace = std::move(traced.trace);
+  return run;
+}
+
+/// {a, b+} -> {c} over A-heavy bursts: an instance in {b+} fires both `a`
+/// and the `b+` loop while younger live instances follow it in Ω, so
+/// branches overflow mid-Ω; X events are pre-filtered and expire
+/// instances on their own.
+Pattern BranchingPattern() {
+  return MustParse(
+      "PATTERN {a, b+} -> {c} WHERE a.L = 'A' AND b.L = 'A' AND "
+      "c.L = 'B' WITHIN 4h");
+}
+
+EventRelation BranchingStream() {
+  return MakeStream({{"A", 1},  {"A", 2},  {"A", 3},  {"B", 4},
+                     {"A", 5},  {"X", 6},  {"A", 7},  {"B", 8},
+                     {"A", 9},  {"X", 12}, {"A", 13}, {"A", 14},
+                     {"A", 15}, {"B", 16}, {"B", 17}, {"X", 25}});
+}
+
+TEST(ExecutorPinned, RunningExampleStatsAndEmissionOrder) {
+  Result<Pattern> q1 = workload::PaperQ1Pattern();
+  ASSERT_TRUE(q1.ok());
+  PinnedRun run = RunPinned(*q1, workload::PaperEventRelation(), 7);
+  EXPECT_EQ(run.matches,
+            std::vector<std::string>(
+                {"{c/e1, d/e3, p+/e4, p+/e9, b/e12}",
+                 "{p+/e6, d/e7, c/e8, p+/e10, p+/e11, b/e13}",
+                 "{d/e7, c/e8, p+/e10, p+/e11, b/e13}"}));
+  EXPECT_EQ(run.stats,
+            "seen=14 filtered=0 processed=14 created=37 expired=9 max=9 "
+            "evaluated=181 fired=37 conditions=222 matches=3");
+}
+
+TEST(ExecutorPinned, BranchingStreamStatsAndEmissionOrder) {
+  PinnedRun run = RunPinned(BranchingPattern(), BranchingStream(), 5);
+  EXPECT_EQ(run.matches, std::vector<std::string>({
+                             "{a/e1, b+/e2, b+/e3, c/e4}",
+                             "{b+/e1, a/e2, b+/e3, c/e4}",
+                             "{b+/e1, b+/e2, a/e3, c/e4}",
+                             "{a/e2, b+/e3, c/e4}",
+                             "{b+/e2, a/e3, c/e4}",
+                             "{a/e5, b+/e7, c/e8}",
+                             "{b+/e5, a/e7, c/e8}",
+                             "{a/e11, b+/e12, b+/e13, c/e14}",
+                             "{b+/e11, a/e12, b+/e13, c/e14}",
+                             "{b+/e11, b+/e12, a/e13, c/e14}",
+                             "{a/e12, b+/e13, c/e14}",
+                             "{b+/e12, a/e13, c/e14}",
+                         }));
+  EXPECT_EQ(run.stats,
+            "seen=16 filtered=3 processed=13 created=72 expired=32 max=14 "
+            "evaluated=124 fired=72 conditions=154 matches=12");
+}
+
+TEST(ExecutorPinned, MidStreamCheckpointBytes) {
+  Result<Pattern> q1 = workload::PaperQ1Pattern();
+  ASSERT_TRUE(q1.ok());
+  PinnedRun example = RunPinned(*q1, workload::PaperEventRelation(), 7);
+  EXPECT_EQ(example.checkpoint.size(), 258u);
+  EXPECT_EQ(Crc(example.checkpoint), 3747531243u);
+  PinnedRun branching = RunPinned(BranchingPattern(), BranchingStream(), 5);
+  EXPECT_EQ(branching.checkpoint.size(), 749u);
+  EXPECT_EQ(Crc(branching.checkpoint), 313547441u);
+}
+
+TEST(ExecutorPinned, TraceOfBranchingStream) {
+  PinnedRun run = RunPinned(BranchingPattern(), BranchingStream(), 0);
+  EXPECT_EQ(run.trace.size(), 6446u);
+  EXPECT_EQ(Crc(run.trace), 1633104505u);
 }
 
 }  // namespace

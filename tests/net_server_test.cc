@@ -273,13 +273,43 @@ TEST(ServerLifecycle, DisconnectFreesPlansAndPendingMatches) {
   server->Stop();
 }
 
+/// An eval_gate that holds the first item evaluated after Arm() until
+/// Open(). The hold is bounded, so a server that waits for the held worker
+/// fails the test instead of hanging it.
+class HoldGate {
+ public:
+  void Arm() { armed_.store(true); }
+  void Enter() {
+    if (!armed_.exchange(false)) return;
+    held_.release();
+    if (!open_.try_acquire_for(std::chrono::seconds(5))) {
+      timed_out_.store(true);
+    }
+  }
+  /// Waits until the armed hold has begun; false after 5 s without it.
+  bool WaitHeld() { return held_.try_acquire_for(std::chrono::seconds(5)); }
+  void Open() { open_.release(); }
+  bool timed_out() const { return timed_out_.load(); }
+
+ private:
+  std::atomic<bool> armed_{false};
+  std::atomic<bool> timed_out_{false};
+  std::binary_semaphore held_{0};
+  std::binary_semaphore open_{0};
+};
+
+std::string Describe(const Result<bool>& pushed) {
+  if (!pushed.ok()) return pushed.status().ToString();
+  return *pushed ? "ok" : "busy";
+}
+
 TEST(ServerLifecycle, FullQueueAnswersBusyAndDropsNothing) {
   // Hold the ingest worker at a gate so the 1-slot queue fills: slab 1 is
-  // popped and blocked, slab 2 occupies the queue, slab 3 must be Busy.
-  std::counting_semaphore<1024> gate(0);
+  // popped and held, slab 2 occupies the queue, slab 3 must be Busy.
+  HoldGate gate;
   net::ServerOptions options;
   options.queue_capacity = 1;
-  options.eval_gate = [&] { gate.acquire(); };
+  options.eval_gate = [&gate] { gate.Enter(); };
   std::unique_ptr<net::Server> server = StartServer(std::move(options));
 
   Result<std::unique_ptr<net::Client>> client = ConnectClient(server->port());
@@ -288,25 +318,20 @@ TEST(ServerLifecycle, FullQueueAnswersBusyAndDropsNothing) {
 
   const EventRelation stream = ClientStream(0, 60);
   std::span<const Event> all(stream.events());
+  gate.Arm();
   Result<bool> first = (*client)->Push(all.subspan(0, 20));
-  ASSERT_TRUE(first.ok() && *first);
+  ASSERT_TRUE(first.ok() && *first) << Describe(first);
+  // Slab 2 goes out only once the worker has popped slab 1, so the queue's
+  // one slot is free for it; then slab 3 finds the queue full.
+  ASSERT_TRUE(gate.WaitHeld()) << "worker never popped slab 1";
   Result<bool> second = (*client)->Push(all.subspan(20, 20));
-  ASSERT_TRUE(second.ok() && *second);
-  // Wait until the worker has popped slab 1 (it blocks in the gate) and
-  // slab 2 sits in the queue; then admission must answer Busy.
-  Result<bool> third(false);
-  for (int i = 0; i < 500; ++i) {
-    third = (*client)->Push(all.subspan(40, 20));
-    ASSERT_TRUE(third.ok()) << third.status().ToString();
-    if (!*third) break;  // Busy observed
-    // Admitted — the worker drained something; push the next attempt.
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  ASSERT_FALSE(*third) << "queue never filled";
+  ASSERT_TRUE(second.ok() && *second) << Describe(second);
+  Result<bool> third = (*client)->Push(all.subspan(40, 20));
+  ASSERT_TRUE(third.ok() && !*third) << Describe(third);
 
   // Release the worker and re-send the rejected slab: nothing admitted was
   // lost, and the retried slab completes the stream.
-  gate.release(1000);
+  gate.Open();
   Result<bool> retried(false);
   for (int i = 0; i < 500; ++i) {
     retried = (*client)->Push(all.subspan(40, 20));
@@ -316,6 +341,7 @@ TEST(ServerLifecycle, FullQueueAnswersBusyAndDropsNothing) {
   }
   ASSERT_TRUE(*retried);
   ASSERT_TRUE((*client)->Flush().ok());
+  EXPECT_FALSE(gate.timed_out());
 
   std::map<std::string, std::vector<Match>> got = (*client)->TakeMatches();
   EXPECT_EQ(EncodeMatchSet(std::move(got["plan-0"]), TestSchema()),
@@ -488,35 +514,6 @@ TEST(ServerStats, WireStatsMatchInProcessFieldForField) {
 
 // --- Flush scope: each connection is its own stream ---
 
-/// An eval_gate that holds the first item evaluated after Arm() until
-/// Open(). The hold is bounded, so a server that waits for the held worker
-/// fails the test instead of hanging it.
-class HoldGate {
- public:
-  void Arm() { armed_.store(true); }
-  void Enter() {
-    if (!armed_.exchange(false)) return;
-    held_.release();
-    if (!open_.try_acquire_for(std::chrono::seconds(5))) {
-      timed_out_.store(true);
-    }
-  }
-  void WaitHeld() { held_.acquire(); }
-  void Open() { open_.release(); }
-  bool timed_out() const { return timed_out_.load(); }
-
- private:
-  std::atomic<bool> armed_{false};
-  std::atomic<bool> timed_out_{false};
-  std::binary_semaphore held_{0};
-  std::binary_semaphore open_{0};
-};
-
-std::string Describe(const Result<bool>& pushed) {
-  if (!pushed.ok()) return pushed.status().ToString();
-  return *pushed ? "ok" : "busy";
-}
-
 TEST(ServerFlush, FlushEndsOnlyItsConnectionsStream) {
   HoldGate gate;
   net::ServerOptions options;
@@ -537,7 +534,7 @@ TEST(ServerFlush, FlushEndsOnlyItsConnectionsStream) {
   gate.Arm();
   Result<bool> held = (*b)->Push(all_b.subspan(0, 40));
   ASSERT_TRUE(held.ok() && *held) << Describe(held);
-  gate.WaitHeld();
+  ASSERT_TRUE(gate.WaitHeld());
   Result<net::StatsResponse> stats_b = Status::Internal("not answered");
   std::thread stats_thread([&] { stats_b = (*b)->Stats(); });
 

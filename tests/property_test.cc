@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 
 #include "baseline/brute_force.h"
 #include "baseline/reference_matcher.h"
@@ -21,6 +23,8 @@
 #include "workload/generic_generator.h"
 #include "workload/paper_fixture.h"
 #include "workload/window.h"
+
+#include "executor_test_peer.h"
 
 namespace ses {
 namespace {
@@ -262,6 +266,56 @@ TEST_P(RandomizedMatching, Case1BoundNoBranchingForExclusiveVariables) {
   int64_t w = workload::ComputeWindowSize(stream, pattern.window());
   EXPECT_LE(stats.max_simultaneous_instances, w);
   EXPECT_EQ(stats.instances_created, stats.transitions_fired);
+}
+
+/// Checks Ω's invariants after `executor` consumed an event at `now`:
+/// ordered by first-binding time, no unbound instance, nothing expired,
+/// and the pending floor equal to a full scan.
+void ExpectOmegaInvariants(const SesExecutor& executor, Timestamp now,
+                           Duration window, const std::string& context) {
+  std::span<const AutomatonInstance> omega =
+      SesExecutorTestPeer::Omega(executor);
+  ASSERT_EQ(omega.size(), executor.num_active_instances()) << context;
+  Timestamp floor = SesExecutorTestPeer::kNoPending;
+  for (size_t i = 0; i < omega.size(); ++i) {
+    ASSERT_FALSE(omega[i].buffer.empty()) << context << " slot " << i;
+    Timestamp first = omega[i].buffer.min_timestamp();
+    if (i > 0) {
+      ASSERT_LE(omega[i - 1].buffer.min_timestamp(), first)
+          << context << " slot " << i;
+    }
+    ASSERT_LE(now - first, window) << context << " slot " << i;
+    floor = std::min(floor, first);
+  }
+  ASSERT_EQ(SesExecutorTestPeer::PendingFloor(executor), floor) << context;
+}
+
+TEST_P(RandomizedMatching, InPlaceOmegaStaysOrderedByFirstBinding) {
+  Random random(GetParam() + 7000);
+  for (int round = 0; round < 5; ++round) {
+    Pattern pattern = RandomPattern(&random);
+    EventRelation stream = RandomStream(GetParam() * 53 + round, 160);
+    std::shared_ptr<const SesAutomaton> automaton =
+        CompileAutomaton(pattern);
+    for (bool prefilter : {true, false}) {
+      ExecutorOptions options;
+      options.enable_prefilter = prefilter;
+      SesExecutor executor(automaton.get(), options);
+      std::vector<Match> matches;
+      for (const Event& event : stream) {
+        executor.Consume(event, &matches);
+        ExpectOmegaInvariants(
+            executor, event.timestamp(), pattern.window(),
+            pattern.ToString() + " at e" + std::to_string(event.id()) +
+                (prefilter ? " (filtered)" : " (unfiltered)"));
+        if (HasFatalFailure()) return;
+      }
+      executor.Flush(&matches);
+      EXPECT_EQ(executor.num_active_instances(), 0u);
+      EXPECT_EQ(SesExecutorTestPeer::PendingFloor(executor),
+                SesExecutorTestPeer::kNoPending);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedMatching,

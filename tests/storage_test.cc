@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "event/relation.h"
 #include "storage/event_store.h"
@@ -225,6 +226,48 @@ TEST(Table, ScanUsesTimeRange) {
   EXPECT_EQ(reader->Scan(100, 1)->size(), 0u);  // inverted range
   // Boundary inclusivity.
   EXPECT_EQ(reader->Scan(10, 10)->size(), 1u);
+  fs::remove(path);
+}
+
+TEST(Table, FullScanReservesTheEventCount) {
+  EventRelation original = MakeRelation(5000, 10);
+  std::string path = TempPath("ses_table_reserve.sestbl");
+  ASSERT_TRUE(WriteTable(original, path).ok());
+  Result<TableReader> reader = TableReader::Open(path);
+  ASSERT_TRUE(reader.ok());
+  Result<EventRelation> all = reader->ReadAll();
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 5000u);
+  // Reserved once from the footer's count, not grown by doubling.
+  EXPECT_EQ(all->events().capacity(), 5000u);
+  fs::remove(path);
+}
+
+TEST(Table, EventCountBeyondTheFileSizeIsCorruption) {
+  EventRelation original = MakeRelation(100);
+  std::string path = TempPath("ses_table_count.sestbl");
+  ASSERT_TRUE(WriteTable(original, path).ok());
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  // Rewrite the footer's event count with a valid checksum, so only the
+  // count check can reject it.
+  const size_t footer = bytes.size() - kFooterSize;
+  std::string count;
+  PutFixed64(&count, uint64_t{1} << 40);
+  bytes.replace(footer + 12, 8, count);
+  std::string crc;
+  PutFixed32(&crc, crc32c::Mask(crc32c::Value(bytes.data() + footer, 36)));
+  bytes.replace(footer + 36, 4, crc);
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  Result<TableReader> reader = TableReader::Open(path);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
   fs::remove(path);
 }
 

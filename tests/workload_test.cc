@@ -60,6 +60,8 @@ TEST(Replicate, MultipliesEventsAndWindowSize) {
   Result<EventRelation> d5 = ReplicateDataset(base, 5);
   ASSERT_TRUE(d5.ok());
   EXPECT_EQ(ComputeWindowSize(*d5, duration::Hours(264)), 66);
+  // Sized once up front, not grown by doubling.
+  EXPECT_EQ(d5->events().capacity(), base.size() * 5);
 }
 
 TEST(Replicate, CopiesKeepContent) {
