@@ -284,12 +284,26 @@ void BatchSweep(const Harness& harness, int64_t num_events,
   }
 }
 
+/// The busiest shard's share of total worker busy time, in permille: 1000
+/// means one shard did everything, 250 is perfectly level across 4 shards.
+int64_t BusySharePermille(const exec::ParallelStats& stats) {
+  int64_t total_busy = 0;
+  int64_t max_busy = 0;
+  for (const exec::ShardStats& shard : stats.shards) {
+    total_busy += shard.busy_nanos;
+    max_busy = std::max(max_busy, shard.busy_nanos);
+  }
+  return total_busy > 0 ? 1000 * max_busy / total_busy : 0;
+}
+
 /// Skew sweep: Zipf-distributed partition keys against the parallel
 /// runtime with adaptive rebalancing off and on. The rebalancer's
 /// migration decisions are timing-dependent; the match output must be
 /// byte-identical regardless (only idle keys move), which is asserted at
-/// every point. Uses the light (mutually exclusive) pattern: a Zipf hot
-/// key concentrates a quarter of the stream in ONE partition, and the
+/// every point. The busiest shard's busy-time share is what rebalancing
+/// exists to push down; it lands in the gated JSON as busy_share_permille.
+/// Uses the light (mutually exclusive) pattern: a Zipf hot key
+/// concentrates a quarter of the stream in ONE partition, and the
 /// group-variable pattern's per-partition instance growth is superlinear —
 /// the sweep measures routing and queueing, not that explosion.
 void SkewSweep(const Harness& harness, int64_t num_events,
@@ -299,8 +313,9 @@ void SkewSweep(const Harness& harness, int64_t num_events,
       "\nSkewed-key sweep (%lld events, 64 keys, 4 shards; Zipf exponent "
       "s)\n",
       static_cast<long long>(num_events));
-  std::printf("%-8s %-10s %12s %14s %12s %12s %10s\n", "skew", "rebalance",
-              "time [s]", "max q depth", "migrated", "overrides", "matches");
+  std::printf("%-8s %-10s %12s %14s %12s %12s %12s %10s\n", "skew",
+              "rebalance", "time [s]", "max q depth", "busy share",
+              "migrated", "overrides", "matches");
 
   for (double skew : {0.0, 0.8, 1.2}) {
     workload::StreamOptions options;
@@ -340,105 +355,19 @@ void SkewSweep(const Harness& harness, int64_t num_events,
                            /*exact=*/true);
             run.SetCounter("max_queue_depth", stats.max_queue_depth);
             run.SetCounter("keys_migrated", stats.rebalancer.keys_migrated);
+            run.SetCounter("busy_share_permille", BusySharePermille(stats));
+            run.SetCounter("hot_key_rounds", stats.rebalancer.hot_key_rounds);
           });
       SES_CHECK(IdenticalNormalized(*serial, parallel))
           << "rebalancing must be output-identical (skew " << skew << ")";
-      std::printf("%-8.1f %-10s %12.4f %14lld %12lld %12lld %10zu\n", skew,
-                  rebalance ? "on" : "off", skew_case.wall_seconds.mean,
+      std::printf("%-8.1f %-10s %12.4f %14lld %12lld %12lld %12lld %10zu\n",
+                  skew, rebalance ? "on" : "off", skew_case.wall_seconds.mean,
                   static_cast<long long>(stats.max_queue_depth),
+                  static_cast<long long>(BusySharePermille(stats)),
                   static_cast<long long>(stats.rebalancer.keys_migrated),
                   static_cast<long long>(stats.rebalancer.overrides_active),
                   parallel.size());
       report->Add(std::move(skew_case));
-    }
-  }
-}
-
-/// Rebalance-policy ablation: static hashing (off) vs the v1 idle-deepest
-/// heuristic vs the v2 cost-model policy engine on Zipf-skewed keys. The
-/// interesting metric is the busiest shard's share of total worker busy
-/// time (1000 = one shard did everything, 250 = perfectly level across 4
-/// shards): the policies exist to push that share down. Output identity
-/// with the serial matcher is asserted at every point, and the stats land
-/// in the gated JSON as busy_share_permille / keys_migrated counters.
-void RebalancePolicySweep(const Harness& harness, int64_t num_events,
-                          BenchReport* report) {
-  Pattern pattern = CompletePattern();
-  std::printf(
-      "\nRebalance-policy sweep (%lld events, 64 keys, 4 shards; busiest "
-      "shard's busy-time share, permille)\n",
-      static_cast<long long>(num_events));
-  std::printf("%-8s %-8s %12s %12s %12s %12s %10s\n", "skew", "policy",
-              "time [s]", "busy share", "migrated", "hot rounds", "matches");
-
-  for (double skew : {0.0, 0.8, 1.2}) {
-    workload::StreamOptions options;
-    options.num_events = num_events;
-    options.num_partitions = 64;
-    options.key_skew = skew;
-    options.type_weights = {{"A", 1}, {"B", 1}, {"X", 1}, {"N", 3}};
-    options.min_gap = duration::Minutes(1);
-    options.max_gap = duration::Minutes(5);
-    options.seed = 77;
-    EventRelation stream = workload::GenerateStream(options);
-
-    Result<std::vector<Match>> serial =
-        PartitionedMatchRelation(pattern, stream);
-    SES_CHECK(serial.ok());
-
-    for (int mode = 0; mode < 3; ++mode) {
-      const char* label = mode == 0 ? "off" : mode == 1 ? "v1" : "v2";
-      exec::ParallelOptions parallel_options;
-      parallel_options.num_shards = 4;
-      parallel_options.batch_size = 64;
-      parallel_options.rebalance.enabled = mode != 0;
-      parallel_options.rebalance.policy =
-          mode == 1 ? exec::RebalancePolicyKind::kIdleDeepest
-                    : exec::RebalancePolicyKind::kCostModel;
-      parallel_options.rebalance.interval_events = 1024;
-      std::vector<Match> parallel;
-      exec::ParallelStats stats;
-      char name[64];
-      std::snprintf(name, sizeof(name), "policy/s%.1f/%s", skew, label);
-      CaseResult policy_case =
-          harness.Run(name, num_events, [&](CaseRun& run) {
-            Result<std::vector<Match>> matches =
-                exec::ParallelPartitionedMatchRelation(pattern, stream, -1,
-                                                       parallel_options,
-                                                       &stats);
-            SES_CHECK(matches.ok());
-            parallel = std::move(*matches);
-            int64_t total_busy = 0;
-            int64_t max_busy = 0;
-            for (const exec::ShardStats& shard : stats.shards) {
-              total_busy += shard.busy_nanos;
-              max_busy = std::max(max_busy, shard.busy_nanos);
-            }
-            run.SetCounter("matches", static_cast<int64_t>(parallel.size()),
-                           /*exact=*/true);
-            run.SetCounter("busy_share_permille",
-                           total_busy > 0 ? 1000 * max_busy / total_busy
-                                          : 0);
-            run.SetCounter("keys_migrated", stats.rebalancer.keys_migrated);
-            run.SetCounter("hot_key_rounds", stats.rebalancer.hot_key_rounds);
-          });
-      SES_CHECK(IdenticalNormalized(*serial, parallel))
-          << "policy " << label << " must be output-identical (skew " << skew
-          << ")";
-      int64_t total_busy = 0;
-      int64_t max_busy = 0;
-      for (const exec::ShardStats& shard : stats.shards) {
-        total_busy += shard.busy_nanos;
-        max_busy = std::max(max_busy, shard.busy_nanos);
-      }
-      std::printf("%-8.1f %-8s %12.4f %12lld %12lld %12lld %10zu\n", skew,
-                  label, policy_case.wall_seconds.mean,
-                  static_cast<long long>(
-                      total_busy > 0 ? 1000 * max_busy / total_busy : 0),
-                  static_cast<long long>(stats.rebalancer.keys_migrated),
-                  static_cast<long long>(stats.rebalancer.hot_key_rounds),
-                  parallel.size());
-      report->Add(std::move(policy_case));
     }
   }
 }
@@ -565,10 +494,6 @@ int main(int argc, char** argv) {
             args.full ? 120000
                       : static_cast<int64_t>(ScaleEvents(args, 30000)),
             &report);
-  RebalancePolicySweep(
-      harness,
-      args.full ? 120000 : static_cast<int64_t>(ScaleEvents(args, 30000)),
-      &report);
   LatenessSweep(harness,
                 args.full ? 120000
                           : static_cast<int64_t>(ScaleEvents(args, 30000)),

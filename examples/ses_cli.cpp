@@ -15,7 +15,7 @@
 //   # evaluate a whole catalog of patterns in one pass (docs/CATALOG.md)
 //   ses_cli --data events.csv --schema "..." --catalog plans.sescat --stats
 //
-// Evaluation strategies are resolved through the engine registry
+// Evaluation strategies are resolved through the engine table
 // (engine/registry.h): --engine picks one by name, --list-engines shows
 // what is available, and --threads N is shorthand for the parallel engine
 // with N worker shards. All engines run the same compiled plan and print
@@ -27,6 +27,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <span>
 #include <sstream>
@@ -79,10 +80,6 @@ struct CliArgs {
   int batch = 0;
   /// Enables adaptive shard rebalancing (parallel engine only).
   bool rebalance = false;
-  /// Migration policy when rebalancing: "v1"/"idle-deepest" or
-  /// "v2"/"cost-model" (the default).
-  exec::RebalancePolicyKind rebalance_policy =
-      exec::RebalancePolicyKind::kCostModel;
   /// Bounded-lateness ingest: accept events up to this many ticks behind
   /// the newest timestamp seen (0 = require in-order input).
   long long lateness = 0;
@@ -116,7 +113,7 @@ void PrintUsage() {
       "               [--engine NAME] [--no-filter] [--shared-const]\n"
       "               [--stats] [--dot] [--format text|csv]\n"
       "               [--threads N] [--batch N]\n"
-      "               [--rebalance] [--rebalance-policy v1|v2]\n"
+      "               [--rebalance]\n"
       "               [--lateness N] [--late-policy error|drop]\n"
       "               [--columnar on|off] [--batch-rows N]\n"
       "               [--checkpoint-dir DIR] [--checkpoint-interval N]\n"
@@ -133,9 +130,9 @@ void PrintUsage() {
       "                 over the stream ([plan-id] headers, each followed\n"
       "                 by its query; see docs/CATALOG.md); matches are\n"
       "                 printed tagged with the plan id\n"
-      "  --engine NAME  evaluation strategy from the engine registry\n"
-      "                 (default serial; see --list-engines)\n"
-      "  --list-engines print the registered engines and exit\n"
+      "  --engine NAME  evaluation strategy: parallel, partitioned or\n"
+      "                 serial (default serial; see --list-engines)\n"
+      "  --list-engines print the available engines and exit\n"
       "  --no-filter    disable the event pre-filter (sec. 4.5)\n"
       "  --shared-const share per-event constant-condition evaluation\n"
       "                 across automaton instances\n"
@@ -150,10 +147,6 @@ void PrintUsage() {
       "  --rebalance    adaptively migrate idle partition keys off the\n"
       "                 hottest shard (parallel engine; output unchanged,\n"
       "                 see docs/RUNTIME.md)\n"
-      "  --rebalance-policy v1|v2\n"
-      "                 migration policy: v1 = idle-deepest heuristic,\n"
-      "                 v2 = cost-model engine with hysteresis and hot-key\n"
-      "                 splitting (default; implies --rebalance)\n"
       "  --lateness N   accept events up to N ticks behind the newest\n"
       "                 timestamp seen and reorder them before evaluation\n"
       "                 (bounded-lateness ingest; default 0 = input must\n"
@@ -200,6 +193,21 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
     }
     return std::string(argv[++i]);
   };
+  // The value of a numeric flag: a whole integer within [min, max].
+  auto need_int = [&](int& i, int64_t min, int64_t max) -> Result<int64_t> {
+    const std::string flag = argv[i];
+    SES_ASSIGN_OR_RETURN(std::string text, need_value(i));
+    Result<int64_t> value = strings::ParseInt64(text);
+    if (!value.ok() || *value < min || *value > max) {
+      return Status::InvalidArgument(flag + " must be an integer in [" +
+                                     std::to_string(min) + ", " +
+                                     std::to_string(max) + "], got '" + text +
+                                     "'");
+    }
+    return *value;
+  };
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--demo") == 0) {
       args.demo = true;
@@ -234,31 +242,13 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--list-engines") == 0) {
       args.list_engines = true;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      SES_ASSIGN_OR_RETURN(std::string value, need_value(i));
-      args.threads = std::atoi(value.c_str());
-      if (args.threads < 1) {
-        return Status::InvalidArgument("--threads needs a positive integer");
-      }
+      SES_ASSIGN_OR_RETURN(args.threads, need_int(i, 1, kIntMax));
     } else if (std::strcmp(argv[i], "--batch") == 0) {
-      SES_ASSIGN_OR_RETURN(std::string value, need_value(i));
-      args.batch = std::atoi(value.c_str());
-      if (args.batch < 1) {
-        return Status::InvalidArgument("--batch needs a positive integer");
-      }
+      SES_ASSIGN_OR_RETURN(args.batch, need_int(i, 1, kIntMax));
     } else if (std::strcmp(argv[i], "--rebalance") == 0) {
       args.rebalance = true;
-    } else if (std::strcmp(argv[i], "--rebalance-policy") == 0) {
-      SES_ASSIGN_OR_RETURN(std::string value, need_value(i));
-      SES_ASSIGN_OR_RETURN(args.rebalance_policy,
-                           exec::ParseRebalancePolicy(value));
-      args.rebalance = true;
     } else if (std::strcmp(argv[i], "--lateness") == 0) {
-      SES_ASSIGN_OR_RETURN(std::string value, need_value(i));
-      SES_ASSIGN_OR_RETURN(args.lateness, strings::ParseInt64(value));
-      if (args.lateness < 0) {
-        return Status::InvalidArgument(
-            "--lateness needs a non-negative integer");
-      }
+      SES_ASSIGN_OR_RETURN(args.lateness, need_int(i, 0, kInt64Max));
     } else if (std::strcmp(argv[i], "--late-policy") == 0) {
       SES_ASSIGN_OR_RETURN(std::string value, need_value(i));
       SES_ASSIGN_OR_RETURN(args.late_policy, exec::ParseLatePolicy(value));
@@ -272,32 +262,17 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument("--columnar must be on or off");
       }
     } else if (std::strcmp(argv[i], "--batch-rows") == 0) {
-      SES_ASSIGN_OR_RETURN(std::string value, need_value(i));
-      args.batch_rows = std::atoi(value.c_str());
-      if (args.batch_rows < 1) {
-        return Status::InvalidArgument(
-            "--batch-rows needs a positive integer");
-      }
+      SES_ASSIGN_OR_RETURN(args.batch_rows, need_int(i, 1, kIntMax));
     } else if (std::strcmp(argv[i], "--checkpoint-dir") == 0) {
       SES_ASSIGN_OR_RETURN(args.checkpoint_dir, need_value(i));
     } else if (std::strcmp(argv[i], "--checkpoint-interval") == 0) {
-      SES_ASSIGN_OR_RETURN(std::string value, need_value(i));
       SES_ASSIGN_OR_RETURN(args.checkpoint_interval,
-                           strings::ParseInt64(value));
-      if (args.checkpoint_interval < 1) {
-        return Status::InvalidArgument(
-            "--checkpoint-interval needs a positive integer");
-      }
+                           need_int(i, 1, kInt64Max));
     } else if (std::strcmp(argv[i], "--restore") == 0) {
       args.restore = true;
     } else if (std::strcmp(argv[i], "--crash-after-events") == 0) {
-      SES_ASSIGN_OR_RETURN(std::string value, need_value(i));
       SES_ASSIGN_OR_RETURN(args.crash_after_events,
-                           strings::ParseInt64(value));
-      if (args.crash_after_events < 1) {
-        return Status::InvalidArgument(
-            "--crash-after-events needs a positive integer");
-      }
+                           need_int(i, 1, kInt64Max));
     } else if (std::strcmp(argv[i], "--no-filter") == 0) {
       args.no_filter = true;
     } else if (std::strcmp(argv[i], "--shared-const") == 0) {
@@ -374,7 +349,6 @@ engine::EngineOptions MakeEngineOptions(const CliArgs& args) {
   if (args.threads >= 1) options.num_shards = args.threads;
   if (args.batch > 0) options.batch_size = static_cast<size_t>(args.batch);
   options.rebalance.enabled = args.rebalance;
-  options.rebalance.policy = args.rebalance_policy;
   options.lateness_bound = args.lateness;
   options.late_policy = args.late_policy;
   return options;
@@ -593,9 +567,9 @@ Status RunCatalog(const CliArgs& args) {
 
 Status Run(const CliArgs& args) {
   if (args.list_engines) {
-    for (const engine::EngineInfo& info :
-         engine::EngineRegistry::Global().List()) {
-      std::printf("%-12s %s\n", info.name.c_str(), info.description.c_str());
+    for (const engine::EngineInfo& info : engine::ListEngines()) {
+      std::printf("%-12s %s\n", std::string(info.name).c_str(),
+                  std::string(info.description).c_str());
     }
     return Status::OK();
   }
@@ -825,10 +799,8 @@ Status Run(const CliArgs& args) {
     }
     if (args.rebalance) {
       std::printf(
-          "rebalancer [%s]: %lld round(s), %lld key(s) migrated, %lld "
+          "rebalancer: %lld round(s), %lld key(s) migrated, %lld "
           "override(s) active, %lld hot-key round(s), %lld cooldown-blocked\n",
-          std::string(exec::RebalancePolicyName(args.rebalance_policy))
-              .c_str(),
           static_cast<long long>(stats.rebalancer.rounds),
           static_cast<long long>(stats.rebalancer.keys_migrated),
           static_cast<long long>(stats.rebalancer.overrides_active),

@@ -24,6 +24,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "common/strings.h"
 #include "core/match.h"
 #include "event/csv.h"
 #include "event/relation.h"
@@ -74,6 +76,8 @@ void PrintUsage(const char* argv0) {
 
 Result<LoadgenArgs> ParseArgs(int argc, char** argv) {
   LoadgenArgs args;
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kLongMax = std::numeric_limits<long>::max();
   for (int i = 1; i < argc; ++i) {
     std::string_view flag = argv[i];
     auto next = [&]() -> Result<std::string> {
@@ -82,28 +86,32 @@ Result<LoadgenArgs> ParseArgs(int argc, char** argv) {
       }
       return std::string(argv[++i]);
     };
-    std::string value;
+    // The value of a numeric flag: a whole integer within [min, max].
+    auto next_int = [&](int64_t min, int64_t max) -> Result<int64_t> {
+      SES_ASSIGN_OR_RETURN(std::string text, next());
+      Result<int64_t> value = strings::ParseInt64(text);
+      if (!value.ok() || *value < min || *value > max) {
+        return Status::InvalidArgument(
+            std::string(flag) + " must be an integer in [" +
+            std::to_string(min) + ", " + std::to_string(max) + "], got '" +
+            text + "'");
+      }
+      return *value;
+    };
     if (flag == "--port") {
-      SES_ASSIGN_OR_RETURN(value, next());
-      args.port = std::atoi(value.c_str());
+      SES_ASSIGN_OR_RETURN(args.port, next_int(1, 65535));
     } else if (flag == "--clients") {
-      SES_ASSIGN_OR_RETURN(value, next());
-      args.clients = std::atoi(value.c_str());
+      SES_ASSIGN_OR_RETURN(args.clients, next_int(1, kIntMax));
     } else if (flag == "--events") {
-      SES_ASSIGN_OR_RETURN(value, next());
-      args.events = std::atol(value.c_str());
+      SES_ASSIGN_OR_RETURN(args.events, next_int(1, kLongMax));
     } else if (flag == "--batch") {
-      SES_ASSIGN_OR_RETURN(value, next());
-      args.batch = std::atol(value.c_str());
+      SES_ASSIGN_OR_RETURN(args.batch, next_int(1, kLongMax));
     } else if (flag == "--window") {
-      SES_ASSIGN_OR_RETURN(value, next());
-      args.window = std::atol(value.c_str());
+      SES_ASSIGN_OR_RETURN(args.window, next_int(1, kLongMax));
     } else if (flag == "--keys") {
-      SES_ASSIGN_OR_RETURN(value, next());
-      args.keys = std::atol(value.c_str());
+      SES_ASSIGN_OR_RETURN(args.keys, next_int(1, kLongMax));
     } else if (flag == "--busy-retry-ms") {
-      SES_ASSIGN_OR_RETURN(value, next());
-      args.busy_retry_ms = std::atoi(value.c_str());
+      SES_ASSIGN_OR_RETURN(args.busy_retry_ms, next_int(0, kIntMax));
     } else if (flag == "--columnar") {
       args.columnar = true;
     } else if (flag == "--dump-dir") {
@@ -117,13 +125,8 @@ Result<LoadgenArgs> ParseArgs(int argc, char** argv) {
       return Status::InvalidArgument("unknown flag: " + std::string(flag));
     }
   }
-  if (args.port <= 0) {
+  if (args.port == 0) {
     return Status::InvalidArgument("--port is required (try --help)");
-  }
-  if (args.clients < 1 || args.events < 1 || args.batch < 1 ||
-      args.keys < 1) {
-    return Status::InvalidArgument(
-        "--clients/--events/--batch/--keys must be positive");
   }
   return args;
 }

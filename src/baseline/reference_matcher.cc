@@ -1,7 +1,6 @@
 #include "baseline/reference_matcher.h"
 
 #include <algorithm>
-#include <map>
 
 #include "common/strings.h"
 
@@ -169,37 +168,6 @@ Result<std::vector<Match>> ReferenceMatch(const Pattern& pattern,
     }
   }
   return matches;
-}
-
-bool IsOperationalMatch(const Pattern& pattern, const Match& match,
-                        std::span<const Event> events) {
-  if (match.bindings().empty()) return false;
-  std::map<EventId, VariableId> bound;
-  for (const Binding& b : match.bindings()) {
-    bound[b.event.id()] = b.variable;
-  }
-  const Timestamp start = match.start_time();
-  Partial partial;
-  for (const Event& e : events) {
-    if (e.timestamp() < start) continue;
-    // Expiry precedes consumption (Algorithm 1, lines 7-10): an event past
-    // the window never interacts with the instance.
-    if (e.timestamp() - start > pattern.window()) break;
-    auto it = bound.find(e.id());
-    if (it != bound.end()) {
-      partial.bindings.push_back(Binding{it->second, e});
-      continue;
-    }
-    // Skip-till-next-match: an event that could extend the prefix forces a
-    // branch and discards the unextended instance, so the trace dies here.
-    for (VariableId v : CandidateVariables(pattern, partial)) {
-      if (ConditionsAllow(pattern, partial, v, e) &&
-          OrderAllows(pattern, partial, v, e)) {
-        return false;
-      }
-    }
-  }
-  return true;
 }
 
 Status CheckMatchInvariants(const Pattern& pattern, const Match& match) {

@@ -1,7 +1,6 @@
 #ifndef SES_BASELINE_REFERENCE_MATCHER_H_
 #define SES_BASELINE_REFERENCE_MATCHER_H_
 
-#include <span>
 #include <vector>
 
 #include "common/result.h"
@@ -39,23 +38,6 @@ Result<std::vector<Match>> ReferenceMatch(const Pattern& pattern,
 /// event, group variables at least one, and all events are distinct.
 /// Returns the first violation found.
 Status CheckMatchInvariants(const Pattern& pattern, const Match& match);
-
-/// True iff `match` is reproducible by the operational skip-till-next-match
-/// semantics (the SES automaton / ReferenceMatch above), judged by replaying
-/// the stream against the match's own trace. The characterization: a full
-/// substitution γ survives as an automaton instance iff, for every event e
-/// with start(γ) ≤ T(e) ≤ start(γ) + τ, either e is bound by γ (the trace
-/// branches on it) or e cannot extend γ's chronological prefix at all — an
-/// extendable-but-ignored event would have replaced the instance by its
-/// branches and killed the unextended trace (Algorithm 2, lines 8-10).
-///
-/// `events` must contain, in timestamp order, at least every stream event
-/// in [start(γ), start(γ) + τ]; events outside that range are skipped. Used
-/// by the brute-force engine to reduce the §5.2 union (which applies
-/// skip-till-next-match per ordering, not per set) to the canonical SES
-/// match set.
-bool IsOperationalMatch(const Pattern& pattern, const Match& match,
-                        std::span<const Event> events);
 
 }  // namespace ses::baseline
 

@@ -21,7 +21,7 @@ namespace ses::bench {
 
 /// How one engine case is driven.
 struct EngineCaseConfig {
-  /// Registry name ("serial", "partitioned", "parallel", "brute-force").
+  /// Engine name ("serial", "partitioned", "parallel").
   std::string engine;
   /// Runtime knobs; the sink is replaced by the harness's probed collector.
   engine::EngineOptions options;

@@ -26,9 +26,9 @@ Result<std::unique_ptr<CatalogEngine>> CatalogEngine::Create(
         "CatalogOptions::sink must be set (it receives every match tagged "
         "with its plan id)");
   }
-  if (!engine::EngineRegistry::Global().Contains(options.engine)) {
+  if (!engine::HasEngine(options.engine)) {
     return Status::NotFound("unknown per-plan engine '" + options.engine +
-                            "' (see EngineRegistry::List)");
+                            "' (see engine::ListEngines)");
   }
   auto engine = std::unique_ptr<CatalogEngine>(
       new CatalogEngine(std::move(catalog), std::move(options)));

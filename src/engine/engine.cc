@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
 #include <optional>
 #include <string>
 #include <utility>
 
-#include "baseline/brute_force.h"
-#include "baseline/reference_matcher.h"
 #include "core/matcher.h"
 #include "core/partitioned.h"
 #include "exec/parallel_partitioned.h"
@@ -307,202 +304,6 @@ class ParallelEngine : public Engine {
   const EventPreFilter* ingest_filter_ = nullptr;
   std::vector<Event> scratch_;
   bool in_flush_ = false;
-  EngineStats stats_;
-};
-
-/// "brute-force": the §5.2 union of per-ordering sequential automata,
-/// reduced to the canonical SES match set. Each candidate substitution is
-/// deduplicated by SubstitutionKey and replayed against the recent event
-/// window with IsOperationalMatch; both the event buffer and the dedup map
-/// are pruned below watermark − τ (no later automaton instance — hence no
-/// later candidate — can start earlier than that).
-class BruteForceEngine : public Engine {
- public:
-  static Result<std::unique_ptr<Engine>> Make(
-      std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options) {
-    SES_ASSIGN_OR_RETURN(baseline::BruteForceMatcher matcher,
-                         baseline::BruteForceMatcher::Create(
-                             plan->pattern(), plan->matcher_options()));
-    return std::unique_ptr<Engine>(new BruteForceEngine(
-        std::move(plan), std::move(options), std::move(matcher)));
-  }
-
-  std::string_view name() const override { return "brute-force"; }
-
- protected:
-  Status PushOrdered(const Event& event) override {
-    SES_RETURN_IF_ERROR(matcher_->Push(event, &buffer_));
-    // A filtered event satisfies no constant condition, so it can neither
-    // be bound by a match nor extend any replay prefix — and, crucially,
-    // it never reaches the underlying executors, so it does not trigger
-    // their window-expiry sweep. Emission is therefore delayed until the
-    // next UNFILTERED event, and only unfiltered events may advance the
-    // replay buffer's prune cutoff (otherwise the buffer could drop events
-    // a delayed match still needs).
-    const bool visible = filter_ == nullptr || filter_->ShouldProcess(event);
-    if (visible) {
-      recent_.push_back(event);
-    } else {
-      // The internal per-ordering matchers drop the event themselves;
-      // count it here so the engine's filter counter matches the other
-      // engines (and the columnar path's bitmap accounting).
-      ++stats_.events_filtered;
-    }
-    Deliver(/*early=*/true);
-    if (visible) {
-      const Timestamp cutoff = event.timestamp() - plan_->window();
-      size_t drop = 0;
-      while (drop < recent_.size() && recent_[drop].timestamp() < cutoff) {
-        ++drop;
-      }
-      recent_.erase(recent_.begin(),
-                    recent_.begin() + static_cast<long>(drop));
-      std::erase_if(seen_, [&](const auto& entry) {
-        return entry.second < cutoff;
-      });
-    }
-    return Status::OK();
-  }
-
-  Status FlushImpl() override {
-    matcher_->Flush(&buffer_);
-    Deliver(/*early=*/false);
-    return Status::OK();
-  }
-
-  void ResetImpl() override {
-    // BruteForceMatcher has no Reset; rebuild the automaton bank. Creation
-    // cannot fail here — the pattern was validated when the engine was.
-    Result<baseline::BruteForceMatcher> rebuilt =
-        baseline::BruteForceMatcher::Create(plan_->pattern(),
-                                            plan_->matcher_options());
-    if (rebuilt.ok()) matcher_.emplace(std::move(*rebuilt));
-    buffer_.clear();
-    recent_.clear();
-    seen_.clear();
-    stats_ = EngineStats{};
-  }
-
-  EngineStats StatsImpl() const override { return stats_; }
-
-  Status CheckpointImpl(std::string* out) override {
-    // The automaton bank itself is not serialized: every live instance
-    // binds only events from the replay window `recent_` (anything older
-    // has expired — the per-push window sweep flushed it), so the bank is
-    // rebuilt on restore by replaying `recent_` through a fresh matcher.
-    // Replay can only re-derive candidates the crashed run already judged;
-    // the restored `seen_` map suppresses re-emission.
-    const Schema& schema = plan_->pattern().schema();
-    storage::PutCount(out, recent_.size());
-    for (const Event& event : recent_) {
-      storage::PutEventRecord(out, event, schema);
-    }
-    storage::PutCount(out, seen_.size());
-    for (const auto& [key, start] : seen_) {
-      storage::PutCount(out, key.size());
-      for (const auto& [variable, event_id] : key) {
-        storage::PutSigned(out, variable);
-        storage::PutSigned(out, event_id);
-      }
-      storage::PutSigned(out, start);
-    }
-    storage::PutSigned(out, stats_.events_filtered);
-    storage::PutSigned(out, stats_.matches_emitted);
-    storage::PutSigned(out, stats_.matches_emitted_early);
-    storage::PutSigned(out, stats_.max_buffered_matches);
-    return Status::OK();
-  }
-
-  Status RestoreImpl(const char** p, const char* limit) override {
-    const Schema& schema = plan_->pattern().schema();
-    uint64_t num_recent = 0;
-    SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &num_recent));
-    recent_.reserve(num_recent);
-    for (uint64_t i = 0; i < num_recent; ++i) {
-      Event event;
-      SES_RETURN_IF_ERROR(storage::GetEventRecord(p, limit, schema, &event));
-      recent_.push_back(std::move(event));
-    }
-    uint64_t num_seen = 0;
-    SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &num_seen));
-    for (uint64_t i = 0; i < num_seen; ++i) {
-      uint64_t key_size = 0;
-      SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &key_size));
-      std::vector<std::pair<VariableId, EventId>> key;
-      key.reserve(key_size);
-      for (uint64_t j = 0; j < key_size; ++j) {
-        int64_t variable = 0;
-        int64_t event_id = 0;
-        SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &variable));
-        SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &event_id));
-        key.emplace_back(static_cast<VariableId>(variable),
-                         static_cast<EventId>(event_id));
-      }
-      Timestamp start = 0;
-      SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &start));
-      seen_.emplace(std::move(key), start);
-    }
-    SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.events_filtered));
-    SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.matches_emitted));
-    SES_RETURN_IF_ERROR(
-        storage::GetSigned(p, limit, &stats_.matches_emitted_early));
-    SES_RETURN_IF_ERROR(
-        storage::GetSigned(p, limit, &stats_.max_buffered_matches));
-    // Rebuild the automaton bank: replay the window through the fresh
-    // matcher (ResetImpl rebuilt it) and discard the re-derived candidates
-    // — every one of them was judged (and, if canonical, emitted) before
-    // the checkpoint was taken.
-    std::vector<Match> discard;
-    for (const Event& event : recent_) {
-      SES_RETURN_IF_ERROR(matcher_->Push(event, &discard));
-      discard.clear();
-    }
-    return Status::OK();
-  }
-
- private:
-  BruteForceEngine(std::shared_ptr<const plan::CompiledPlan> plan,
-                   EngineOptions options,
-                   baseline::BruteForceMatcher matcher)
-      : Engine(std::move(plan), std::move(options)) {
-    matcher_.emplace(std::move(matcher));
-    if (const auto& filter = plan_->shared_prefilter();
-        filter != nullptr && filter->active()) {
-      filter_ = filter.get();
-    }
-  }
-
-  void Deliver(bool early) {
-    stats_.max_buffered_matches = std::max(
-        stats_.max_buffered_matches, static_cast<int64_t>(buffer_.size()));
-    for (Match& match : buffer_) {
-      auto key = match.SubstitutionKey();
-      if (seen_.find(key) != seen_.end()) continue;
-      const Timestamp start = match.start_time();
-      const bool canonical = baseline::IsOperationalMatch(
-          plan_->pattern(), match, std::span<const Event>(recent_));
-      // Rejected candidates are remembered too: another ordering may
-      // produce the same substitution and must not trigger a second replay.
-      seen_.emplace(std::move(key), start);
-      if (!canonical) continue;
-      ++stats_.matches_emitted;
-      if (early) ++stats_.matches_emitted_early;
-      options_.sink(std::move(match));
-    }
-    buffer_.clear();
-  }
-
-  std::optional<baseline::BruteForceMatcher> matcher_;
-  /// The plan's pre-filter when it is active (per-ordering patterns share
-  /// the original pattern's constant conditions, so one predicate fits
-  /// every internal matcher); null when inactive or disabled.
-  const EventPreFilter* filter_ = nullptr;
-  std::vector<Match> buffer_;
-  /// All UNFILTERED stream events newer than the prune cutoff, in order —
-  /// enough to replay any candidate that can still be produced.
-  std::vector<Event> recent_;
-  /// SubstitutionKey → start time of every candidate already judged.
-  std::map<std::vector<std::pair<VariableId, EventId>>, Timestamp> seen_;
   EngineStats stats_;
 };
 
@@ -867,12 +668,6 @@ Result<std::unique_ptr<Engine>> CreateParallelEngine(
   SES_RETURN_IF_ERROR(ValidateSink(options));
   SES_RETURN_IF_ERROR(RequirePartitionAttribute(*plan, "parallel"));
   return ParallelEngine::Make(std::move(plan), std::move(options));
-}
-
-Result<std::unique_ptr<Engine>> CreateBruteForceEngine(
-    std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options) {
-  SES_RETURN_IF_ERROR(ValidateSink(options));
-  return BruteForceEngine::Make(std::move(plan), std::move(options));
 }
 
 }  // namespace ses::engine

@@ -121,12 +121,12 @@ std::vector<std::pair<std::string, int64_t>> EngineCounters(
     const EngineStats& stats);
 
 /// A streaming SES evaluator behind a uniform push/flush interface. All
-/// four evaluation strategies of this repository — the global serial
-/// automaton, serial partitioned execution, the sharded parallel runtime,
-/// and the §5.2 brute-force baseline — implement this interface, are
-/// constructed from the same immutable plan::CompiledPlan, and deliver
-/// matches through the same MatchSink, so harnesses, benchmarks and the CLI
-/// can treat "which engine" as a run-time string (see engine/registry.h).
+/// three evaluation strategies of this repository — the global serial
+/// automaton, serial partitioned execution, and the sharded parallel
+/// runtime — implement this interface, are constructed from the same
+/// immutable plan::CompiledPlan, and deliver matches through the same
+/// MatchSink, so harnesses, benchmarks and the CLI can treat "which engine"
+/// as a run-time string (see engine/registry.h).
 ///
 /// Contract: Push events in event-time order — strictly increasing
 /// timestamps when `EngineOptions::lateness_bound` is 0 (the default), or
@@ -288,7 +288,7 @@ class Engine {
 /// engine's last Push/Flush). The common harness/test configuration.
 MatchSink CollectInto(std::vector<Match>* out);
 
-/// Factory functions behind the registry entries (engine/registry.h). All
+/// Factory functions behind the engine table (engine/registry.h). All
 /// validate that `options.sink` is set; the partition-pure engines
 /// additionally require plan->has_partition_attribute().
 
@@ -307,13 +307,6 @@ Result<std::unique_ptr<Engine>> CreatePartitionedEngine(
 /// plan's pre-filter is additionally applied at ingest, so filtered events
 /// are never routed or queued.
 Result<std::unique_ptr<Engine>> CreateParallelEngine(
-    std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options);
-
-/// "brute-force": the §5.2 baseline bank of per-ordering sequential
-/// automata, reduced to the canonical SES match set by replaying each
-/// candidate against the recent event window (IsOperationalMatch). Fails
-/// for patterns with group variables. Exponential; use on small inputs.
-Result<std::unique_ptr<Engine>> CreateBruteForceEngine(
     std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options);
 
 }  // namespace ses::engine

@@ -1,96 +1,62 @@
 #include "engine/registry.h"
 
+#include <string>
 #include <utility>
 
 namespace ses::engine {
 
 namespace {
 
-void RegisterBuiltinEngines(EngineRegistry& registry) {
-  // Startup registration cannot collide; ignore the statuses.
-  (void)registry.Register(
-      "serial", "one global automaton over the whole stream",
-      CreateSerialEngine);
-  (void)registry.Register(
-      "partitioned",
-      "serial partition-pure execution, one automaton bank per key",
-      CreatePartitionedEngine);
-  (void)registry.Register(
-      "parallel",
-      "hash-sharded multi-threaded runtime with incremental emission",
-      CreateParallelEngine);
-  (void)registry.Register(
-      "brute-force",
-      "per-ordering sequential automata (§5.2), canonicalized; exponential",
-      CreateBruteForceEngine);
+/// One engine: its listed row plus the factory that builds it.
+struct EngineEntry {
+  EngineInfo info;
+  Result<std::unique_ptr<Engine>> (*create)(
+      std::shared_ptr<const plan::CompiledPlan>, EngineOptions);
+};
+
+/// Sorted by name, so ListEngines needs no sort.
+constexpr EngineEntry kEngines[] = {
+    {{"parallel",
+      "hash-sharded multi-threaded runtime with incremental emission"},
+     CreateParallelEngine},
+    {{"partitioned",
+      "serial partition-pure execution, one automaton bank per key"},
+     CreatePartitionedEngine},
+    {{"serial", "one global automaton over the whole stream"},
+     CreateSerialEngine},
+};
+
+const EngineEntry* FindEngine(std::string_view name) {
+  for (const EngineEntry& entry : kEngines) {
+    if (entry.info.name == name) return &entry;
+  }
+  return nullptr;
 }
 
 }  // namespace
 
-EngineRegistry& EngineRegistry::Global() {
-  static EngineRegistry* registry = [] {
-    auto* r = new EngineRegistry();
-    RegisterBuiltinEngines(*r);
-    return r;
-  }();
-  return *registry;
-}
-
-Status EngineRegistry::Register(std::string name, std::string description,
-                                EngineFactory factory) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = entries_.emplace(
-      std::move(name), Entry{std::move(description), std::move(factory)});
-  if (!inserted) {
-    return Status::AlreadyExists("engine '" + it->first +
-                                 "' is already registered");
-  }
-  return Status::OK();
-}
-
-Result<std::unique_ptr<Engine>> EngineRegistry::Create(
-    std::string_view name, std::shared_ptr<const plan::CompiledPlan> plan,
-    EngineOptions options) const {
-  EngineFactory factory;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(name);
-    if (it == entries_.end()) {
-      std::string known;
-      for (const auto& [entry_name, entry] : entries_) {
-        if (!known.empty()) known += ", ";
-        known += entry_name;
-      }
-      return Status::NotFound("unknown engine '" + std::string(name) +
-                              "' (registered: " + known + ")");
-    }
-    factory = it->second.factory;
-  }
-  // Run the factory outside the lock: factories compile automata and spawn
-  // worker threads, and may themselves consult the registry.
-  return factory(std::move(plan), std::move(options));
-}
-
-bool EngineRegistry::Contains(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return entries_.find(name) != entries_.end();
-}
-
-std::vector<EngineInfo> EngineRegistry::List() const {
-  std::lock_guard<std::mutex> lock(mu_);
+std::vector<EngineInfo> ListEngines() {
   std::vector<EngineInfo> infos;
-  infos.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) {
-    infos.push_back(EngineInfo{name, entry.description});
-  }
+  for (const EngineEntry& entry : kEngines) infos.push_back(entry.info);
   return infos;
 }
+
+bool HasEngine(std::string_view name) { return FindEngine(name) != nullptr; }
 
 Result<std::unique_ptr<Engine>> CreateEngine(
     std::string_view name, std::shared_ptr<const plan::CompiledPlan> plan,
     EngineOptions options) {
-  return EngineRegistry::Global().Create(name, std::move(plan),
-                                         std::move(options));
+  const EngineEntry* entry = FindEngine(name);
+  if (entry == nullptr) {
+    std::string known;
+    for (const EngineEntry& row : kEngines) {
+      if (!known.empty()) known += ", ";
+      known += row.info.name;
+    }
+    return Status::NotFound("unknown engine '" + std::string(name) +
+                            "' (known engines: " + known + ")");
+  }
+  return entry->create(std::move(plan), std::move(options));
 }
 
 }  // namespace ses::engine

@@ -1,11 +1,7 @@
 #ifndef SES_ENGINE_REGISTRY_H_
 #define SES_ENGINE_REGISTRY_H_
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -13,61 +9,31 @@
 
 namespace ses::engine {
 
-/// Builds an engine instance from a shared plan and runtime options.
-using EngineFactory = std::function<Result<std::unique_ptr<Engine>>(
-    std::shared_ptr<const plan::CompiledPlan>, EngineOptions)>;
-
-/// One registry row, as returned by EngineRegistry::List.
+/// One row of the engine table, as returned by ListEngines.
 struct EngineInfo {
-  std::string name;
-  std::string description;
+  std::string_view name;
+  std::string_view description;
 };
 
-/// Name → factory table behind every "which engine" decision: the CLI's
-/// --engine flag, the engine-comparison bench, and the cross-engine
-/// equivalence tests all resolve evaluation strategies through this
-/// registry, so a new engine becomes available everywhere by registering
-/// one factory. The global instance comes pre-loaded with the four built-in
-/// engines ("serial", "partitioned", "parallel", "brute-force"); tests may
-/// register additional ones. Thread-safe.
-class EngineRegistry {
- public:
-  /// The process-wide registry, with built-in engines pre-registered.
-  static EngineRegistry& Global();
+// The fixed name → factory table behind every "which engine" decision: the
+// CLI's --engine flag, the server, the catalog, the engine-comparison bench
+// and the cross-engine equivalence tests all resolve evaluation strategies
+// through these functions. The table holds the three built-in engines
+// ("parallel", "partitioned", "serial") and never changes at run time.
 
-  /// Registers a factory under `name`. Fails with AlreadyExists on a
-  /// duplicate name — engines are registered once, at startup.
-  Status Register(std::string name, std::string description,
-                  EngineFactory factory);
+/// The built-in engines, sorted by name.
+std::vector<EngineInfo> ListEngines();
 
-  /// Instantiates the named engine from `plan`. NotFound for an unknown
-  /// name (the message lists the registered ones); otherwise whatever the
-  /// factory returns (e.g. FailedPrecondition when a partition-pure engine
-  /// is asked to run a non-partitionable plan).
-  Result<std::unique_ptr<Engine>> Create(
-      std::string_view name, std::shared_ptr<const plan::CompiledPlan> plan,
-      EngineOptions options) const;
+/// True when `name` is a built-in engine. Lets composite evaluators (the
+/// multi-pattern catalog, which instantiates one engine per plan) validate
+/// the engine choice at construction instead of failing on the first plan
+/// registration.
+bool HasEngine(std::string_view name);
 
-  /// All registered engines, sorted by name.
-  std::vector<EngineInfo> List() const;
-
-  /// True when `name` is registered. Lets composite evaluators (the
-  /// multi-pattern catalog, which instantiates one registered engine per
-  /// plan) validate the engine choice at construction instead of failing on
-  /// the first plan registration.
-  bool Contains(std::string_view name) const;
-
- private:
-  struct Entry {
-    std::string description;
-    EngineFactory factory;
-  };
-
-  mutable std::mutex mu_;
-  std::map<std::string, Entry, std::less<>> entries_;
-};
-
-/// Shorthand for EngineRegistry::Global().Create(...).
+/// Instantiates the named engine from `plan`. NotFound for an unknown name
+/// (the message lists the built-in ones); otherwise whatever the engine's
+/// factory returns (e.g. FailedPrecondition when a partition-pure engine is
+/// asked to run a non-partitionable plan).
 Result<std::unique_ptr<Engine>> CreateEngine(
     std::string_view name, std::shared_ptr<const plan::CompiledPlan> plan,
     EngineOptions options);

@@ -3,12 +3,10 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "common/result.h"
+#include "common/status.h"
 #include "common/time.h"
 #include "event/value.h"
 #include "metrics/metrics.h"
@@ -22,41 +20,15 @@ struct ValueOrderLess {
   }
 };
 
-/// Which migration policy the shard rebalancer runs. Both policies consume
-/// the same LoadSnapshot and produce the same MigrationPlan, so they are
-/// interchangeable at run time (bench/partition_ablation sweeps them
-/// against each other).
-enum class RebalancePolicyKind {
-  /// The PR-2 heuristic: when the smoothed load imbalance exceeds
-  /// min_imbalance, migrate idle keys (busiest first) from the deepest to
-  /// the shallowest shard. Single threshold, no cooldown, no cost model.
-  kIdleDeepest,
-  /// The v2 policy engine: per-key migration cost model (expected residual
-  /// skew reduction vs override-table growth + cache-warmup proxy),
-  /// two-threshold hysteresis, per-key cooldown of one pattern window, and
-  /// hot-key cold-neighbor splitting. See docs/RUNTIME.md §"Rebalancer
-  /// policy v2".
-  kCostModel,
-};
-
-/// Registry-style name of a policy ("idle-deepest", "cost-model").
-std::string_view RebalancePolicyName(RebalancePolicyKind kind);
-
-/// Parses a policy name (also accepts the aliases "v1" and "v2").
-Result<RebalancePolicyKind> ParseRebalancePolicy(std::string_view name);
-
 /// Knobs for the adaptive shard rebalancer (see exec::ShardRebalancer and
 /// docs/RUNTIME.md §4–5). The defaults favour stability: migration starts
 /// only when the smoothed imbalance is well above balanced, each round
-/// moves at most max_moves_per_round keys, and (cost-model policy) a key
-/// in motion is pinned for a full pattern window before it may move again.
+/// moves at most max_moves_per_round keys, and a key in motion is pinned
+/// for a full pattern window before it may move again.
 struct RebalanceOptions {
   /// Master switch; when false the runtime routes by hash only and the
   /// rebalancer is never constructed.
   bool enabled = false;
-  /// Which policy plans migrations. Defaults to the v2 cost model;
-  /// kIdleDeepest retains the PR-2 behaviour for comparison.
-  RebalancePolicyKind policy = RebalancePolicyKind::kCostModel;
   /// Ingested events between load samples (and hence between migration
   /// opportunities).
   int64_t interval_events = 4096;
@@ -64,16 +36,9 @@ struct RebalanceOptions {
   double depth_alpha = 0.4;
   /// EWMA weight for busy-time samples, in (0, 1].
   double busy_alpha = 0.4;
-  /// kIdleDeepest only: a migration round fires when max shard load >
-  /// min_imbalance × min shard load (load = normalized depth share + busy
-  /// share).
-  double min_imbalance = 1.5;
   /// Upper bound on keys migrated per round; bounds the routing-table
   /// churn a single skewed sample can cause.
   int max_moves_per_round = 64;
-
-  // ---- Cost-model (v2) knobs --------------------------------------------
-
   /// Hysteresis upper threshold: migration starts when the deepest shard's
   /// smoothed load score exceeds hi_imbalance × the mean score.
   double hi_imbalance = 1.6;
@@ -131,9 +96,9 @@ struct KeyLoad {
   int64_t open_instances = 0;
 };
 
-/// Everything a migration policy may look at for one planning round. The
-/// snapshot is self-contained — watermark and window ride along — so
-/// policies are pure state machines over snapshot sequences, replayable in
+/// Everything the migration policy may look at for one planning round. The
+/// snapshot is self-contained — watermark and window ride along — so the
+/// policy is a pure state machine over snapshot sequences, replayable in
 /// tests with no threads, sleeps, or wall clock
 /// (tests/rebalance_policy_test.cc).
 struct LoadSnapshot {
@@ -155,13 +120,12 @@ struct Migration {
   int to = 0;
 };
 
-/// A policy's decision for one snapshot: the migrations to apply plus
+/// The policy's decision for one snapshot: the migrations to apply plus
 /// diagnostics the tests and statistics assert on.
 struct MigrationPlan {
   /// Keys to re-route, in application order.
   std::vector<Migration> moves;
-  /// Hysteresis state after consuming the snapshot (cost-model policy;
-  /// the idle-deepest policy reports whether this round fired).
+  /// Hysteresis state after consuming the snapshot.
   bool migrating = false;
   /// Smoothed imbalance: deepest shard's load score over the mean score
   /// (1.0 = perfectly balanced).
@@ -176,44 +140,67 @@ struct MigrationPlan {
   int cooldown_blocked = 0;
 };
 
-/// A migration policy: a deterministic state machine mapping a sequence of
-/// LoadSnapshots to MigrationPlans. Implementations hold only
-/// deterministic state (EWMAs, hysteresis flag, per-key cooldowns) — no
+/// The migration policy: a deterministic state machine mapping a sequence
+/// of LoadSnapshots to MigrationPlans. Per-key work-rate and open-instance
+/// EWMAs feed a migration cost model (expected transferred work vs fixed
+/// move cost, override-table growth and a cache-warmup proxy); a
+/// two-threshold hysteresis decides when to migrate, a one-window per-key
+/// cooldown stops keys from bouncing, and a shard dominated by one hot key
+/// sheds its cold co-resident keys instead (docs/RUNTIME.md §4.1). The
+/// state is only EWMAs, the hysteresis flag and per-key cooldowns — no
 /// threads, no wall clock — so scripted snapshot sequences replay
 /// identically run after run. The rebalancer applies the returned plans to
-/// its routing table after re-validating each move's idleness, so a policy
+/// its routing table after re-validating each move, so a policy
 /// bug can cost performance but never correctness.
-class MigrationPolicy {
+class CostModelPolicy {
  public:
-  virtual ~MigrationPolicy() = default;
+  /// A policy for a runtime of `num_shards` shards and a pattern window of
+  /// `window` ticks.
+  CostModelPolicy(int num_shards, Duration window,
+                  const RebalanceOptions& options);
 
   /// Consumes the next load snapshot and returns the migrations to apply.
   /// Deterministic: the same snapshot sequence yields the same plans.
-  virtual MigrationPlan PlanMigrations(const LoadSnapshot& snapshot) = 0;
+  MigrationPlan PlanMigrations(const LoadSnapshot& snapshot);
 
   /// Returns the policy to its freshly constructed state.
-  virtual void Reset() = 0;
+  void Reset();
 
   /// Deterministic serialization of the full internal state; equal strings
   /// mean equal state (the Reset-restores-fresh-state property test).
-  virtual std::string DebugString() const = 0;
-
-  /// Which policy this is.
-  virtual RebalancePolicyKind kind() const = 0;
+  std::string DebugString() const;
 
   /// Serializes the policy's deterministic state (EWMAs, hysteresis flag,
   /// per-key cooldowns) into `out` with the checkpoint payload primitives.
-  virtual void Checkpoint(std::string* out) const = 0;
+  void Checkpoint(std::string* out) const;
 
-  /// Restores state written by Checkpoint() of the same policy kind and
+  /// Restores state written by Checkpoint() of a policy with the same
   /// shard count. On error the policy is left Reset().
-  virtual Status Restore(const char** p, const char* limit) = 0;
-};
+  Status Restore(const char** p, const char* limit);
 
-/// Constructs the policy selected by `options.policy` for a runtime of
-/// `num_shards` shards and a pattern window of `window` ticks.
-std::unique_ptr<MigrationPolicy> MakeMigrationPolicy(
-    int num_shards, Duration window, const RebalanceOptions& options);
+ private:
+  struct KeyState {
+    EwmaGauge work;
+    EwmaGauge instances;
+    bool has_migrated = false;
+    Timestamp last_migrated = 0;
+  };
+
+  Status RestoreImpl(const char** p, const char* limit);
+
+  /// Feeds the per-key EWMAs from the snapshot and drops state for keys
+  /// that left the snapshot (pruned by the rebalancer), bounding policy
+  /// memory by the live key count.
+  void UpdateKeyState(const LoadSnapshot& snapshot);
+
+  int num_shards_;
+  Duration window_;
+  RebalanceOptions options_;
+  std::vector<EwmaGauge> depth_ewma_;
+  std::vector<EwmaGauge> busy_ewma_;
+  std::map<Value, KeyState, ValueOrderLess> keys_;
+  bool migrating_ = false;
+};
 
 }  // namespace ses::exec
 

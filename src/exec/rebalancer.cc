@@ -13,18 +13,23 @@ namespace {
 /// from the tracking table entirely (their routing reverts to the hash).
 constexpr Duration kPruneWindows = 4;
 
+/// Raises the sampling interval and the per-round move cap to at least 1.
+RebalanceOptions Clamped(RebalanceOptions options) {
+  options.interval_events = std::max<int64_t>(options.interval_events, 1);
+  options.max_moves_per_round = std::max(options.max_moves_per_round, 1);
+  return options;
+}
+
 }  // namespace
 
 ShardRebalancer::ShardRebalancer(int num_shards, Duration window,
                                  RebalanceOptions options)
     : num_shards_(std::max(num_shards, 1)),
       window_(std::max<Duration>(window, 1)),
-      options_(options),
-      next_sample_at_(std::max<int64_t>(options.interval_events, 1)) {
-  options_.interval_events = std::max<int64_t>(options_.interval_events, 1);
-  options_.max_moves_per_round = std::max(options_.max_moves_per_round, 1);
+      options_(Clamped(options)),
+      next_sample_at_(options_.interval_events),
+      policy_(num_shards_, window_, options_) {
   prev_busy_nanos_.assign(static_cast<size_t>(num_shards_), 0);
-  policy_ = MakeMigrationPolicy(num_shards_, window_, options_);
 }
 
 int ShardRebalancer::RouteAndObserve(const Value& key, size_t hash,
@@ -74,8 +79,21 @@ void ShardRebalancer::Sample(const std::vector<ShardLoad>& loads,
                                     state.work_delta, state.open_instances});
   }
 
-  MigrationPlan plan = policy_->PlanMigrations(snapshot);
+  MigrationPlan plan = policy_.PlanMigrations(snapshot);
+  ApplyPlan(plan, watermark);
+  if (plan.migrating) ++stats_.migrating_rounds;
+  if (plan.hot_key_mode) ++stats_.hot_key_rounds;
+  stats_.cooldown_blocked += plan.cooldown_blocked;
 
+  // The snapshot consumed this interval's deltas; open-instance counts are
+  // level samples and carry over until the workers report fresh ones.
+  for (auto& [key, state] : keys_) state.work_delta = 0;
+  PruneIdleKeys(watermark);
+  stats_.keys_tracked = static_cast<int64_t>(keys_.size());
+}
+
+void ShardRebalancer::ApplyPlan(const MigrationPlan& plan,
+                                Timestamp watermark) {
   int applied = 0;
   for (const Migration& move : plan.moves) {
     auto it = keys_.find(move.key);
@@ -102,15 +120,6 @@ void ShardRebalancer::Sample(const std::vector<ShardLoad>& loads,
     ++applied;
   }
   if (applied > 0) ++stats_.rebalances;
-  if (plan.migrating) ++stats_.migrating_rounds;
-  if (plan.hot_key_mode) ++stats_.hot_key_rounds;
-  stats_.cooldown_blocked += plan.cooldown_blocked;
-
-  // The snapshot consumed this interval's deltas; open-instance counts are
-  // level samples and carry over until the workers report fresh ones.
-  for (auto& [key, state] : keys_) state.work_delta = 0;
-  PruneIdleKeys(watermark);
-  stats_.keys_tracked = static_cast<int64_t>(keys_.size());
 }
 
 void ShardRebalancer::PruneIdleKeys(Timestamp watermark) {
@@ -131,7 +140,7 @@ void ShardRebalancer::PruneIdleKeys(Timestamp watermark) {
 void ShardRebalancer::Reset() {
   keys_.clear();
   std::fill(prev_busy_nanos_.begin(), prev_busy_nanos_.end(), 0);
-  policy_->Reset();
+  policy_.Reset();
   stats_ = RebalancerStats{};
   next_sample_at_ = options_.interval_events;
 }
@@ -159,7 +168,7 @@ void ShardRebalancer::Checkpoint(std::string* out) const {
   storage::PutSigned(out, stats_.hot_key_rounds);
   storage::PutSigned(out, stats_.cooldown_blocked);
   storage::PutSigned(out, stats_.moves_rejected);
-  policy_->Checkpoint(out);
+  policy_.Checkpoint(out);
 }
 
 Status ShardRebalancer::Restore(const char** p, const char* limit) {
@@ -209,7 +218,7 @@ Status ShardRebalancer::Restore(const char** p, const char* limit) {
     SES_RETURN_IF_ERROR(
         storage::GetSigned(p, limit, &stats_.cooldown_blocked));
     SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.moves_rejected));
-    return policy_->Restore(p, limit);
+    return policy_.Restore(p, limit);
   }();
   if (!s.ok()) Reset();
   return s;
@@ -217,10 +226,9 @@ Status ShardRebalancer::Restore(const char** p, const char* limit) {
 
 std::string ShardRebalancer::DebugString() const {
   std::string out = strings::Format(
-      "rebalancer{shards=%d window=%lld next=%lld policy=%s\n", num_shards_,
+      "rebalancer{shards=%d window=%lld next=%lld\n", num_shards_,
       static_cast<long long>(window_),
-      static_cast<long long>(next_sample_at_),
-      std::string(RebalancePolicyName(options_.policy)).c_str());
+      static_cast<long long>(next_sample_at_));
   out += strings::Format(
       " stats{rounds=%lld rebalances=%lld migrated=%lld overrides=%lld "
       "tracked=%lld migrating=%lld hot=%lld cooldown=%lld rejected=%lld}\n",
@@ -247,7 +255,7 @@ std::string ShardRebalancer::DebugString() const {
         static_cast<long long>(state.work_delta),
         static_cast<long long>(state.open_instances));
   }
-  out += " " + policy_->DebugString() + "}";
+  out += " " + policy_.DebugString() + "}";
   return out;
 }
 

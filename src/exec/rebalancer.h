@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -27,17 +26,17 @@ struct RebalancerStats {
   int64_t overrides_active = 0;
   /// Keys currently tracked (override table + recently-seen keys).
   int64_t keys_tracked = 0;
-  /// Rounds the policy spent in the migrating hysteresis state (for the
-  /// idle-deepest policy: rounds that moved keys).
+  /// Rounds the policy spent in the migrating hysteresis state.
   int64_t migrating_rounds = 0;
   /// Rounds where the source shard was dominated by one hot key and the
-  /// plan split its cold co-resident keys off instead (cost-model only).
+  /// plan split its cold co-resident keys off instead.
   int64_t hot_key_rounds = 0;
   /// Otherwise-admissible migrations suppressed by the one-window per-key
-  /// cooldown (cost-model only).
+  /// cooldown.
   int64_t cooldown_blocked = 0;
   /// Planned moves the rebalancer refused at application time because the
-  /// key was no longer provably idle (stale plan; defense in depth).
+  /// key was no longer provably idle or the move did not fit its current
+  /// route (stale plan; defense in depth).
   int64_t moves_rejected = 0;
 };
 
@@ -47,8 +46,8 @@ struct RebalancerStats {
 /// skewed. This class tracks per-shard load (queue depth and busy time,
 /// fed by the ingest thread every `interval_events` events) and per-key
 /// load (events routed, work units and open-instance counts sampled by the
-/// workers), assembles them into a LoadSnapshot, and asks a pluggable
-/// MigrationPolicy (exec/rebalance_policy.h) which keys to re-route. The
+/// workers), assembles them into a LoadSnapshot, and asks the
+/// CostModelPolicy (exec/rebalance_policy.h) which keys to re-route. The
 /// returned plan is applied to an explicit key→shard override table the
 /// ingest thread consults *before* the hash.
 ///
@@ -58,11 +57,11 @@ struct RebalancerStats {
 /// consuming any future event — so re-routing it cannot change the match
 /// set, and the per-key ordering invariant ("all events of a key that can
 /// co-occur in a match are processed by one shard, in order") is
-/// preserved. docs/SEMANTICS.md §7 spells out the argument. The policies
-/// plan only idle keys, and Sample() re-validates idleness before applying
-/// each move, so a policy bug can cost performance but never correctness.
-/// The skew-equivalence and churn tests in tests/rebalance_test.cc enforce
-/// it for every thread count with both policies.
+/// preserved. docs/SEMANTICS.md §7 spells out the argument. The policy
+/// plans only idle keys, and ApplyPlan() re-validates idleness before
+/// applying each move, so a policy bug can cost performance but never
+/// correctness. The skew-equivalence and churn tests in
+/// tests/rebalance_test.cc enforce it for every thread count.
 ///
 /// Single-threaded by design: every method is called from the ingest
 /// thread only. Worker load reaches it through the cumulative busy-nanos
@@ -115,7 +114,7 @@ class ShardRebalancer {
   void Checkpoint(std::string* out) const;
 
   /// Restores state written by Checkpoint() of a rebalancer with the same
-  /// shard count, window, and policy. On error it is left Reset().
+  /// shard count and window. On error it is left Reset().
   Status Restore(const char** p, const char* limit);
 
   /// Deterministic serialization of the complete rebalancer state,
@@ -125,9 +124,11 @@ class ShardRebalancer {
 
   const RebalancerStats& stats() const { return stats_; }
   const RebalanceOptions& options() const { return options_; }
-  const MigrationPolicy& policy() const { return *policy_; }
 
  private:
+  /// Reaches ApplyPlan() with hand-made plans (tests/rebalance_test.cc).
+  friend class ShardRebalancerTestPeer;
+
   struct KeyState {
     int home = 0;   // hash % num_shards, the route with no override
     int shard = 0;  // current route
@@ -140,6 +141,12 @@ class ShardRebalancer {
     int64_t open_instances = 0;
   };
 
+  /// Applies `plan` to the override table. A move is rejected (counted in
+  /// moves_rejected, routing unchanged) unless its key is provably idle at
+  /// `watermark`, `from` is the key's current shard, and `to` is another
+  /// valid shard.
+  void ApplyPlan(const MigrationPlan& plan, Timestamp watermark);
+
   void PruneIdleKeys(Timestamp watermark);
 
   int num_shards_;
@@ -149,7 +156,7 @@ class ShardRebalancer {
 
   std::map<Value, KeyState, ValueOrderLess> keys_;
   std::vector<int64_t> prev_busy_nanos_;
-  std::unique_ptr<MigrationPolicy> policy_;
+  CostModelPolicy policy_;
   RebalancerStats stats_;
 };
 

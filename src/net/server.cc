@@ -34,7 +34,7 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
   if (options.schema.num_attributes() == 0) {
     return Status::InvalidArgument("server needs a non-empty stream schema");
   }
-  if (!engine::EngineRegistry::Global().Contains(options.engine)) {
+  if (!engine::HasEngine(options.engine)) {
     return Status::InvalidArgument("unknown engine: " + options.engine);
   }
   if (!options.clock_ms) options.clock_ms = SteadyNowMs;

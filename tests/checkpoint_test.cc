@@ -6,7 +6,7 @@
 // before the kill and after the restore is byte-identical — same
 // substitution keys, same bound events — to an uninterrupted run, and the
 // restored engine's statistics converge to the uninterrupted ones. This is
-// proven differentially here across all four engines, parallel shard
+// proven differentially here across all three engines, parallel shard
 // counts {1,2,4,8}, rebalancer on/off, bounded-lateness ingest, and the
 // multi-plan catalog engine.
 //
@@ -57,7 +57,7 @@ Pattern MustParse(const std::string& text) {
 }
 
 /// Group-free pattern with a complete equality graph on ID: accepted by
-/// every engine, brute-force and the partition-pure pair included.
+/// every engine, the partition-pure pair included.
 Pattern CompletePattern(const std::string& window = "5h") {
   return MustParse(
       "PATTERN {a, b} -> {x} WHERE a.L = 'A' AND b.L = 'B' AND x.L = 'X' "
@@ -65,7 +65,7 @@ Pattern CompletePattern(const std::string& window = "5h") {
 }
 
 /// Group-variable variant (p+), still partition-complete on ID; exercises
-/// checkpointing of set-collecting instances (brute-force rejects it).
+/// checkpointing of set-collecting instances.
 Pattern GroupPattern() {
   return MustParse(
       "PATTERN {a, p+} -> {x} WHERE a.L = 'A' AND p.L = 'B' AND x.L = 'X' "
@@ -194,7 +194,7 @@ struct MatrixCase {
   const char* engine;
   int threads;        // parallel only; 0 elsewhere
   bool rebalance;
-  bool group;         // group-variable pattern (not brute-force)
+  bool group;         // group-variable pattern
 };
 
 class CrashRestoreMatrix : public ::testing::TestWithParam<MatrixCase> {};
@@ -236,7 +236,6 @@ INSTANTIATE_TEST_SUITE_P(
         MatrixCase{"serial", 0, false, true},
         MatrixCase{"partitioned", 0, false, false},
         MatrixCase{"partitioned", 0, false, true},
-        MatrixCase{"brute-force", 0, false, false},
         MatrixCase{"parallel", 1, false, true},
         MatrixCase{"parallel", 2, false, false},
         MatrixCase{"parallel", 2, true, false},
@@ -246,7 +245,6 @@ INSTANTIATE_TEST_SUITE_P(
         MatrixCase{"parallel", 8, true, false}),
     [](const ::testing::TestParamInfo<MatrixCase>& info) {
       std::string name = info.param.engine;
-      std::replace(name.begin(), name.end(), '-', '_');
       if (info.param.threads > 0) {
         name += "_x" + std::to_string(info.param.threads);
       }

@@ -52,7 +52,7 @@ Pattern MustParse(const std::string& text) {
   return *pattern;
 }
 
-/// Complete equality graph on ID: accepted by all four engines.
+/// Complete equality graph on ID: accepted by every engine.
 Pattern CompletePattern(const std::string& window = "5h") {
   return MustParse(
       "PATTERN {a, b} -> {x} WHERE a.L = 'A' AND b.L = 'B' AND x.L = 'X' "
@@ -266,7 +266,7 @@ TEST(ColumnarDifferential, GridOverEnginesThreadsAndRebalancer) {
 
   for (const std::string& name :
        {std::string("serial"), std::string("partitioned"),
-        std::string("parallel"), std::string("brute-force")}) {
+        std::string("parallel")}) {
     for (int threads : {1, 2, 4, 8}) {
       for (bool rebalance : {false, true}) {
         // The rebalancer is a parallel-engine knob; other engines ignore
@@ -278,7 +278,6 @@ TEST(ColumnarDifferential, GridOverEnginesThreadsAndRebalancer) {
         if (rebalance) {
           options.rebalance.enabled = true;
           options.rebalance.interval_events = 128;
-          options.rebalance.min_imbalance = 1.1;
           options.rebalance.hi_imbalance = 1.2;
           options.rebalance.lo_imbalance = 1.05;
         }
@@ -318,7 +317,7 @@ TEST(ColumnarDifferential, LatenessShuffleFallsBackToRowSemantics) {
       workload::ShuffleWithinBound(stream.events(), bound, 997);
   for (const std::string& name :
        {std::string("serial"), std::string("partitioned"),
-        std::string("parallel"), std::string("brute-force")}) {
+        std::string("parallel")}) {
     EngineOptions options;
     options.lateness_bound = bound;
     options.num_shards = 4;

@@ -28,8 +28,8 @@ using ::ses::engine::CreateEngine;
 using ::ses::engine::Engine;
 using ::ses::engine::EngineInfo;
 using ::ses::engine::EngineOptions;
-using ::ses::engine::EngineRegistry;
 using ::ses::engine::EngineStats;
+using ::ses::engine::ListEngines;
 using ::ses::plan::CompiledPlan;
 using ::ses::plan::CompilePlan;
 using ::ses::plan::PlanOptions;
@@ -42,8 +42,7 @@ Pattern MustParse(const std::string& text) {
 }
 
 /// Group-free pattern whose equality conditions form a complete graph on
-/// ID — accepted by every engine, including brute-force (no group
-/// variables) and the partition-pure pair (complete equality graph).
+/// ID — accepted by every engine, the partition-pure pair included.
 Pattern CompletePattern(const std::string& window = "5h") {
   return MustParse(
       "PATTERN {a, b} -> {x} WHERE a.L = 'A' AND b.L = 'B' AND x.L = 'X' "
@@ -97,19 +96,13 @@ std::vector<Match> RunEngine(const std::string& engine_name,
 
 std::vector<std::string> AllEngineNames() {
   std::vector<std::string> names;
-  for (const EngineInfo& info : EngineRegistry::Global().List()) {
-    names.push_back(info.name);
-  }
+  for (const EngineInfo& info : ListEngines()) names.emplace_back(info.name);
   return names;
 }
 
 TEST(EngineRegistry, ListsAllBuiltinEngines) {
-  std::vector<std::string> names = AllEngineNames();
-  for (const char* expected :
-       {"serial", "partitioned", "parallel", "brute-force"}) {
-    EXPECT_NE(std::find(names.begin(), names.end(), expected), names.end())
-        << "missing engine: " << expected;
-  }
+  EXPECT_EQ(AllEngineNames(),
+            (std::vector<std::string>{"parallel", "partitioned", "serial"}));
 }
 
 TEST(EngineRegistry, RejectsUnknownEngineName) {
@@ -174,28 +167,20 @@ TEST(EngineEquivalence, DifferentialOverRandomizedWorkloads) {
                   expected)
             << "engine " << name << " seed " << seed << " skew " << skew;
       }
-      // The parallel engine again with adaptive rebalancing on, once per
-      // migration policy: key migrations must never change the match set.
-      for (exec::RebalancePolicyKind policy :
-           {exec::RebalancePolicyKind::kIdleDeepest,
-            exec::RebalancePolicyKind::kCostModel}) {
-        EngineOptions options;
-        options.num_shards = 4;
-        options.batch_size = 64;
-        options.rebalance.enabled = true;
-        options.rebalance.policy = policy;
-        // Aggressive cadence and thresholds so migrations actually fire
-        // within 1200 events.
-        options.rebalance.interval_events = 128;
-        options.rebalance.min_imbalance = 1.1;
-        options.rebalance.hi_imbalance = 1.2;
-        options.rebalance.lo_imbalance = 1.05;
-        EXPECT_EQ(
-            NormalizedKeys(RunEngine("parallel", *plan, stream, options)),
-            expected)
-            << "parallel+" << exec::RebalancePolicyName(policy) << " seed "
-            << seed << " skew " << skew;
-      }
+      // The parallel engine again with adaptive rebalancing on: key
+      // migrations must never change the match set.
+      EngineOptions options;
+      options.num_shards = 4;
+      options.batch_size = 64;
+      options.rebalance.enabled = true;
+      // Aggressive cadence and thresholds so migrations actually fire
+      // within 1200 events.
+      options.rebalance.interval_events = 128;
+      options.rebalance.hi_imbalance = 1.2;
+      options.rebalance.lo_imbalance = 1.05;
+      EXPECT_EQ(NormalizedKeys(RunEngine("parallel", *plan, stream, options)),
+                expected)
+          << "parallel+rebalance seed " << seed << " skew " << skew;
     }
   }
 }
@@ -247,7 +232,6 @@ TEST(EngineEquivalence, WithinBoundShufflesAgreeWithInOrderEvaluation) {
         options.batch_size = 64;
         options.rebalance.enabled = true;
         options.rebalance.interval_events = 128;
-        options.rebalance.min_imbalance = 1.1;
         options.rebalance.hi_imbalance = 1.2;
         options.rebalance.lo_imbalance = 1.05;
         EXPECT_EQ(run_shuffled("parallel", shuffled, options), expected)
@@ -321,9 +305,7 @@ TEST(CompiledPlan, SharedAcrossEnginesCompilesOnce) {
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(AutomatonBuilder::builds_started() - before, 1);
 
-  // The powerset-sharing engines add zero builds on top of the plan's one.
-  // (brute-force is excluded: its per-ordering sequential automata are
-  // different patterns and compile separately by design.)
+  // The engines add zero builds on top of the plan's one.
   std::vector<Match> matches;
   for (const char* name : {"serial", "partitioned", "parallel"}) {
     EngineOptions options;
@@ -366,18 +348,6 @@ TEST(CompiledPlan, DetectsAndValidatesPartitionAttribute) {
     EXPECT_FALSE(CreateEngine(name, *chain_plan, std::move(options)).ok())
         << name << " accepted a non-partitionable plan";
   }
-}
-
-TEST(BruteForceEngine, RejectsGroupVariablePatterns) {
-  Pattern grouped = MustParse(
-      "PATTERN {a+} -> {x} WHERE a.L = 'A' AND x.L = 'X' "
-      "AND a.ID = x.ID WITHIN 5h");
-  Result<std::shared_ptr<const CompiledPlan>> plan = CompilePlan(grouped);
-  ASSERT_TRUE(plan.ok());
-  std::vector<Match> matches;
-  EngineOptions options;
-  options.sink = CollectInto(&matches);
-  EXPECT_FALSE(CreateEngine("brute-force", *plan, std::move(options)).ok());
 }
 
 TEST(ParallelEngine, BoundsMatchBufferingOnLongStreams) {

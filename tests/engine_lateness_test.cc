@@ -31,8 +31,8 @@ using ::ses::engine::CreateEngine;
 using ::ses::engine::Engine;
 using ::ses::engine::EngineInfo;
 using ::ses::engine::EngineOptions;
-using ::ses::engine::EngineRegistry;
 using ::ses::engine::EngineStats;
+using ::ses::engine::ListEngines;
 using ::ses::exec::LatePolicy;
 using ::ses::exec::ParseLatePolicy;
 using ::ses::exec::ReorderBuffer;
@@ -251,9 +251,7 @@ std::vector<std::vector<std::pair<VariableId, EventId>>> NormalizedKeys(
 
 std::vector<std::string> AllEngineNames() {
   std::vector<std::string> names;
-  for (const EngineInfo& info : EngineRegistry::Global().List()) {
-    names.push_back(info.name);
-  }
+  for (const EngineInfo& info : ListEngines()) names.emplace_back(info.name);
   return names;
 }
 

@@ -92,11 +92,11 @@ TEST(ParserFuzz, ValidPatternsSurviveUnparseRoundTrip) {
 
 TEST(EngineFuzz, RandomizedRebalanceConfigsPreserveTheMatchSet) {
   // Randomized differential grid over the parallel engine with the
-  // adaptive rebalancer on: stream shape, shard count, batch size, policy
-  // (v1 idle-deepest and v2 cost-model), sampling cadence, and every
-  // cost-model knob are drawn at random, and the normalized match set must
-  // equal the serial engine's every time. Migration decisions depend on
-  // thread timing, so each trial also probes a different interleaving.
+  // adaptive rebalancer on: stream shape, shard count, batch size,
+  // sampling cadence, and every cost-model knob are drawn at random, and
+  // the normalized match set must equal the serial engine's every time.
+  // Migration decisions depend on thread timing, so each trial also
+  // probes a different interleaving.
   Result<Pattern> pattern = ParsePattern(
       "PATTERN {a, b} -> {x} WHERE a.L = 'A' AND b.L = 'B' AND x.L = 'X' "
       "AND a.ID = b.ID AND a.ID = x.ID AND b.ID = x.ID WITHIN 5h",
@@ -140,11 +140,7 @@ TEST(EngineFuzz, RandomizedRebalanceConfigsPreserveTheMatchSet) {
     options.num_shards = static_cast<int>(random.UniformInt(2, 8));
     options.batch_size = static_cast<int>(int64_t{1} << random.UniformInt(3, 7));
     options.rebalance.enabled = true;
-    options.rebalance.policy = random.Bernoulli(0.5)
-                                   ? exec::RebalancePolicyKind::kIdleDeepest
-                                   : exec::RebalancePolicyKind::kCostModel;
     options.rebalance.interval_events = 32 << random.UniformInt(0, 3);
-    options.rebalance.min_imbalance = 1.0 + random.UniformDouble() * 0.5;
     options.rebalance.hi_imbalance = 1.05 + random.UniformDouble() * 0.6;
     options.rebalance.lo_imbalance =
         1.0 + random.UniformDouble() * (options.rebalance.hi_imbalance - 1.0);
@@ -153,9 +149,8 @@ TEST(EngineFuzz, RandomizedRebalanceConfigsPreserveTheMatchSet) {
     options.rebalance.table_cost = random.UniformDouble();
     options.rebalance.warmup_weight = random.UniformDouble();
     EXPECT_EQ(run("parallel", options, stream), expected)
-        << "trial " << trial << " policy "
-        << exec::RebalancePolicyName(options.rebalance.policy) << " shards "
-        << options.num_shards << " skew " << so.key_skew;
+        << "trial " << trial << " shards " << options.num_shards << " skew "
+        << so.key_skew;
   }
 }
 
@@ -189,8 +184,7 @@ TEST(EngineFuzz, RandomizedWithinBoundShufflesPreserveTheMatchSet) {
     return keys;
   };
 
-  const char* kEngines[] = {"serial", "partitioned", "parallel",
-                            "brute-force"};
+  const char* kEngines[] = {"serial", "partitioned", "parallel"};
   Random random(8086);
   for (int trial = 0; trial < 16; ++trial) {
     workload::StreamOptions so;

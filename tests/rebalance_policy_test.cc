@@ -1,7 +1,7 @@
-// Deterministic load-replay tests for the migration policy engine
+// Deterministic load-replay tests for the migration policy
 // (exec/rebalance_policy.h). Scripted LoadSnapshot sequences — uniform,
 // hot key, flash crowd, decaying/flipping skew — are replayed through
-// MigrationPolicy::PlanMigrations with a fake clock (snapshot watermarks),
+// CostModelPolicy::PlanMigrations with a fake clock (snapshot watermarks),
 // zero threads and zero sleeps, asserting plan contents, hysteresis
 // transitions through the dead band in both directions, the one-window
 // per-key migration cooldown, and the cost model's warmup term. Property
@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -28,14 +27,12 @@
 namespace ses {
 namespace {
 
+using ::ses::exec::CostModelPolicy;
 using ::ses::exec::KeyLoad;
 using ::ses::exec::LoadSnapshot;
-using ::ses::exec::MakeMigrationPolicy;
 using ::ses::exec::Migration;
 using ::ses::exec::MigrationPlan;
-using ::ses::exec::MigrationPolicy;
 using ::ses::exec::RebalanceOptions;
-using ::ses::exec::RebalancePolicyKind;
 using ::ses::exec::ShardRebalancer;
 using ::ses::exec::ShardSample;
 
@@ -43,10 +40,9 @@ constexpr Duration kWindow = 100;
 
 /// Alpha = 1 everywhere: EWMAs track the latest sample exactly, so every
 /// scenario's arithmetic is closed-form.
-RebalanceOptions CrispOptions(RebalancePolicyKind kind) {
+RebalanceOptions CrispOptions() {
   RebalanceOptions options;
   options.enabled = true;
-  options.policy = kind;
   options.depth_alpha = 1.0;
   options.busy_alpha = 1.0;
   options.work_alpha = 1.0;
@@ -93,8 +89,7 @@ std::set<int64_t> MovedKeys(const MigrationPlan& plan) {
 // ---- Scenario 1: uniform load ---------------------------------------------
 
 TEST(CostModelPolicy, UniformLoadNeverMigrates) {
-  auto policy = MakeMigrationPolicy(
-      4, kWindow, CrispOptions(RebalancePolicyKind::kCostModel));
+  CostModelPolicy policy(4, kWindow, CrispOptions());
   for (int round = 0; round < 5; ++round) {
     Timestamp watermark = 1000 + 100 * round;
     std::vector<KeyLoad> keys;
@@ -103,7 +98,7 @@ TEST(CostModelPolicy, UniformLoadNeverMigrates) {
       // All idle — migration *would* be admissible if the load justified it.
       keys.push_back(Key(id, shard, shard, watermark - 2 * kWindow, 5));
     }
-    MigrationPlan plan = policy->PlanMigrations(
+    MigrationPlan plan = policy.PlanMigrations(
         Snap(watermark, {{10, 0}, {10, 0}, {10, 0}, {10, 0}}, keys));
     EXPECT_TRUE(plan.moves.empty()) << "round " << round;
     EXPECT_FALSE(plan.migrating);
@@ -117,8 +112,7 @@ TEST(CostModelPolicy, UniformLoadNeverMigrates) {
 // ---- Scenario 2: hot key, cold co-residents --------------------------------
 
 TEST(CostModelPolicy, HotKeySplitsColdNeighborsAndNeverMovesItself) {
-  auto policy = MakeMigrationPolicy(
-      4, kWindow, CrispOptions(RebalancePolicyKind::kCostModel));
+  CostModelPolicy policy(4, kWindow, CrispOptions());
 
   // Shard 0: hot key 1 (still active, 100 work units) plus six idle cold
   // keys worth 2 each. Shards 1-3 nearly empty.
@@ -132,7 +126,7 @@ TEST(CostModelPolicy, HotKeySplitsColdNeighborsAndNeverMovesItself) {
   keys.push_back(Key(12, 3, 3, 950, 1));
 
   MigrationPlan plan =
-      policy->PlanMigrations(Snap(1000, {{40, 0}, {2, 0}, {2, 0}, {2, 0}},
+      policy.PlanMigrations(Snap(1000, {{40, 0}, {2, 0}, {2, 0}, {2, 0}},
                                   keys));
   EXPECT_TRUE(plan.migrating);
   EXPECT_TRUE(plan.hot_key_mode);
@@ -161,7 +155,7 @@ TEST(CostModelPolicy, HotKeySplitsColdNeighborsAndNeverMovesItself) {
     after.push_back(Key(id, dest, 0, 800, 0));
     dest = dest % 3 + 1;
   }
-  MigrationPlan plan2 = policy->PlanMigrations(
+  MigrationPlan plan2 = policy.PlanMigrations(
       Snap(1100, {{40, 0}, {4, 0}, {4, 0}, {4, 0}}, after));
   EXPECT_TRUE(plan2.migrating);
   EXPECT_TRUE(plan2.hot_key_mode);
@@ -173,10 +167,9 @@ TEST(CostModelPolicy, HotKeySplitsColdNeighborsAndNeverMovesItself) {
 TEST(CostModelPolicy, FlashCrowdHysteresisHoldsThroughTheDeadBand) {
   // Defaults: hi = 1.6, lo = 1.15. Depth pairs chosen so the imbalance
   // ratio R = max_share / mean lands exactly where each step needs it.
-  auto policy = MakeMigrationPolicy(
-      2, kWindow, CrispOptions(RebalancePolicyKind::kCostModel));
+  CostModelPolicy policy(2, kWindow, CrispOptions());
   auto step = [&](double d0, double d1) {
-    return policy->PlanMigrations(Snap(1000, {{d0, 0}, {d1, 0}}, {}));
+    return policy.PlanMigrations(Snap(1000, {{d0, 0}, {d1, 0}}, {}));
   };
 
   MigrationPlan plan = step(10, 10);  // R = 1.0: balanced
@@ -207,8 +200,7 @@ TEST(CostModelPolicy, FlashCrowdHysteresisHoldsThroughTheDeadBand) {
 // ---- Scenario 4: decaying/flipping skew & per-key cooldown -----------------
 
 TEST(CostModelPolicy, CooldownBlocksASecondMigrationWithinOneWindow) {
-  auto policy = MakeMigrationPolicy(
-      2, kWindow, CrispOptions(RebalancePolicyKind::kCostModel));
+  CostModelPolicy policy(2, kWindow, CrispOptions());
 
   // Round 1 (watermark 1000): shard 0 overloaded, three equal idle keys on
   // it (no hot key). The plan sheds enough to reach the mean: two keys.
@@ -216,7 +208,7 @@ TEST(CostModelPolicy, CooldownBlocksASecondMigrationWithinOneWindow) {
       Key(7, 0, 0, 800, 5), Key(8, 0, 0, 800, 5), Key(9, 0, 0, 800, 5),
       Key(20, 1, 1, 995, 1)};
   MigrationPlan plan =
-      policy->PlanMigrations(Snap(1000, {{20, 0}, {2, 0}}, keys));
+      policy.PlanMigrations(Snap(1000, {{20, 0}, {2, 0}}, keys));
   EXPECT_TRUE(plan.migrating);
   EXPECT_FALSE(plan.hot_key_mode);
   EXPECT_EQ(MovedKeys(plan), (std::set<int64_t>{7, 8}));
@@ -227,7 +219,7 @@ TEST(CostModelPolicy, CooldownBlocksASecondMigrationWithinOneWindow) {
   // they migrated 50 < tau ticks ago — the cooldown pins them.
   keys = {Key(7, 1, 0, 800, 5), Key(8, 1, 0, 800, 5), Key(9, 0, 0, 800, 5),
           Key(20, 1, 1, 995, 1)};
-  plan = policy->PlanMigrations(Snap(1050, {{2, 0}, {20, 0}}, keys));
+  plan = policy.PlanMigrations(Snap(1050, {{2, 0}, {20, 0}}, keys));
   EXPECT_TRUE(plan.migrating);
   EXPECT_EQ(plan.source_shard, 1);
   EXPECT_TRUE(plan.moves.empty());
@@ -236,7 +228,7 @@ TEST(CostModelPolicy, CooldownBlocksASecondMigrationWithinOneWindow) {
   // Round 3 (watermark 1100, exactly one window after the move): the
   // cooldown has expired and key 7 may move again — back to its home
   // shard, which shrinks the override table.
-  plan = policy->PlanMigrations(Snap(1100, {{2, 0}, {20, 0}}, keys));
+  plan = policy.PlanMigrations(Snap(1100, {{2, 0}, {20, 0}}, keys));
   EXPECT_TRUE(plan.migrating);
   EXPECT_EQ(plan.cooldown_blocked, 0);
   ASSERT_EQ(plan.moves.size(), 1u);
@@ -248,8 +240,7 @@ TEST(CostModelPolicy, CooldownBlocksASecondMigrationWithinOneWindow) {
 // ---- Cost model: the warmup term ------------------------------------------
 
 TEST(CostModelPolicy, WarmupCostDefersFreshlyIdleKeysWithOpenInstances) {
-  auto policy = MakeMigrationPolicy(
-      2, kWindow, CrispOptions(RebalancePolicyKind::kCostModel));
+  CostModelPolicy policy(2, kWindow, CrispOptions());
 
   // Key 5 is barely idle (warmth 0.5) and carries 4 smoothed open
   // instances: warmup cost 0.5 * 4 * 0.5 = 1.0 dwarfs its 1 unit of work,
@@ -260,7 +251,7 @@ TEST(CostModelPolicy, WarmupCostDefersFreshlyIdleKeysWithOpenInstances) {
       Key(10, 0, 0, 950, 1), Key(11, 0, 0, 950, 1),
       Key(20, 1, 1, 995, 1)};
   MigrationPlan plan =
-      policy->PlanMigrations(Snap(1000, {{20, 0}, {2, 0}}, keys));
+      policy.PlanMigrations(Snap(1000, {{20, 0}, {2, 0}}, keys));
   EXPECT_TRUE(plan.migrating);
   EXPECT_EQ(MovedKeys(plan), (std::set<int64_t>{8, 9}));
 
@@ -269,7 +260,7 @@ TEST(CostModelPolicy, WarmupCostDefersFreshlyIdleKeysWithOpenInstances) {
   keys = {Key(5, 0, 0, 850, 1, 4),  Key(8, 1, 0, 850, 1),
           Key(9, 1, 0, 850, 1),     Key(10, 0, 0, 1050, 1),
           Key(11, 0, 0, 1050, 1),   Key(20, 1, 1, 1195, 1)};
-  plan = policy->PlanMigrations(Snap(1200, {{20, 0}, {2, 0}}, keys));
+  plan = policy.PlanMigrations(Snap(1200, {{20, 0}, {2, 0}}, keys));
   EXPECT_TRUE(plan.migrating);
   EXPECT_EQ(MovedKeys(plan).count(5), 1u);
 }
@@ -277,87 +268,49 @@ TEST(CostModelPolicy, WarmupCostDefersFreshlyIdleKeysWithOpenInstances) {
 // ---- Correctness gate: only idle keys are ever planned ---------------------
 
 TEST(MigrationPolicies, NonIdleKeysAreNeverPlanned) {
-  for (RebalancePolicyKind kind : {RebalancePolicyKind::kIdleDeepest,
-                                   RebalancePolicyKind::kCostModel}) {
-    RebalanceOptions options = CrispOptions(kind);
-    options.min_imbalance = 1.0;
-    auto policy = MakeMigrationPolicy(2, kWindow, options);
-    // Massive skew, but every key on the deep shard was seen within the
-    // window: nothing may move, however tempting.
-    std::vector<KeyLoad> keys = {
-        Key(1, 0, 0, /*last_seen=*/950, 50), Key(2, 0, 0, 990, 50),
-        Key(3, 0, 0, 999, 50)};
-    for (int round = 0; round < 3; ++round) {
-      MigrationPlan plan =
-          policy->PlanMigrations(Snap(1000, {{50, 0}, {1, 0}}, keys));
-      EXPECT_TRUE(plan.moves.empty())
-          << RebalancePolicyName(kind) << " round " << round;
-    }
-  }
-}
-
-// ---- v1 parity: single threshold, single target, no memory -----------------
-
-TEST(IdleDeepestPolicy, MovesBusiestIdleKeysDeepestToShallowestWithoutMemory) {
-  auto policy = MakeMigrationPolicy(
-      2, kWindow, CrispOptions(RebalancePolicyKind::kIdleDeepest));
+  CostModelPolicy policy(2, kWindow, CrispOptions());
+  // Massive skew, but every key on the deep shard was seen within the
+  // window: nothing may move, however tempting.
   std::vector<KeyLoad> keys = {
-      Key(3, 0, 0, 800, 5, 0, /*events=*/50),
-      Key(4, 0, 0, 800, 5, 0, /*events=*/10)};
-  MigrationPlan plan =
-      policy->PlanMigrations(Snap(1000, {{20, 0}, {2, 0}}, keys));
-  EXPECT_TRUE(plan.migrating);
-  ASSERT_EQ(plan.moves.size(), 2u);
-  // Busiest (most historical events) first, every move onto the single
-  // shallowest shard.
-  EXPECT_EQ(plan.moves[0].key.int64(), 3);
-  EXPECT_EQ(plan.moves[1].key.int64(), 4);
-  EXPECT_EQ(plan.moves[0].to, 1);
-  EXPECT_EQ(plan.moves[1].to, 1);
-
-  // No hysteresis: one balanced sample and the next round is quiet. (The
-  // v2 policy would still be in its migrating state here.)
-  plan = policy->PlanMigrations(Snap(1100, {{10, 0}, {10, 0}}, {}));
-  EXPECT_FALSE(plan.migrating);
-  EXPECT_NEAR(plan.imbalance, 1.0, 1e-9);
+      Key(1, 0, 0, /*last_seen=*/950, 50), Key(2, 0, 0, 990, 50),
+      Key(3, 0, 0, 999, 50)};
+  for (int round = 0; round < 3; ++round) {
+    MigrationPlan plan =
+        policy.PlanMigrations(Snap(1000, {{50, 0}, {1, 0}}, keys));
+    EXPECT_TRUE(plan.moves.empty()) << "round " << round;
+  }
 }
 
 // ---- Determinism: identical scripts yield identical plans ------------------
 
 TEST(MigrationPolicies, ScriptedReplayIsDeterministic) {
-  for (RebalancePolicyKind kind : {RebalancePolicyKind::kIdleDeepest,
-                                   RebalancePolicyKind::kCostModel}) {
-    // Smoothing on (defaults), so EWMA state also has to replay exactly.
-    RebalanceOptions options;
-    options.enabled = true;
-    options.policy = kind;
-    options.min_imbalance = 1.1;
-    auto a = MakeMigrationPolicy(4, kWindow, options);
-    auto b = MakeMigrationPolicy(4, kWindow, options);
+  // Smoothing on (defaults), so EWMA state also has to replay exactly.
+  RebalanceOptions options;
+  options.enabled = true;
+  CostModelPolicy a(4, kWindow, options);
+  CostModelPolicy b(4, kWindow, options);
 
-    Random random(99);
-    for (int round = 0; round < 50; ++round) {
-      Timestamp watermark = 500 + 40 * round;
-      std::vector<ShardSample> shards;
-      for (int i = 0; i < 4; ++i) {
-        shards.push_back(
-            ShardSample{static_cast<double>(random.UniformInt(0, 50)),
-                        static_cast<double>(random.UniformInt(0, 1000))});
-      }
-      std::vector<KeyLoad> keys;
-      for (int64_t id = 1; id <= 16; ++id) {
-        keys.push_back(Key(id, static_cast<int>(id % 4),
-                           static_cast<int>(id % 4),
-                           watermark - random.UniformInt(0, 4 * kWindow),
-                           random.UniformInt(0, 20),
-                           random.UniformInt(0, 3)));
-      }
-      LoadSnapshot snapshot = Snap(watermark, shards, keys);
-      EXPECT_EQ(PlanToString(a->PlanMigrations(snapshot)),
-                PlanToString(b->PlanMigrations(snapshot)))
-          << RebalancePolicyName(kind) << " round " << round;
-      EXPECT_EQ(a->DebugString(), b->DebugString());
+  Random random(99);
+  for (int round = 0; round < 50; ++round) {
+    Timestamp watermark = 500 + 40 * round;
+    std::vector<ShardSample> shards;
+    for (int i = 0; i < 4; ++i) {
+      shards.push_back(
+          ShardSample{static_cast<double>(random.UniformInt(0, 50)),
+                      static_cast<double>(random.UniformInt(0, 1000))});
     }
+    std::vector<KeyLoad> keys;
+    for (int64_t id = 1; id <= 16; ++id) {
+      keys.push_back(Key(id, static_cast<int>(id % 4),
+                         static_cast<int>(id % 4),
+                         watermark - random.UniformInt(0, 4 * kWindow),
+                         random.UniformInt(0, 20), random.UniformInt(0, 3)));
+    }
+    LoadSnapshot snapshot = Snap(watermark, shards, keys);
+    EXPECT_EQ(PlanToString(a.PlanMigrations(snapshot)),
+              PlanToString(b.PlanMigrations(snapshot)))
+        << "round " << round;
+    EXPECT_EQ(a.DebugString(), b.DebugString());
   }
 }
 
@@ -399,49 +352,39 @@ void DriveRandomHistory(ShardRebalancer* rebalancer, Random* random,
   }
 }
 
-RebalanceOptions AggressiveOptions(RebalancePolicyKind kind) {
+RebalanceOptions AggressiveOptions() {
   RebalanceOptions options;
   options.enabled = true;
-  options.policy = kind;
-  options.min_imbalance = 1.01;
   options.hi_imbalance = 1.05;
   options.lo_imbalance = 1.01;
   return options;
 }
 
 TEST(RebalancerProperty, OverrideTableNeverExceedsTrackedLiveKeys) {
-  for (RebalancePolicyKind kind : {RebalancePolicyKind::kIdleDeepest,
-                                   RebalancePolicyKind::kCostModel}) {
-    int64_t migrated = 0;
-    for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-      ShardRebalancer rebalancer(4, kWindow, AggressiveOptions(kind));
-      Random random(seed);
-      DriveRandomHistory(&rebalancer, &random, 400, /*check_invariant=*/true);
-      migrated += rebalancer.stats().keys_migrated;
-    }
-    // The histories must actually exercise migration for the invariant
-    // check to mean anything.
-    EXPECT_GT(migrated, 0) << RebalancePolicyName(kind);
+  int64_t migrated = 0;
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    ShardRebalancer rebalancer(4, kWindow, AggressiveOptions());
+    Random random(seed);
+    DriveRandomHistory(&rebalancer, &random, 400, /*check_invariant=*/true);
+    migrated += rebalancer.stats().keys_migrated;
   }
+  // The histories must actually exercise migration for the invariant
+  // check to mean anything.
+  EXPECT_GT(migrated, 0);
 }
 
 TEST(RebalancerProperty, ResetRestoresBitIdenticalFreshState) {
-  for (RebalancePolicyKind kind : {RebalancePolicyKind::kIdleDeepest,
-                                   RebalancePolicyKind::kCostModel}) {
-    for (uint64_t seed : {11u, 12u, 13u}) {
-      RebalanceOptions options = AggressiveOptions(kind);
-      ShardRebalancer fresh(4, kWindow, options);
-      ShardRebalancer used(4, kWindow, options);
-      Random random(seed);
-      DriveRandomHistory(&used, &random, 300, /*check_invariant=*/false);
-      EXPECT_NE(used.DebugString(), fresh.DebugString());
-      used.Reset();
-      // DebugString covers the routing table, statistics, busy-time
-      // baselines, and the policy's own EWMAs/cooldowns: equality means
-      // the entire state machine is back to its initial configuration.
-      EXPECT_EQ(used.DebugString(), fresh.DebugString())
-          << RebalancePolicyName(kind) << " seed " << seed;
-    }
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    ShardRebalancer fresh(4, kWindow, AggressiveOptions());
+    ShardRebalancer used(4, kWindow, AggressiveOptions());
+    Random random(seed);
+    DriveRandomHistory(&used, &random, 300, /*check_invariant=*/false);
+    EXPECT_NE(used.DebugString(), fresh.DebugString());
+    used.Reset();
+    // DebugString covers the routing table, statistics, busy-time
+    // baselines, and the policy's own EWMAs/cooldowns: equality means
+    // the entire state machine is back to its initial configuration.
+    EXPECT_EQ(used.DebugString(), fresh.DebugString()) << "seed " << seed;
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for batched ingest (PushBatch / RunRelation / BatchQueue::PushAll)
 // and the adaptive shard rebalancer: byte-identical output vs the serial
 // matcher on skewed (Zipf) key distributions for every thread count with
-// rebalancing on and off, routing-table mechanics, Reset-based reuse, and
+// rebalancing on and off, routing-table mechanics (including the
+// re-validation that rejects bad planned moves), Reset-based reuse, and
 // the slab queue primitive. Runs under ThreadSanitizer in CI.
 
 #include <gtest/gtest.h>
@@ -19,17 +20,33 @@
 #include "workload/generic_generator.h"
 #include "workload/paper_fixture.h"
 
+namespace ses::exec {
+
+/// Hands ShardRebalancer::ApplyPlan arbitrary plans, standing in for a
+/// buggy policy.
+class ShardRebalancerTestPeer {
+ public:
+  static void ApplyPlan(ShardRebalancer* rebalancer, const MigrationPlan& plan,
+                        Timestamp watermark) {
+    rebalancer->ApplyPlan(plan, watermark);
+  }
+};
+
+}  // namespace ses::exec
+
 namespace ses {
 namespace {
 
 using ::ses::exec::BatchQueue;
 using ::ses::exec::EventBatch;
+using ::ses::exec::Migration;
+using ::ses::exec::MigrationPlan;
 using ::ses::exec::ParallelOptions;
 using ::ses::exec::ParallelPartitionedMatcher;
 using ::ses::exec::ParallelStats;
 using ::ses::exec::RebalanceOptions;
-using ::ses::exec::RebalancePolicyKind;
 using ::ses::exec::ShardRebalancer;
+using ::ses::exec::ShardRebalancerTestPeer;
 using ::ses::workload::ChemotherapySchema;
 
 Pattern CompletePattern(const char* window = "5h") {
@@ -82,7 +99,6 @@ TEST(BatchedIngest, SkewEquivalenceAcrossThreadCountsAndRebalancing) {
         options.rebalance.enabled = rebalance;
         // Aggressive cadence so migrations actually happen in a small run.
         options.rebalance.interval_events = 128;
-        options.rebalance.min_imbalance = 1.1;
         Result<ParallelPartitionedMatcher> matcher =
             ParallelPartitionedMatcher::Create(pattern, /*attribute=*/0,
                                                options);
@@ -140,36 +156,28 @@ TEST(BatchedIngest, ChurnStressEquivalenceAcrossPoliciesAndThreads) {
   auto expected = EmittedKeys(*serial);
 
   for (int threads : {2, 4, 8}) {
-    for (RebalancePolicyKind policy :
-         {RebalancePolicyKind::kIdleDeepest, RebalancePolicyKind::kCostModel}) {
-      ParallelOptions options;
-      options.num_shards = threads;
-      options.batch_size = 16;
-      options.rebalance.enabled = true;
-      options.rebalance.policy = policy;
-      // Aggressive cadence and thresholds so rapid key turnover actually
-      // exercises migration, cooldown, and pruning in a 1200-event run.
-      options.rebalance.interval_events = 64;
-      options.rebalance.min_imbalance = 1.05;
-      options.rebalance.hi_imbalance = 1.10;
-      options.rebalance.lo_imbalance = 1.02;
-      Result<ParallelPartitionedMatcher> matcher =
-          ParallelPartitionedMatcher::Create(pattern, /*attribute=*/0,
-                                             options);
-      ASSERT_TRUE(matcher.ok());
-      ASSERT_TRUE(
-          matcher->PushBatch(std::span<const Event>(stream.events())).ok());
-      std::vector<Match> matches;
-      ASSERT_TRUE(matcher->Flush(&matches).ok());
-      // Byte-identical output no matter how many keys churned, migrated,
-      // or were pruned along the way.
-      EXPECT_EQ(EmittedKeys(matches), expected)
-          << "threads " << threads << " policy "
-          << exec::RebalancePolicyName(policy);
-      // Sampling cadence is event-count driven, hence deterministic even
-      // though the migration decisions themselves depend on timing.
-      EXPECT_GT(matcher->stats().rebalancer.rounds, 0);
-    }
+    ParallelOptions options;
+    options.num_shards = threads;
+    options.batch_size = 16;
+    options.rebalance.enabled = true;
+    // Aggressive cadence and thresholds so rapid key turnover actually
+    // exercises migration, cooldown, and pruning in a 1200-event run.
+    options.rebalance.interval_events = 64;
+    options.rebalance.hi_imbalance = 1.10;
+    options.rebalance.lo_imbalance = 1.02;
+    Result<ParallelPartitionedMatcher> matcher =
+        ParallelPartitionedMatcher::Create(pattern, /*attribute=*/0, options);
+    ASSERT_TRUE(matcher.ok());
+    ASSERT_TRUE(
+        matcher->PushBatch(std::span<const Event>(stream.events())).ok());
+    std::vector<Match> matches;
+    ASSERT_TRUE(matcher->Flush(&matches).ok());
+    // Byte-identical output no matter how many keys churned, migrated, or
+    // were pruned along the way.
+    EXPECT_EQ(EmittedKeys(matches), expected) << "threads " << threads;
+    // Sampling cadence is event-count driven, hence deterministic even
+    // though the migration decisions themselves depend on timing.
+    EXPECT_GT(matcher->stats().rebalancer.rounds, 0);
   }
 }
 
@@ -262,7 +270,6 @@ TEST(BatchedIngest, ResetClearsRebalancerStateForReuse) {
   options.batch_size = 16;
   options.rebalance.enabled = true;
   options.rebalance.interval_events = 64;
-  options.rebalance.min_imbalance = 1.01;
   Result<ParallelPartitionedMatcher> matcher =
       ParallelPartitionedMatcher::Create(pattern, 0, options);
   ASSERT_TRUE(matcher.ok());
@@ -281,15 +288,20 @@ TEST(BatchedIngest, ResetClearsRebalancerStateForReuse) {
   EXPECT_EQ(EmittedKeys(first), EmittedKeys(second));
 }
 
-// The ShardRebalancerUnit tests document the v1 (idle-deepest) policy's
-// semantics, so they pin it explicitly; the cost-model policy is covered
-// by tests/rebalance_policy_test.cc.
-TEST(ShardRebalancerUnit, MigratesIdleKeysOffTheDeepestShard) {
+/// Options for the ShardRebalancerUnit tests, which drive single keys
+/// through the routing table. A lone key carries all of its shard's work,
+/// and the policy never moves a shard's hot key; a hot-key fraction above
+/// 1 keeps hot-key mode off so that lone key may migrate.
+RebalanceOptions UnitOptions() {
   RebalanceOptions options;
   options.enabled = true;
-  options.policy = RebalancePolicyKind::kIdleDeepest;
+  options.hot_key_fraction = 2.0;
+  return options;
+}
+
+TEST(ShardRebalancerUnit, MigratesIdleKeysOffTheDeepestShard) {
+  RebalanceOptions options = UnitOptions();
   options.interval_events = 1;
-  options.min_imbalance = 1.0;
   ShardRebalancer rebalancer(/*num_shards=*/2, /*window=*/10, options);
 
   Value key(int64_t{42});
@@ -313,11 +325,7 @@ TEST(ShardRebalancerUnit, MigratesIdleKeysOffTheDeepestShard) {
 }
 
 TEST(ShardRebalancerUnit, BalancedShardsDoNotMigrate) {
-  RebalanceOptions options;
-  options.enabled = true;
-  options.policy = RebalancePolicyKind::kIdleDeepest;
-  options.min_imbalance = 1.5;
-  ShardRebalancer rebalancer(2, /*window=*/10, options);
+  ShardRebalancer rebalancer(2, /*window=*/10, UnitOptions());
   Value key(int64_t{7});
   int home = rebalancer.RouteAndObserve(key, 7, 1);
   std::vector<ShardRebalancer::ShardLoad> loads = {{10, 100}, {10, 100}};
@@ -328,11 +336,7 @@ TEST(ShardRebalancerUnit, BalancedShardsDoNotMigrate) {
 }
 
 TEST(ShardRebalancerUnit, LongIdleOverridesArePrunedBackToHomeShard) {
-  RebalanceOptions options;
-  options.enabled = true;
-  options.policy = RebalancePolicyKind::kIdleDeepest;
-  options.min_imbalance = 1.0;
-  ShardRebalancer rebalancer(2, /*window=*/10, options);
+  ShardRebalancer rebalancer(2, /*window=*/10, UnitOptions());
   Value key(int64_t{3});
   int home = rebalancer.RouteAndObserve(key, 3, 5);
   std::vector<ShardRebalancer::ShardLoad> loads(2);
@@ -345,6 +349,49 @@ TEST(ShardRebalancerUnit, LongIdleOverridesArePrunedBackToHomeShard) {
   rebalancer.Sample(balanced, /*watermark=*/500);
   EXPECT_EQ(rebalancer.stats().overrides_active, 0);
   EXPECT_EQ(rebalancer.RouteAndObserve(key, 3, 501), home);
+}
+
+TEST(ShardRebalancerUnit, ApplyPlanRejectsMovesThatAreNotSafe) {
+  ShardRebalancer rebalancer(/*num_shards=*/3, /*window=*/10, UnitOptions());
+  // At watermark 50 key 3 (home shard 0, last seen at 5) is idle; key 4
+  // (home shard 1, last seen at 45) is still inside the window.
+  Value idle(int64_t{3});
+  Value busy(int64_t{4});
+  ASSERT_EQ(rebalancer.RouteAndObserve(idle, 3, 5), 0);
+  ASSERT_EQ(rebalancer.RouteAndObserve(busy, 4, 45), 1);
+  const Timestamp watermark = 50;
+
+  const struct {
+    const char* what;
+    Migration move;
+  } kBadMoves[] = {
+      {"non-idle key", {busy, 1, 2}},
+      {"stale from", {idle, 1, 2}},
+      {"to past the last shard", {idle, 0, 3}},
+      {"negative to", {idle, 0, -1}},
+      {"to equals the current shard", {idle, 0, 0}},
+  };
+  int64_t rejected = 0;
+  for (const auto& [what, move] : kBadMoves) {
+    MigrationPlan plan;
+    plan.moves.push_back(move);
+    ShardRebalancerTestPeer::ApplyPlan(&rebalancer, plan, watermark);
+    EXPECT_EQ(rebalancer.stats().moves_rejected, ++rejected) << what;
+    EXPECT_EQ(rebalancer.stats().keys_migrated, 0) << what;
+    // Routing is unchanged. Re-observing at the original timestamps leaves
+    // both keys exactly as idle as before.
+    EXPECT_EQ(rebalancer.RouteAndObserve(idle, 3, 5), 0) << what;
+    EXPECT_EQ(rebalancer.RouteAndObserve(busy, 4, 45), 1) << what;
+  }
+
+  // A valid move of the idle key still applies: the rejections above were
+  // not the table refusing everything.
+  MigrationPlan good;
+  good.moves.push_back(Migration{idle, 0, 2});
+  ShardRebalancerTestPeer::ApplyPlan(&rebalancer, good, watermark);
+  EXPECT_EQ(rebalancer.stats().moves_rejected, rejected);
+  EXPECT_EQ(rebalancer.stats().keys_migrated, 1);
+  EXPECT_EQ(rebalancer.RouteAndObserve(idle, 3, 51), 2);
 }
 
 TEST(BatchQueueSlab, PushAllPreservesFifoOrder) {

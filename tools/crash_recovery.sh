@@ -11,7 +11,7 @@
 # repeated recovery is covered, not just the first.
 #
 # Usage: tools/crash_recovery.sh [ENGINE] [THREADS] [SEED]
-#   ENGINE   serial | partitioned | parallel | brute-force (default serial)
+#   ENGINE   serial | partitioned | parallel (default serial)
 #   THREADS  worker shards, parallel engine only (default 0 = engine pick)
 #   SEED     randomizes the two kill offsets; logged for reproduction
 #            (default: derived from $RANDOM)
@@ -60,17 +60,11 @@ csv="$workdir/events.csv"
 TOTAL=2400
 
 # The paper's episode pattern with a complete equality graph on ID, so
-# every engine (partition-pure ones included) accepts it. Brute-force
-# rejects group variables; give it the group-free variant.
-if [ "$ENGINE" = "brute-force" ]; then
-  QUERY="PATTERN {c, d} -> {b} WHERE c.L = 'C' AND d.L = 'D' AND b.L = 'B'
-         AND c.ID = d.ID AND c.ID = b.ID AND d.ID = b.ID WITHIN 30"
-else
-  QUERY="PATTERN {c, p+, d} -> {b} WHERE c.L = 'C' AND d.L = 'D'
-         AND p.L = 'P' AND b.L = 'B' AND c.ID = p.ID AND c.ID = d.ID
-         AND c.ID = b.ID AND p.ID = d.ID AND p.ID = b.ID AND d.ID = b.ID
-         WITHIN 30"
-fi
+# every engine (partition-pure ones included) accepts it.
+QUERY="PATTERN {c, p+, d} -> {b} WHERE c.L = 'C' AND d.L = 'D'
+       AND p.L = 'P' AND b.L = 'B' AND c.ID = p.ID AND c.ID = d.ID
+       AND c.ID = b.ID AND p.ID = d.ID AND p.ID = b.ID AND d.ID = b.ID
+       WITHIN 30"
 
 # Two kill offsets from the seed: the first anywhere in the stream, the
 # second within what typically remains after the first restore.

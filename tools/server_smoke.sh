@@ -14,7 +14,9 @@
 # diff is the whole check. Clients use distinct label alphabets ("A3"/"B3"
 # for client 3), so a match delivered to the wrong connection shows up.
 #
-# Before that, out-of-range numeric flags must be refused with exit 2.
+# Before that, malformed or out-of-range numeric flags must be refused as
+# usage errors: exit 2 from ses_server and ses_loadgen, exit 1 with the
+# range message from ses_cli.
 #
 # Usage: tools/server_smoke.sh [CLIENTS] [EVENTS]
 #   CLIENTS  concurrent loadgen connections (default 8)
@@ -76,8 +78,10 @@ cleanup() {
 trap cleanup EXIT
 
 # 0. Numeric flags out of range are usage errors, never a server on a
-#    wrapped port or with an unbounded queue. The timeout turns a server
-#    that wrongly starts into a failure instead of a hang.
+#    wrapped port or with an unbounded queue, a client dialing a wrapped
+#    port, or a CLI run with a truncated shard count or batch size. The
+#    timeouts turn a program that wrongly starts into a failure instead of
+#    a hang.
 for bad in "--port 70000" "--port abc" "--queue-capacity 0" \
   "--queue-capacity -1" "--idle-timeout-ms -1" "--threads -1"; do
   code=0
@@ -85,6 +89,34 @@ for bad in "--port 70000" "--port abc" "--queue-capacity 0" \
   timeout 20 "$SERVER" --schema "$SCHEMA" $bad > /dev/null 2>&1 || code=$?
   if [ "$code" -ne 2 ]; then
     echo "error: ses_server $bad exited $code, want 2" >&2
+    exit 1
+  fi
+done
+for bad in "--port 70000" "--port 1x" "--port 1 --window -5" \
+  "--port 1 --busy-retry-ms -3" "--port 1 --clients 0"; do
+  code=0
+  # shellcheck disable=SC2086  # split "--flag value"
+  timeout 20 "$LOADGEN" $bad > /dev/null 2>&1 || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "error: ses_loadgen $bad exited $code, want 2" >&2
+    exit 1
+  fi
+done
+# ses_cli exits 1 on any error, so also require the range message: the
+# complete-graph Q1 runs fine on --threads, so nothing else can fail.
+q1="PATTERN {c, p+, d} -> {b} WHERE c.L = 'C' AND d.L = 'D' AND p.L = 'P'
+    AND b.L = 'B' AND c.ID = p.ID AND c.ID = d.ID AND c.ID = b.ID
+    AND p.ID = d.ID AND p.ID = b.ID AND d.ID = b.ID WITHIN 264h"
+for bad in "--threads 2x" "--threads 0" "--batch 5000000000" \
+  "--columnar on --batch-rows 4294967297"; do
+  code=0
+  # shellcheck disable=SC2086  # split "--flag value"
+  timeout 20 "$CLI" --demo --query "$q1" $bad > /dev/null \
+    2> "$workdir/cli_flag.err" || code=$?
+  if [ "$code" -ne 1 ] ||
+    ! grep -q "must be an integer in" "$workdir/cli_flag.err"; then
+    echo "error: ses_cli $bad exited $code, want 1 with a range error" >&2
+    cat "$workdir/cli_flag.err" >&2
     exit 1
   fi
 done
