@@ -7,8 +7,8 @@
 //
 // Further sweeps measure the sharded parallel runtime (exec/) against the
 // serial partitioned matcher: speedup vs worker-thread count, ingest batch
-// size, and key skew with adaptive rebalancing off/on — the output checked
-// byte-identical after SortMatches normalization at every point.
+// size, and key skew — the output checked byte-identical after SortMatches
+// normalization at every point.
 //
 // All timing goes through bench::Harness (warmup + repeated runs +
 // steady-state detection); with --json the report lands in the
@@ -297,11 +297,10 @@ int64_t BusySharePermille(const exec::ParallelStats& stats) {
 }
 
 /// Skew sweep: Zipf-distributed partition keys against the parallel
-/// runtime with adaptive rebalancing off and on. The rebalancer's
-/// migration decisions are timing-dependent; the match output must be
-/// byte-identical regardless (only idle keys move), which is asserted at
-/// every point. The busiest shard's busy-time share is what rebalancing
-/// exists to push down; it lands in the gated JSON as busy_share_permille.
+/// runtime's hash routing. The match output must be byte-identical to the
+/// serial partitioned matcher at every point. The busiest shard's
+/// busy-time share shows how unevenly a hot key loads the shards; it lands
+/// in the gated JSON as busy_share_permille.
 /// Uses the light (mutually exclusive) pattern: a Zipf hot key
 /// concentrates a quarter of the stream in ONE partition, and the
 /// group-variable pattern's per-partition instance growth is superlinear —
@@ -313,9 +312,8 @@ void SkewSweep(const Harness& harness, int64_t num_events,
       "\nSkewed-key sweep (%lld events, 64 keys, 4 shards; Zipf exponent "
       "s)\n",
       static_cast<long long>(num_events));
-  std::printf("%-8s %-10s %12s %14s %12s %12s %12s %10s\n", "skew",
-              "rebalance", "time [s]", "max q depth", "busy share",
-              "migrated", "overrides", "matches");
+  std::printf("%-8s %12s %14s %12s %10s\n", "skew", "time [s]",
+              "max q depth", "busy share", "matches");
 
   for (double skew : {0.0, 0.8, 1.2}) {
     workload::StreamOptions options;
@@ -332,43 +330,34 @@ void SkewSweep(const Harness& harness, int64_t num_events,
         PartitionedMatchRelation(pattern, stream);
     SES_CHECK(serial.ok());
 
-    for (bool rebalance : {false, true}) {
-      exec::ParallelOptions parallel_options;
-      parallel_options.num_shards = 4;
-      parallel_options.batch_size = 64;
-      parallel_options.rebalance.enabled = rebalance;
-      parallel_options.rebalance.interval_events = 2048;
-      std::vector<Match> parallel;
-      exec::ParallelStats stats;
-      char name[64];
-      std::snprintf(name, sizeof(name), "skew%.1f/rebalance-%s", skew,
-                    rebalance ? "on" : "off");
-      CaseResult skew_case =
-          harness.Run(name, num_events, [&](CaseRun& run) {
-            Result<std::vector<Match>> matches =
-                exec::ParallelPartitionedMatchRelation(pattern, stream, -1,
-                                                       parallel_options,
-                                                       &stats);
-            SES_CHECK(matches.ok());
-            parallel = std::move(*matches);
-            run.SetCounter("matches", static_cast<int64_t>(parallel.size()),
-                           /*exact=*/true);
-            run.SetCounter("max_queue_depth", stats.max_queue_depth);
-            run.SetCounter("keys_migrated", stats.rebalancer.keys_migrated);
-            run.SetCounter("busy_share_permille", BusySharePermille(stats));
-            run.SetCounter("hot_key_rounds", stats.rebalancer.hot_key_rounds);
-          });
-      SES_CHECK(IdenticalNormalized(*serial, parallel))
-          << "rebalancing must be output-identical (skew " << skew << ")";
-      std::printf("%-8.1f %-10s %12.4f %14lld %12lld %12lld %12lld %10zu\n",
-                  skew, rebalance ? "on" : "off", skew_case.wall_seconds.mean,
-                  static_cast<long long>(stats.max_queue_depth),
-                  static_cast<long long>(BusySharePermille(stats)),
-                  static_cast<long long>(stats.rebalancer.keys_migrated),
-                  static_cast<long long>(stats.rebalancer.overrides_active),
-                  parallel.size());
-      report->Add(std::move(skew_case));
-    }
+    exec::ParallelOptions parallel_options;
+    parallel_options.num_shards = 4;
+    parallel_options.batch_size = 64;
+    std::vector<Match> parallel;
+    exec::ParallelStats stats;
+    char name[64];
+    std::snprintf(name, sizeof(name), "skew%.1f/parallel", skew);
+    CaseResult skew_case =
+        harness.Run(name, num_events, [&](CaseRun& run) {
+          Result<std::vector<Match>> matches =
+              exec::ParallelPartitionedMatchRelation(pattern, stream, -1,
+                                                     parallel_options, &stats);
+          SES_CHECK(matches.ok());
+          parallel = std::move(*matches);
+          run.SetCounter("matches", static_cast<int64_t>(parallel.size()),
+                         /*exact=*/true);
+          run.SetCounter("max_queue_depth", stats.max_queue_depth);
+          run.SetCounter("busy_share_permille", BusySharePermille(stats));
+        });
+    SES_CHECK(IdenticalNormalized(*serial, parallel))
+        << "parallel execution must be output-identical (skew " << skew
+        << ")";
+    std::printf("%-8.1f %12.4f %14lld %12lld %10zu\n", skew,
+                skew_case.wall_seconds.mean,
+                static_cast<long long>(stats.max_queue_depth),
+                static_cast<long long>(BusySharePermille(stats)),
+                parallel.size());
+    report->Add(std::move(skew_case));
   }
 }
 

@@ -78,8 +78,6 @@ struct CliArgs {
   int threads = 0;
   /// Events per shard batch for the parallel engine (0 = library default).
   int batch = 0;
-  /// Enables adaptive shard rebalancing (parallel engine only).
-  bool rebalance = false;
   /// Bounded-lateness ingest: accept events up to this many ticks behind
   /// the newest timestamp seen (0 = require in-order input).
   long long lateness = 0;
@@ -113,7 +111,6 @@ void PrintUsage() {
       "               [--engine NAME] [--no-filter] [--shared-const]\n"
       "               [--stats] [--dot] [--format text|csv]\n"
       "               [--threads N] [--batch N]\n"
-      "               [--rebalance]\n"
       "               [--lateness N] [--late-policy error|drop]\n"
       "               [--columnar on|off] [--batch-rows N]\n"
       "               [--checkpoint-dir DIR] [--checkpoint-interval N]\n"
@@ -144,9 +141,6 @@ void PrintUsage() {
       "                 graph on one attribute (partition key)\n"
       "  --batch N      events per shard batch for the parallel engine\n"
       "                 (ingest enqueues whole slabs; default 256)\n"
-      "  --rebalance    adaptively migrate idle partition keys off the\n"
-      "                 hottest shard (parallel engine; output unchanged,\n"
-      "                 see docs/RUNTIME.md)\n"
       "  --lateness N   accept events up to N ticks behind the newest\n"
       "                 timestamp seen and reorder them before evaluation\n"
       "                 (bounded-lateness ingest; default 0 = input must\n"
@@ -245,8 +239,6 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
       SES_ASSIGN_OR_RETURN(args.threads, need_int(i, 1, kIntMax));
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       SES_ASSIGN_OR_RETURN(args.batch, need_int(i, 1, kIntMax));
-    } else if (std::strcmp(argv[i], "--rebalance") == 0) {
-      args.rebalance = true;
     } else if (std::strcmp(argv[i], "--lateness") == 0) {
       SES_ASSIGN_OR_RETURN(args.lateness, need_int(i, 0, kInt64Max));
     } else if (std::strcmp(argv[i], "--late-policy") == 0) {
@@ -343,12 +335,11 @@ Result<std::string> ResolveEngineName(const CliArgs& args) {
 }
 
 /// Builds the per-engine options every run shape shares (threads, batch,
-/// rebalancing, lateness). The sink is installed by the caller.
+/// lateness). The sink is installed by the caller.
 engine::EngineOptions MakeEngineOptions(const CliArgs& args) {
   engine::EngineOptions options;
   if (args.threads >= 1) options.num_shards = args.threads;
   if (args.batch > 0) options.batch_size = static_cast<size_t>(args.batch);
-  options.rebalance.enabled = args.rebalance;
   options.lateness_bound = args.lateness;
   options.late_policy = args.late_policy;
   return options;
@@ -796,16 +787,6 @@ Status Run(const CliArgs& args) {
           static_cast<long long>(stats.events_reordered),
           static_cast<long long>(stats.events_late),
           static_cast<long long>(stats.max_reorder_buffered));
-    }
-    if (args.rebalance) {
-      std::printf(
-          "rebalancer: %lld round(s), %lld key(s) migrated, %lld "
-          "override(s) active, %lld hot-key round(s), %lld cooldown-blocked\n",
-          static_cast<long long>(stats.rebalancer.rounds),
-          static_cast<long long>(stats.rebalancer.keys_migrated),
-          static_cast<long long>(stats.rebalancer.overrides_active),
-          static_cast<long long>(stats.rebalancer.hot_key_rounds),
-          static_cast<long long>(stats.rebalancer.cooldown_blocked));
     }
   }
   return Status::OK();

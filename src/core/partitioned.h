@@ -109,12 +109,6 @@ class PartitionedMatcher {
   const Pattern& pattern() const { return automaton_->pattern(); }
 
  private:
-  struct ValueLess {
-    bool operator()(const Value& a, const Value& b) const {
-      return Compare(a, b) < 0;
-    }
-  };
-
   PartitionedMatcher(std::shared_ptr<const SesAutomaton> automaton,
                      int attribute, MatcherOptions options,
                      std::shared_ptr<const EventPreFilter> filter)

@@ -199,7 +199,6 @@ class ParallelEngine : public Engine {
     parallel.queue_capacity = engine->options_.queue_capacity;
     parallel.idle_timeout = engine->options_.idle_timeout;
     parallel.emit_interval_events = engine->options_.emit_interval_events;
-    parallel.rebalance = engine->options_.rebalance;
     parallel.matcher = engine->plan_->matcher_options();
     // The engine is heap-allocated and owns the matcher, so its address
     // outlives every sink invocation (sinks run inside Push/Flush).
@@ -261,7 +260,6 @@ class ParallelEngine : public Engine {
     stats_.partitions_evicted = parallel_stats.partitions_evicted;
     stats_.max_queue_depth = parallel_stats.max_queue_depth;
     stats_.batches_enqueued = parallel_stats.batches_enqueued;
-    stats_.rebalancer = parallel_stats.rebalancer;
     return status;
   }
 

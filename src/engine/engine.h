@@ -12,7 +12,6 @@
 #include "common/time.h"
 #include "core/match.h"
 #include "event/columnar.h"
-#include "exec/rebalancer.h"
 #include "exec/reorder_buffer.h"
 #include "plan/compiled_plan.h"
 #include "storage/checkpoint.h"
@@ -42,8 +41,6 @@ struct EngineOptions {
   /// How often (in ingested events) the parallel engine emits matches below
   /// the safety watermark. See exec::ParallelOptions::emit_interval_events.
   int64_t emit_interval_events = 4096;
-  /// Adaptive shard rebalancing (parallel engine; off by default).
-  exec::RebalanceOptions rebalance;
   /// Bounded-lateness ingest (every engine): events may arrive up to this
   /// many ticks behind the newest timestamp seen and are re-sequenced by
   /// an exec::ReorderBuffer stage before they reach the evaluator. 0 (the
@@ -108,9 +105,6 @@ struct EngineStats {
   int64_t events_reordered = 0;
   int64_t events_late = 0;
   int64_t max_reorder_buffered = 0;
-  /// Parallel engine only: what the adaptive shard rebalancer did (all
-  /// zero when `EngineOptions::rebalance.enabled` is false).
-  exec::RebalancerStats rebalancer;
 };
 
 /// Name → value snapshot of every EngineStats counter, in declaration
@@ -200,10 +194,10 @@ class Engine {
   /// sections: "engine" (the shared ingest stage — ordering watermark,
   /// reorder-buffer tail, ingest counters, the engine's registry name) and
   /// "state" (the evaluator: open automaton instances with their match
-  /// buffers, partitions, shard and rebalancer state, statistics). Call
-  /// between events, not from inside a sink. The engine keeps running; a
-  /// Restore()d engine continues the stream with a byte-identical match
-  /// sequence and statistics (docs/SEMANTICS.md §12).
+  /// buffers, partitions, shard state, statistics). Call between events,
+  /// not from inside a sink. The engine keeps running; a Restore()d engine
+  /// continues the stream with a byte-identical match sequence and
+  /// statistics (docs/SEMANTICS.md §12).
   Status Checkpoint(storage::CheckpointWriter* writer);
 
   /// Restores state written by Checkpoint() of an engine with the same

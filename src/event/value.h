@@ -114,6 +114,14 @@ inline int CompareTyped(std::string_view lhs, const Value& constant) {
 /// Dispatches to the CompareTyped overloads above.
 int Compare(const Value& a, const Value& b);
 
+/// Strict weak ordering by Compare(), for maps keyed by values of one
+/// comparable type (the partition-key tables of core/ and exec/).
+struct ValueLess {
+  bool operator()(const Value& a, const Value& b) const {
+    return Compare(a, b) < 0;
+  }
+};
+
 }  // namespace ses
 
 #endif  // SES_EVENT_VALUE_H_

@@ -62,14 +62,6 @@ struct ParallelPartitionedMatcher::Impl {
     Timestamp last_seen = 0;
   };
 
-  /// One key's accumulated load since the ingest thread last drained it:
-  /// automaton work units (instances touched while pushing the key's
-  /// events) and the key's current open-instance count.
-  struct KeyLoadDelta {
-    int64_t work = 0;
-    int64_t open_instances = 0;
-  };
-
   /// Worker-owned state is only touched by the shard's thread; the ingest
   /// thread reads or mutates it exclusively between a barrier
   /// acknowledgement (happens-before via `mu`) and the next queue Push
@@ -80,20 +72,8 @@ struct ParallelPartitionedMatcher::Impl {
     BatchQueue queue;
     std::thread worker;
 
-    /// Cumulative wall-clock nanoseconds spent in ProcessBatch. Written by
-    /// the worker, read live by the ingest thread's rebalancer sampling —
-    /// hence atomic, unlike the barrier-synchronized `stats`.
-    AtomicCounter busy_nanos;
-
-    /// Per-key load deltas for the rebalancer's cost model, merged in by
-    /// the worker after each batch and drained (swapped out) by the ingest
-    /// thread before each rebalancer sample. Only populated when
-    /// rebalancing is enabled.
-    std::mutex key_load_mu;
-    std::map<Value, KeyLoadDelta, ValueOrderLess> key_load;
-
     // Worker-owned.
-    std::map<Value, Partition, ValueOrderLess> partitions;
+    std::map<Value, Partition, ValueLess> partitions;
     std::vector<Match> matches;
     ShardStats stats;
     Status status = Status::OK();
@@ -126,9 +106,6 @@ struct ParallelPartitionedMatcher::Impl {
   /// True when a sink is installed AND eviction is enabled: workers seal
   /// per-batch runs and the ingest thread emits below the safety watermark.
   bool incremental = false;
-  /// True when the rebalancer is on: workers sample per-key work and
-  /// open-instance counts for the migration cost model.
-  bool track_key_load = false;
 
   std::vector<std::unique_ptr<Shard>> shards;
   std::vector<std::vector<Event>> pending;  // per-shard ingest buffers
@@ -136,8 +113,6 @@ struct ParallelPartitionedMatcher::Impl {
   /// Unfed shards are excluded from the safety-watermark minimum — they
   /// can only ever contribute matches newer than the global watermark.
   std::vector<bool> fed;
-  /// Present iff options.rebalance.enabled; ingest-thread-owned.
-  std::unique_ptr<ShardRebalancer> rebalancer;
 
   bool has_watermark = false;
   Timestamp watermark = 0;
@@ -190,7 +165,7 @@ struct ParallelPartitionedMatcher::Impl {
         case EventBatch::Kind::kEvents: {
           Stopwatch busy_watch;
           ProcessBatch(shard, batch);
-          shard.busy_nanos.Increment(busy_watch.ElapsedNanos());
+          shard.stats.busy_nanos += busy_watch.ElapsedNanos();
           break;
         }
         case EventBatch::Kind::kFlush:
@@ -211,13 +186,8 @@ struct ParallelPartitionedMatcher::Impl {
             std::lock_guard<std::mutex> lock(shard.runs_mu);
             shard.sealed_runs.clear();
           }
-          {
-            std::lock_guard<std::mutex> lock(shard.key_load_mu);
-            shard.key_load.clear();
-          }
           shard.published.store(kNoWatermark, std::memory_order_release);
           shard.stats = ShardStats{};
-          shard.busy_nanos.Reset();
           shard.status = Status::OK();
           Acknowledge(shard);
           break;
@@ -230,9 +200,6 @@ struct ParallelPartitionedMatcher::Impl {
   void ProcessBatch(Shard& shard, EventBatch& batch) {
     ++shard.stats.batches_processed;
     size_t matches_before = shard.matches.size();
-    // Batch-local per-key work accumulation (merged under the lock once at
-    // the end, so the common path stays lock-free).
-    std::map<Value, KeyLoadDelta, ValueOrderLess> key_load;
     for (Event& event : batch.events) {
       ++shard.stats.events_processed;
       if (!shard.status.ok()) continue;  // drain after an error
@@ -253,34 +220,8 @@ struct ParallelPartitionedMatcher::Impl {
       partition.last_seen = event.timestamp();
       Status status = partition.matcher.Push(event, &shard.matches);
       if (!status.ok()) shard.status = std::move(status);
-      if (track_key_load) {
-        // Matching cost per event is proportional to the partition's live
-        // instance count — the paper's per-partition cost currency — so
-        // instances-after-push is the work unit the cost model smooths.
-        key_load[key].work += static_cast<int64_t>(
-            partition.matcher.num_active_instances());
-      }
     }
-    if (effective_timeout >= 0) {
-      EvictIdle(shard, batch.watermark, track_key_load ? &key_load : nullptr);
-    }
-    if (track_key_load && !key_load.empty()) {
-      // Record each touched key's residual instance count (evicted keys
-      // were zeroed by EvictIdle above), then publish the deltas.
-      for (auto& [key, load] : key_load) {
-        auto it = shard.partitions.find(key);
-        load.open_instances =
-            it != shard.partitions.end()
-                ? static_cast<int64_t>(it->second.matcher.num_active_instances())
-                : 0;
-      }
-      std::lock_guard<std::mutex> lock(shard.key_load_mu);
-      for (auto& [key, load] : key_load) {
-        KeyLoadDelta& sink_delta = shard.key_load[key];
-        sink_delta.work += load.work;
-        sink_delta.open_instances = load.open_instances;
-      }
-    }
+    if (effective_timeout >= 0) EvictIdle(shard, batch.watermark);
     shard.stats.matches_emitted +=
         static_cast<int64_t>(shard.matches.size() - matches_before);
     if (incremental) {
@@ -305,15 +246,11 @@ struct ParallelPartitionedMatcher::Impl {
   /// min_timestamp ≤ last_seen, and any future event of the key arrives at
   /// t > watermark, so t − min_timestamp > τe ≥ window: the instance has
   /// logically expired, and Flush emits exactly the matches the serial
-  /// matcher would emit at that expiry. When `key_load` is non-null
-  /// (rebalancer cost model on), evicted keys are recorded with zero open
-  /// instances so the policy sees their state die.
-  void EvictIdle(Shard& shard, Timestamp shard_watermark,
-                 std::map<Value, KeyLoadDelta, ValueOrderLess>* key_load) {
+  /// matcher would emit at that expiry.
+  void EvictIdle(Shard& shard, Timestamp shard_watermark) {
     for (auto it = shard.partitions.begin(); it != shard.partitions.end();) {
       if (it->second.last_seen < shard_watermark - effective_timeout) {
         it->second.matcher.Flush(&shard.matches);
-        if (key_load != nullptr) (*key_load)[it->first].open_instances = 0;
         it = shard.partitions.erase(it);
         ++shard.stats.partitions_evicted;
       } else {
@@ -345,10 +282,8 @@ struct ParallelPartitionedMatcher::Impl {
   // ---- Ingest side -------------------------------------------------------
 
   /// Watermark check + routing, shared by Push and PushBatch. On success
-  /// the event sits in the pending buffer of `*shard_index`. Routing
-  /// consults the rebalancer's override table when rebalancing is on
-  /// (which also records the key observation), the plain key hash
-  /// otherwise.
+  /// the event sits in the pending buffer of `*shard_index`, which is
+  /// HashKey(key) % num_shards.
   Status Admit(const Event& event, size_t* shard_index) {
     if (has_watermark && event.timestamp() <= watermark) {
       return Status::FailedPrecondition(strings::Format(
@@ -360,13 +295,8 @@ struct ParallelPartitionedMatcher::Impl {
     has_watermark = true;
     watermark = event.timestamp();
     ++events_ingested;
-    const Value& key = event.value(static_cast<int>(attribute));
-    size_t hash = HashKey(key);
     size_t index =
-        rebalancer != nullptr
-            ? static_cast<size_t>(
-                  rebalancer->RouteAndObserve(key, hash, event.timestamp()))
-            : hash % shards.size();
+        HashKey(event.value(static_cast<int>(attribute))) % shards.size();
     pending[index].push_back(event);
     fed[index] = true;
     *shard_index = index;
@@ -379,7 +309,6 @@ struct ParallelPartitionedMatcher::Impl {
     if (pending[shard_index].size() >= options.batch_size) {
       FlushPendingSlab(shard_index, /*all=*/false);
     }
-    MaybeSampleLoad();
     MaybeEmitIncremental();
     return Status::OK();
   }
@@ -404,7 +333,6 @@ struct ParallelPartitionedMatcher::Impl {
     for (size_t i = 0; i < shards.size(); ++i) {
       FlushPendingSlab(i, /*all=*/false);
     }
-    MaybeSampleLoad();
     MaybeEmitIncremental();
     return Status::OK();
   }
@@ -447,16 +375,7 @@ struct ParallelPartitionedMatcher::Impl {
       const size_t hash = string_key
                               ? code_hash[string_keys->codes[row]]
                               : std::hash<int64_t>{}(int_keys[row]);
-      size_t index;
-      if (rebalancer != nullptr) {
-        // The override table and the cost model key on the Value, so the
-        // rebalanced path still materializes it (it is the slow path by
-        // construction — rebalancing trades ingest work for balance).
-        index = static_cast<size_t>(rebalancer->RouteAndObserve(
-            batch.ValueAt(row, attribute), hash, ts));
-      } else {
-        index = hash % shards.size();
-      }
+      const size_t index = hash % shards.size();
       pending[index].push_back(batch.RowEvent(row));
       fed[index] = true;
       if (pending[index].size() >= slab_threshold) {
@@ -467,7 +386,6 @@ struct ParallelPartitionedMatcher::Impl {
     for (size_t i = 0; i < shards.size(); ++i) {
       FlushPendingSlab(i, /*all=*/false);
     }
-    MaybeSampleLoad();
     MaybeEmitIncremental();
     return Status::OK();
   }
@@ -573,31 +491,6 @@ struct ParallelPartitionedMatcher::Impl {
         max_queue_depth, static_cast<int64_t>(shard.queue.depth()));
   }
 
-  /// Every rebalance.interval_events ingested events: drain the workers'
-  /// per-key load samples, sample queue depth and busy time per shard, and
-  /// let the rebalancer's policy plan and apply key migrations.
-  void MaybeSampleLoad() {
-    if (rebalancer == nullptr || !rebalancer->SampleDue(events_ingested)) {
-      return;
-    }
-    std::vector<ShardRebalancer::ShardLoad> loads;
-    loads.reserve(shards.size());
-    for (auto& shard : shards) {
-      std::map<Value, KeyLoadDelta, ValueOrderLess> key_load;
-      {
-        std::lock_guard<std::mutex> lock(shard->key_load_mu);
-        key_load.swap(shard->key_load);
-      }
-      for (const auto& [key, load] : key_load) {
-        rebalancer->ObserveKeyLoad(key, load.work, load.open_instances);
-      }
-      loads.push_back(ShardRebalancer::ShardLoad{
-          static_cast<int64_t>(shard->queue.depth()),
-          shard->busy_nanos.value()});
-    }
-    rebalancer->Sample(loads, watermark);
-  }
-
   /// Enqueues a control batch to every shard and waits until all of them
   /// acknowledge it. Pending event buffers are flushed first so the control
   /// batch observes the full stream.
@@ -671,21 +564,17 @@ struct ParallelPartitionedMatcher::Impl {
     last_stats.matches_emitted_early = matches_emitted_early;
     last_stats.max_buffered_matches = max_buffered.max();
     last_stats.merge_seconds = merge_watch.ElapsedSeconds();
-    if (rebalancer != nullptr) last_stats.rebalancer = rebalancer->stats();
     for (auto& shard : shards) {
       last_stats.partitions_created += shard->stats.partitions_created;
       last_stats.partitions_evicted += shard->stats.partitions_evicted;
       last_stats.matches_emitted += shard->stats.matches_emitted;
-      ShardStats snapshot = shard->stats;
-      snapshot.busy_nanos = shard->busy_nanos.value();
-      last_stats.shards.push_back(snapshot);
+      last_stats.shards.push_back(shard->stats);
     }
     return first_error;
   }
 
   void ResetAll() {
     Barrier(EventBatch::Kind::kReset);
-    if (rebalancer != nullptr) rebalancer->Reset();
     has_watermark = false;
     watermark = 0;
     events_ingested = 0;
@@ -702,12 +591,10 @@ struct ParallelPartitionedMatcher::Impl {
 
   // ---- Checkpoint / restore ---------------------------------------------
 
-  /// Serializes the complete runtime state after a kSync barrier. Deferred
-  /// worker-side state is drained to its ingest-side home first (sealed
-  /// runs into the merger, per-key load samples into the rebalancer) —
-  /// both drains are behavior-preserving, they only move work the next
-  /// emission or sampling round would have done anyway — so every fact has
-  /// exactly one home in the payload.
+  /// Serializes the complete runtime state after a kSync barrier. Sealed
+  /// runs are drained into the ingest-side merger first — behavior-
+  /// preserving, it only moves work the next emission round would have
+  /// done anyway — so every match has exactly one home in the payload.
   Status CheckpointAll(std::string* out) {
     Barrier(EventBatch::Kind::kSync);
     for (auto& shard : shards) {
@@ -719,18 +606,6 @@ struct ParallelPartitionedMatcher::Impl {
         if (!run.empty()) merge_runs.push_back(std::move(run));
       }
       shard->sealed_runs.clear();
-    }
-    if (rebalancer != nullptr) {
-      for (auto& shard : shards) {
-        std::map<Value, KeyLoadDelta, ValueOrderLess> key_load;
-        {
-          std::lock_guard<std::mutex> lock(shard->key_load_mu);
-          key_load.swap(shard->key_load);
-        }
-        for (const auto& [key, load] : key_load) {
-          rebalancer->ObserveKeyLoad(key, load.work, load.open_instances);
-        }
-      }
     }
     const Schema& schema = automaton->pattern().schema();
     storage::PutBool(out, has_watermark);
@@ -749,8 +624,6 @@ struct ParallelPartitionedMatcher::Impl {
       storage::PutCount(out, run.size());
       for (const Match& match : run) CheckpointMatch(match, schema, out);
     }
-    storage::PutBool(out, rebalancer != nullptr);
-    if (rebalancer != nullptr) rebalancer->Checkpoint(out);
     storage::PutCount(out, shards.size());
     for (auto& shard : shards) {
       storage::PutSigned(
@@ -772,7 +645,7 @@ struct ParallelPartitionedMatcher::Impl {
       storage::PutSigned(out, shard->stats.max_resident_partitions);
       storage::PutSigned(out, shard->stats.max_queue_depth);
       storage::PutSigned(out, shard->stats.matches_emitted);
-      storage::PutSigned(out, shard->busy_nanos.value());
+      storage::PutSigned(out, shard->stats.busy_nanos);
     }
     return Status::OK();
   }
@@ -823,15 +696,6 @@ struct ParallelPartitionedMatcher::Impl {
         }
         merge_runs.push_back(std::move(run));
       }
-      bool has_rebalancer = false;
-      SES_RETURN_IF_ERROR(storage::GetBool(p, limit, &has_rebalancer));
-      if (has_rebalancer != (rebalancer != nullptr)) {
-        return Status::Corruption(
-            "checkpoint rebalancer presence does not match this runtime");
-      }
-      if (rebalancer != nullptr) {
-        SES_RETURN_IF_ERROR(rebalancer->Restore(p, limit));
-      }
       uint64_t shard_count = 0;
       SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &shard_count));
       if (shard_count != shards.size()) {
@@ -881,9 +745,8 @@ struct ParallelPartitionedMatcher::Impl {
             storage::GetSigned(p, limit, &shard->stats.max_queue_depth));
         SES_RETURN_IF_ERROR(
             storage::GetSigned(p, limit, &shard->stats.matches_emitted));
-        int64_t busy = 0;
-        SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &busy));
-        shard->busy_nanos.Increment(busy);
+        SES_RETURN_IF_ERROR(
+            storage::GetSigned(p, limit, &shard->stats.busy_nanos));
       }
       return Status::OK();
     }();
@@ -933,12 +796,6 @@ Result<ParallelPartitionedMatcher> ParallelPartitionedMatcher::Create(
   }
   impl->pending.resize(impl->shards.size());
   impl->fed.assign(impl->shards.size(), false);
-  if (impl->options.rebalance.enabled) {
-    impl->rebalancer = std::make_unique<ShardRebalancer>(
-        impl->options.num_shards, impl->automaton->window(),
-        impl->options.rebalance);
-    impl->track_key_load = true;
-  }
   impl->Start();
   return ParallelPartitionedMatcher(std::move(impl));
 }

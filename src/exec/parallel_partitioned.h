@@ -9,7 +9,6 @@
 #include "common/result.h"
 #include "core/partitioned.h"
 #include "event/columnar.h"
-#include "exec/rebalancer.h"
 
 namespace ses::exec {
 
@@ -19,10 +18,11 @@ namespace ses::exec {
 /// The SES automaton is embarrassingly parallel across equality partitions:
 /// once a pattern carries a complete equality graph on one attribute
 /// (FindPartitionAttribute), events of different key values never interact.
-/// This runtime exploits that by hashing partition keys onto N worker
-/// shards. Each shard owns an event queue, its own map of per-key Matchers
-/// (all sharing ONE compiled automaton — the exponential powerset
-/// construction runs exactly once per pattern), and a private match buffer.
+/// This runtime exploits that by routing each partition key to worker shard
+/// hash(key) % N, fixed for the key's lifetime. Each shard owns an event
+/// queue, its own map of per-key Matchers (all sharing ONE compiled
+/// automaton — the exponential powerset construction runs exactly once per
+/// pattern), and a private match buffer.
 /// The ingest thread batches events per shard to amortize queue locking.
 ///
 /// Match delivery has two modes. Without a sink, matches are reported at
@@ -61,12 +61,6 @@ struct ParallelOptions {
   /// Queue capacity per shard, in batches; bounds the memory a slow shard
   /// can accumulate (the ingest thread blocks when a queue is full).
   size_t queue_capacity = 64;
-  /// Adaptive shard rebalancing (off by default). When enabled, the ingest
-  /// thread samples per-shard queue depth and busy time every
-  /// rebalance.interval_events events and migrates idle keys off the
-  /// hottest shard; see exec/rebalancer.h and docs/RUNTIME.md. Output is
-  /// unaffected — only which worker processes which key.
-  RebalanceOptions rebalance;
   /// Options forwarded to every per-partition Matcher.
   MatcherOptions matcher;
   /// Streaming match consumer. When set, Flush(out) delivers every match to
@@ -93,8 +87,7 @@ struct ShardStats {
   int64_t max_resident_partitions = 0;
   int64_t max_queue_depth = 0;
   int64_t matches_emitted = 0;
-  /// Wall-clock nanoseconds this worker spent processing batches (snapshot
-  /// of the live atomic the rebalancer samples).
+  /// Wall-clock nanoseconds this worker spent processing batches.
   int64_t busy_nanos = 0;
 };
 
@@ -114,8 +107,6 @@ struct ParallelStats {
   int64_t max_buffered_matches = 0;
   /// Wall-clock seconds spent merging and sorting shard outputs.
   double merge_seconds = 0.0;
-  /// What the adaptive rebalancer did (all zero when it is disabled).
-  RebalancerStats rebalancer;
   std::vector<ShardStats> shards;
 };
 
@@ -198,16 +189,15 @@ class ParallelPartitionedMatcher {
   /// Quiesces every shard (sync barrier: all pending events are processed,
   /// no state is flushed) and serializes the complete runtime state — the
   /// ingest watermark and counters, every shard's resident partitions and
-  /// buffered matches, the incremental-emission merger, and the rebalancer
-  /// — into `out` with the checkpoint payload primitives. The matcher keeps
-  /// running afterwards; a restored matcher continues the stream with a
+  /// buffered matches, and the incremental-emission merger — into `out`
+  /// with the checkpoint payload primitives. The matcher keeps running
+  /// afterwards; a restored matcher continues the stream with a
   /// byte-identical match sequence (docs/SEMANTICS.md §12).
   Status Checkpoint(std::string* out);
 
   /// Restores state written by Checkpoint() of a matcher with the same
-  /// shard count, rebalancer configuration, and compiled pattern. Must be
-  /// called before any events are pushed (or after Reset()); on error the
-  /// matcher is left Reset().
+  /// shard count and compiled pattern. Must be called before any events are
+  /// pushed (or after Reset()); on error the matcher is left Reset().
   Status Restore(const char** p, const char* limit);
 
   /// Statistics snapshotted at the last Flush(), plus ingest-side counters.

@@ -4,47 +4,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <map>
-#include <string>
 
 namespace ses {
 
-/// A monotonically increasing counter.
-class Counter {
- public:
-  void Increment(int64_t delta = 1) { value_ += delta; }
-  int64_t value() const { return value_; }
-  void Reset() { value_ = 0; }
-
- private:
-  int64_t value_ = 0;
-};
-
-/// A gauge that remembers its maximum. The matcher uses this to report the
-/// maximal number of simultaneously active automaton instances — the metric
-/// the paper's Experiments 1 and 2 measure.
-class MaxGauge {
- public:
-  void Observe(int64_t value) {
-    current_ = value;
-    if (value > max_) max_ = value;
-  }
-  int64_t current() const { return current_; }
-  int64_t max() const { return max_; }
-  void Reset() {
-    current_ = 0;
-    max_ = 0;
-  }
-
- private:
-  int64_t current_ = 0;
-  int64_t max_ = 0;
-};
-
-/// A thread-safe monotonically increasing counter. Used where producer and
-/// consumer threads update the same statistic (e.g. the shard queue depth
-/// of the parallel partitioned runtime). Relaxed ordering: counters are
-/// statistics, not synchronization.
+/// A thread-safe counter. Used where producer and consumer threads update
+/// the same statistic (e.g. the matches the parallel partitioned runtime's
+/// workers have sealed and its ingest thread has not yet emitted). Relaxed
+/// ordering: counters are statistics, not synchronization.
 class AtomicCounter {
  public:
   void Increment(int64_t delta = 1) {
@@ -80,44 +46,6 @@ class AtomicMaxGauge {
   std::atomic<int64_t> max_{0};
 };
 
-/// An exponentially weighted moving average gauge. The parallel runtime's
-/// shard rebalancer feeds it per-shard queue-depth and busy-time samples;
-/// the EWMA smooths out per-batch jitter so one bursty sample does not
-/// trigger a key migration. Not thread-safe: each gauge is owned by the
-/// single thread that samples it (the ingest thread).
-class EwmaGauge {
- public:
-  /// `alpha` is the weight of the newest sample, in (0, 1]; higher alpha
-  /// reacts faster, lower alpha smooths harder.
-  explicit EwmaGauge(double alpha = 0.5) : alpha_(alpha) {}
-
-  void Observe(double sample) {
-    value_ = samples_ == 0 ? sample : alpha_ * sample + (1 - alpha_) * value_;
-    ++samples_;
-  }
-
-  /// Current average; 0 before the first sample.
-  double value() const { return value_; }
-  int64_t samples() const { return samples_; }
-
-  void Reset() {
-    value_ = 0;
-    samples_ = 0;
-  }
-
-  /// Reinstates a previously observed (value, samples) pair, e.g. from a
-  /// checkpoint. Subsequent Observe() calls continue the same average.
-  void RestoreState(double value, int64_t samples) {
-    value_ = value;
-    samples_ = samples;
-  }
-
- private:
-  double alpha_;
-  double value_ = 0;
-  int64_t samples_ = 0;
-};
-
 /// Wall-clock stopwatch with nanosecond resolution.
 class Stopwatch {
  public:
@@ -136,26 +64,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// A named bag of counters and max-gauges, used by benchmark harnesses to
-/// collect per-run statistics.
-class MetricRegistry {
- public:
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  MaxGauge& gauge(const std::string& name) { return gauges_[name]; }
-
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, MaxGauge>& gauges() const { return gauges_; }
-
-  void Reset();
-
-  /// Multi-line human-readable dump, sorted by name.
-  std::string ToString() const;
-
- private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, MaxGauge> gauges_;
 };
 
 }  // namespace ses

@@ -64,15 +64,6 @@ void PutEngineStats(std::string* dst, const engine::EngineStats& s) {
   storage::PutSigned(dst, s.events_reordered);
   storage::PutSigned(dst, s.events_late);
   storage::PutSigned(dst, s.max_reorder_buffered);
-  storage::PutSigned(dst, s.rebalancer.rounds);
-  storage::PutSigned(dst, s.rebalancer.rebalances);
-  storage::PutSigned(dst, s.rebalancer.keys_migrated);
-  storage::PutSigned(dst, s.rebalancer.overrides_active);
-  storage::PutSigned(dst, s.rebalancer.keys_tracked);
-  storage::PutSigned(dst, s.rebalancer.migrating_rounds);
-  storage::PutSigned(dst, s.rebalancer.hot_key_rounds);
-  storage::PutSigned(dst, s.rebalancer.cooldown_blocked);
-  storage::PutSigned(dst, s.rebalancer.moves_rejected);
 }
 
 Status GetEngineStats(const char** p, const char* limit,
@@ -94,23 +85,6 @@ Status GetEngineStats(const char** p, const char* limit,
   SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->events_reordered));
   SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->events_late));
   SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->max_reorder_buffered));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->rebalancer.rounds));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &s->rebalancer.rebalances));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &s->rebalancer.keys_migrated));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &s->rebalancer.overrides_active));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &s->rebalancer.keys_tracked));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &s->rebalancer.migrating_rounds));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &s->rebalancer.hot_key_rounds));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &s->rebalancer.cooldown_blocked));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &s->rebalancer.moves_rejected));
   return Status::OK();
 }
 

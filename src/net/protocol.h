@@ -49,9 +49,10 @@ namespace ses::net {
 /// request cadence).
 
 /// Protocol version spoken by this build. The handshake requires an exact
-/// match: a future version is rejected with Error(InvalidArgument) before
-/// any other packet is interpreted, and the connection is closed cleanly.
-constexpr uint32_t kProtocolVersion = 1;
+/// match: an older or a future version is rejected with
+/// Error(InvalidArgument) before any other packet is interpreted, and the
+/// connection is closed cleanly.
+constexpr uint32_t kProtocolVersion = 2;
 
 /// Hard ceiling on the frame body (type + payload + crc). Push larger
 /// streams as multiple PushEvents frames; a length beyond this is rejected
@@ -233,8 +234,8 @@ struct BusyResponse {
 /// Stats: the full observability snapshot, answering kStatsRequest with
 /// the same numbers `ses_cli --stats` prints — catalog-wide counters plus
 /// one row per plan carrying the complete engine::EngineStats (including
-/// the reorder and rebalancer counters), so the wire surface cannot drift
-/// from the in-process one (parity-tested field-for-field in
+/// the reorder counters), so the wire surface cannot drift from the
+/// in-process one (parity-tested field-for-field in
 /// tests/net_server_test.cc).
 struct StatsResponse {
   catalog::CatalogStats catalog;

@@ -15,9 +15,11 @@ namespace ses::net {
 
 namespace {
 
-/// Poll slice of the reader loop: short enough that stop requests and
-/// fake-clock idle expiry are observed promptly, long enough to stay off
-/// the CPU when a connection is quiet.
+/// Poll slice of the accept and reader loops: short enough that fake-clock
+/// idle expiry is observed promptly, long enough to stay off the CPU when a
+/// connection is quiet. Stop() never waits a slice out: it shuts the
+/// listener and every connection socket down, which wakes their polls at
+/// once.
 constexpr int kPollSliceMs = 25;
 
 int64_t SteadyNowMs() {
@@ -52,6 +54,9 @@ int64_t Server::NowMs() const { return options_.clock_ms(); }
 
 void Server::Stop() {
   if (stop_.exchange(true)) return;
+  // Wake the accept loop's poll now (shutdown(2) on a listening socket
+  // reports POLLHUP) instead of letting it time out its slice.
+  listener_.ShutdownBoth();
   if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::shared_ptr<Connection>> conns;
   {

@@ -55,10 +55,10 @@ Result<CheckpointReader> CheckpointReader::Parse(std::string data) {
     return Status::InvalidArgument("not a checkpoint file (bad magic)");
   }
   uint32_t version = GetFixed32(base + 4);
-  if (version > kCheckpointVersion) {
+  if (version != kCheckpointVersion) {
     return Status::InvalidArgument(
         "checkpoint schema_version " + std::to_string(version) +
-        " is newer than this build supports (" +
+        " is not the one this build reads (" +
         std::to_string(kCheckpointVersion) + ")");
   }
 

@@ -15,9 +15,9 @@ namespace ses::storage {
 /// Versioned, checksummed container for engine runtime state ("sesckpt").
 /// A checkpoint captures everything a 24/7 stream processor must not lose
 /// across a restart: open automaton instances with their match buffers,
-/// per-shard watermarks, reorder-buffer tails, the rebalancer override
-/// table, and accumulated statistics (docs/RUNTIME.md checkpoint section,
-/// SEMANTICS.md section 12 for the exact-resume argument).
+/// per-shard watermarks, reorder-buffer tails, and accumulated statistics
+/// (docs/RUNTIME.md checkpoint section, SEMANTICS.md section 12 for the
+/// exact-resume argument).
 ///
 /// File layout:
 ///
@@ -31,8 +31,10 @@ namespace ses::storage {
 /// Every section carries its own masked CRC-32C (same scheme as the table
 /// format) and the trailer CRC covers the whole file, so a truncated file
 /// or any flipped byte is reported as Corruption — never undefined
-/// behavior — and a schema_version from a future build is rejected as
-/// InvalidArgument before any payload is interpreted.
+/// behavior — and a schema_version other than this build's (older or
+/// newer) is rejected as InvalidArgument before any payload is
+/// interpreted: payload layouts change between versions, so an older file
+/// would otherwise be parsed with its fields shifted.
 ///
 /// Section payloads are opaque to this layer; each runtime component
 /// encodes its state with the primitive helpers below (varints, zigzag,
@@ -41,7 +43,7 @@ namespace ses::storage {
 /// checkpoint per plan).
 
 constexpr uint32_t kCheckpointMagic = 0x53455343;  // "SESC"
-constexpr uint32_t kCheckpointVersion = 1;
+constexpr uint32_t kCheckpointVersion = 2;
 
 /// Builds a checkpoint: named sections appended in order, each framed with
 /// a masked CRC-32C. Components append their serialized state under a

@@ -7,15 +7,15 @@
 // substitution keys, same bound events — to an uninterrupted run, and the
 // restored engine's statistics converge to the uninterrupted ones. This is
 // proven differentially here across all three engines, parallel shard
-// counts {1,2,4,8}, rebalancer on/off, bounded-lateness ingest, and the
-// multi-plan catalog engine.
+// counts {1,2,4,8}, bounded-lateness ingest, and the multi-plan catalog
+// engine.
 //
 // The second obligation is that a damaged or mismatched checkpoint file is
-// always a clean error — truncation at every offset, any flipped byte, a
-// future schema_version, or a file from a differently-configured runtime
-// must yield Corruption/InvalidArgument, never undefined behavior. These
-// tests run under ASan/UBSan and TSan in CI (.github/workflows/ci.yml,
-// crash-recovery + tsan jobs).
+// always a clean error — truncation at every offset, any flipped byte, an
+// older or future schema_version, or a file from a differently-configured
+// runtime must yield Corruption/InvalidArgument, never undefined behavior.
+// These tests run under ASan/UBSan and TSan in CI
+// (.github/workflows/ci.yml, crash-recovery + tsan jobs).
 
 #include <gtest/gtest.h>
 
@@ -193,7 +193,6 @@ void ExpectStatsMatch(const EngineStats& reference, const EngineStats& got,
 struct MatrixCase {
   const char* engine;
   int threads;        // parallel only; 0 elsewhere
-  bool rebalance;
   bool group;         // group-variable pattern
 };
 
@@ -209,7 +208,6 @@ TEST_P(CrashRestoreMatrix, MatchesUninterruptedRunAtEveryOffset) {
 
   EngineOptions options;
   if (param.threads > 0) options.num_shards = param.threads;
-  options.rebalance.enabled = param.rebalance;
 
   EngineStats reference_stats;
   std::vector<Match> reference = RunReference(param.engine, plan, events,
@@ -222,7 +220,6 @@ TEST_P(CrashRestoreMatrix, MatchesUninterruptedRunAtEveryOffset) {
                                              crash_at, options, &stats);
     EXPECT_EQ(NormalizedKeys(reference), NormalizedKeys(got))
         << param.engine << " diverged with crash at " << crash_at;
-    if (param.rebalance) continue;  // migration timing is load-dependent
     ExpectStatsMatch(reference_stats, stats,
                      parallel ? ParallelExclusions()
                               : std::vector<std::string>());
@@ -232,23 +229,20 @@ TEST_P(CrashRestoreMatrix, MatchesUninterruptedRunAtEveryOffset) {
 INSTANTIATE_TEST_SUITE_P(
     Engines, CrashRestoreMatrix,
     ::testing::Values(
-        MatrixCase{"serial", 0, false, false},
-        MatrixCase{"serial", 0, false, true},
-        MatrixCase{"partitioned", 0, false, false},
-        MatrixCase{"partitioned", 0, false, true},
-        MatrixCase{"parallel", 1, false, true},
-        MatrixCase{"parallel", 2, false, false},
-        MatrixCase{"parallel", 2, true, false},
-        MatrixCase{"parallel", 4, false, true},
-        MatrixCase{"parallel", 4, true, true},
-        MatrixCase{"parallel", 8, false, true},
-        MatrixCase{"parallel", 8, true, false}),
+        MatrixCase{"serial", 0, false},
+        MatrixCase{"serial", 0, true},
+        MatrixCase{"partitioned", 0, false},
+        MatrixCase{"partitioned", 0, true},
+        MatrixCase{"parallel", 1, true},
+        MatrixCase{"parallel", 2, false},
+        MatrixCase{"parallel", 4, true},
+        MatrixCase{"parallel", 8, true},
+        MatrixCase{"parallel", 8, false}),
     [](const ::testing::TestParamInfo<MatrixCase>& info) {
       std::string name = info.param.engine;
       if (info.param.threads > 0) {
         name += "_x" + std::to_string(info.param.threads);
       }
-      if (info.param.rebalance) name += "_rebalance";
       name += info.param.group ? "_group" : "_flat";
       return name;
     });
@@ -638,6 +632,21 @@ TEST_F(CheckpointCorruption, FutureSchemaVersionIsInvalidArgument) {
   future[4] = static_cast<char>(storage::kCheckpointVersion + 1);
   Status status = ParseAndRestore(std::move(future));
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+}
+
+TEST_F(CheckpointCorruption, OlderSchemaVersionIsInvalidArgument) {
+  // Payload layouts change between versions: an older file must be refused
+  // up front, not parsed with its fields shifted. Every older version is
+  // checked, and the rejection precedes the file CRC check (the CRC is not
+  // recomputed here).
+  for (uint32_t version = 0; version < storage::kCheckpointVersion;
+       ++version) {
+    std::string older = bytes_;
+    older[4] = static_cast<char>(version);
+    Status status = ParseAndRestore(std::move(older));
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "version " << version << ": " << status.ToString();
+  }
 }
 
 TEST_F(CheckpointCorruption, BadMagicIsInvalidArgument) {

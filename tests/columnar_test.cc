@@ -2,11 +2,10 @@
 // ToEvents(FromEvents(R)) is the identity over fuzzed relations, empty
 // batches, duplicate-heavy string dictionaries, and default-id events;
 // (2) the vectorized §4.5 pre-filter bitmap agrees bit-for-bit with the
-// scalar EventPreFilter; (3) the differential grid of ISSUE acceptance:
-// every engine × thread count × rebalancer × lateness shuffle × a 10-plan
-// catalog produces a byte-identical match set through PushColumnar as
-// through the row-wise PushBatch, with equal observable counters
-// (docs/SEMANTICS.md §11).
+// scalar EventPreFilter; (3) the differential grid: every engine ×
+// thread count × lateness shuffle × a 10-plan catalog produces a
+// byte-identical match set through PushColumnar as through the row-wise
+// PushBatch, with equal observable counters (docs/SEMANTICS.md §11).
 
 #include <gtest/gtest.h>
 
@@ -255,7 +254,7 @@ Signature RunPath(const std::string& engine_name,
   return SignatureOf(std::move(matches));
 }
 
-TEST(ColumnarDifferential, GridOverEnginesThreadsAndRebalancer) {
+TEST(ColumnarDifferential, GridOverEnginesAndThreads) {
   Result<std::shared_ptr<const CompiledPlan>> plan =
       CompilePlan(CompletePattern());
   ASSERT_TRUE(plan.ok());
@@ -268,38 +267,25 @@ TEST(ColumnarDifferential, GridOverEnginesThreadsAndRebalancer) {
        {std::string("serial"), std::string("partitioned"),
         std::string("parallel")}) {
     for (int threads : {1, 2, 4, 8}) {
-      for (bool rebalance : {false, true}) {
-        // The rebalancer is a parallel-engine knob; other engines ignore
-        // it, so run that axis once.
-        if (rebalance && name != "parallel") continue;
-        EngineOptions options;
-        options.num_shards = threads;
-        options.batch_size = 64;
-        if (rebalance) {
-          options.rebalance.enabled = true;
-          options.rebalance.interval_events = 128;
-          options.rebalance.hi_imbalance = 1.2;
-          options.rebalance.lo_imbalance = 1.05;
-        }
-        EngineStats row_stats;
-        EngineStats col_stats;
-        Signature row = RunPath(name, *plan, events, false, options, 256,
-                                &row_stats);
-        Signature col = RunPath(name, *plan, events, true, options, 256,
-                                &col_stats);
-        EXPECT_EQ(row, expected)
-            << name << " row path, threads " << threads;
-        EXPECT_EQ(col, expected)
-            << name << " columnar path, threads " << threads
-            << " rebalance " << rebalance;
-        // Observable counters agree: the bitmap drop is charged to the
-        // same events_filtered the row-wise filter reports.
-        EXPECT_EQ(col_stats.events_pushed, row_stats.events_pushed) << name;
-        EXPECT_EQ(col_stats.events_filtered, row_stats.events_filtered)
-            << name << " threads " << threads << " rebalance " << rebalance;
-        EXPECT_EQ(col_stats.matches_emitted, row_stats.matches_emitted)
-            << name;
-      }
+      EngineOptions options;
+      options.num_shards = threads;
+      options.batch_size = 64;
+      EngineStats row_stats;
+      EngineStats col_stats;
+      Signature row =
+          RunPath(name, *plan, events, false, options, 256, &row_stats);
+      Signature col =
+          RunPath(name, *plan, events, true, options, 256, &col_stats);
+      EXPECT_EQ(row, expected) << name << " row path, threads " << threads;
+      EXPECT_EQ(col, expected)
+          << name << " columnar path, threads " << threads;
+      // Observable counters agree: the bitmap drop is charged to the
+      // same events_filtered the row-wise filter reports.
+      EXPECT_EQ(col_stats.events_pushed, row_stats.events_pushed) << name;
+      EXPECT_EQ(col_stats.events_filtered, row_stats.events_filtered)
+          << name << " threads " << threads;
+      EXPECT_EQ(col_stats.matches_emitted, row_stats.matches_emitted)
+          << name;
     }
   }
 }

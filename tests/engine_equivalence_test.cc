@@ -167,29 +167,14 @@ TEST(EngineEquivalence, DifferentialOverRandomizedWorkloads) {
                   expected)
             << "engine " << name << " seed " << seed << " skew " << skew;
       }
-      // The parallel engine again with adaptive rebalancing on: key
-      // migrations must never change the match set.
-      EngineOptions options;
-      options.num_shards = 4;
-      options.batch_size = 64;
-      options.rebalance.enabled = true;
-      // Aggressive cadence and thresholds so migrations actually fire
-      // within 1200 events.
-      options.rebalance.interval_events = 128;
-      options.rebalance.hi_imbalance = 1.2;
-      options.rebalance.lo_imbalance = 1.05;
-      EXPECT_EQ(NormalizedKeys(RunEngine("parallel", *plan, stream, options)),
-                expected)
-          << "parallel+rebalance seed " << seed << " skew " << skew;
     }
   }
 }
 
 TEST(EngineEquivalence, WithinBoundShufflesAgreeWithInOrderEvaluation) {
   // The bounded-lateness reorder stage must make a stream shuffled within
-  // the bound indistinguishable from the in-order stream: every engine,
-  // with and without the rebalancer, must reproduce in-order serial
-  // evaluation exactly.
+  // the bound indistinguishable from the in-order stream: every engine
+  // must reproduce in-order serial evaluation exactly.
   Pattern pattern = CompletePattern();
   Result<std::shared_ptr<const CompiledPlan>> plan = CompilePlan(pattern);
   ASSERT_TRUE(plan.ok());
@@ -226,17 +211,6 @@ TEST(EngineEquivalence, WithinBoundShufflesAgreeWithInOrderEvaluation) {
               << "engine " << name << " seed " << seed << " skew " << skew
               << " bound " << bound;
         }
-        EngineOptions options;
-        options.lateness_bound = bound;
-        options.num_shards = 4;
-        options.batch_size = 64;
-        options.rebalance.enabled = true;
-        options.rebalance.interval_events = 128;
-        options.rebalance.hi_imbalance = 1.2;
-        options.rebalance.lo_imbalance = 1.05;
-        EXPECT_EQ(run_shuffled("parallel", shuffled, options), expected)
-            << "parallel+rebalance seed " << seed << " skew " << skew
-            << " bound " << bound;
       }
     }
   }

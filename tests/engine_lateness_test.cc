@@ -3,8 +3,8 @@
 // lateness_bound = 0 is an InvalidArgument, never silent corruption), the
 // drop policy's counting, Push-after-Flush semantics, and the central
 // differential proof — a relation shuffled within the bound yields the
-// identical match set as in-order evaluation, for every registered engine,
-// the parallel engine across thread counts, and the rebalancer on top.
+// identical match set as in-order evaluation, for every registered engine
+// and the parallel engine across thread counts.
 
 #include <gtest/gtest.h>
 
@@ -465,9 +465,9 @@ TEST(BoundedLateness, ShuffledStreamsMatchInOrderEvaluationOnEveryEngine) {
   }
 }
 
-TEST(BoundedLateness, ParallelEngineAcrossThreadsAndRebalancer) {
-  // threads {1, 2, 4, 8} × rebalancer on/off, shuffled input vs the serial
-  // engine's in-order match set.
+TEST(BoundedLateness, ParallelEngineAcrossThreads) {
+  // threads {1, 2, 4, 8}, shuffled input vs the serial engine's in-order
+  // match set.
   std::shared_ptr<const CompiledPlan> plan = SharedPlan();
   EventRelation stream = KeyedStream(/*seed=*/22, /*partitions=*/16,
                                      /*events=*/800, /*skew=*/0.8);
@@ -487,25 +487,20 @@ TEST(BoundedLateness, ParallelEngineAcrossThreadsAndRebalancer) {
   std::vector<Event> shuffled =
       ShuffleWithinBound(stream.events(), bound, /*seed=*/99);
   for (int threads : {1, 2, 4, 8}) {
-    for (bool rebalance : {false, true}) {
-      EngineOptions options;
-      options.lateness_bound = bound;
-      options.num_shards = threads;
-      options.batch_size = 64;
-      options.rebalance.enabled = rebalance;
-      options.rebalance.interval_events = 64;
-      std::vector<Match> matches;
-      Result<std::unique_ptr<Engine>> engine =
-          MakeEngine("parallel", plan, &matches, std::move(options));
-      ASSERT_TRUE(engine.ok());
-      ASSERT_TRUE(
-          (*engine)->PushBatch(std::span<const Event>(shuffled)).ok())
-          << "threads " << threads << " rebalance " << rebalance;
-      ASSERT_TRUE((*engine)->Flush().ok());
-      EXPECT_EQ(NormalizedKeys(std::move(matches)), expected)
-          << "threads " << threads << " rebalance " << rebalance;
-      EXPECT_EQ((*engine)->stats().events_late, 0);
-    }
+    EngineOptions options;
+    options.lateness_bound = bound;
+    options.num_shards = threads;
+    options.batch_size = 64;
+    std::vector<Match> matches;
+    Result<std::unique_ptr<Engine>> engine =
+        MakeEngine("parallel", plan, &matches, std::move(options));
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->PushBatch(std::span<const Event>(shuffled)).ok())
+        << "threads " << threads;
+    ASSERT_TRUE((*engine)->Flush().ok());
+    EXPECT_EQ(NormalizedKeys(std::move(matches)), expected)
+        << "threads " << threads;
+    EXPECT_EQ((*engine)->stats().events_late, 0);
   }
 }
 

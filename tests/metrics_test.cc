@@ -15,50 +15,6 @@ namespace {
 
 using ::ses::workload::ChemotherapySchema;
 
-TEST(Metrics, CounterAccumulates) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0);
-  c.Increment();
-  c.Increment(5);
-  EXPECT_EQ(c.value(), 6);
-  c.Reset();
-  EXPECT_EQ(c.value(), 0);
-}
-
-TEST(Metrics, MaxGaugeTracksMaximum) {
-  MaxGauge g;
-  g.Observe(5);
-  g.Observe(12);
-  g.Observe(3);
-  EXPECT_EQ(g.current(), 3);
-  EXPECT_EQ(g.max(), 12);
-  g.Reset();
-  EXPECT_EQ(g.max(), 0);
-}
-
-TEST(Metrics, EwmaGaugeSmoothsSamples) {
-  EwmaGauge g(/*alpha=*/0.5);
-  EXPECT_EQ(g.value(), 0.0);
-  EXPECT_EQ(g.samples(), 0);
-  g.Observe(10);  // first sample seeds the average
-  EXPECT_DOUBLE_EQ(g.value(), 10.0);
-  g.Observe(20);
-  EXPECT_DOUBLE_EQ(g.value(), 15.0);
-  g.Observe(0);
-  EXPECT_DOUBLE_EQ(g.value(), 7.5);
-  EXPECT_EQ(g.samples(), 3);
-  g.Reset();
-  EXPECT_EQ(g.value(), 0.0);
-  EXPECT_EQ(g.samples(), 0);
-}
-
-TEST(Metrics, EwmaGaugeAlphaOneTracksLastSample) {
-  EwmaGauge g(/*alpha=*/1.0);
-  g.Observe(3);
-  g.Observe(42);
-  EXPECT_DOUBLE_EQ(g.value(), 42.0);
-}
-
 TEST(Metrics, AtomicCounterAccumulatesAcrossThreads) {
   AtomicCounter c;
   c.Increment(2);
@@ -103,19 +59,6 @@ TEST(Metrics, StopwatchMeasuresElapsedTime) {
   EXPECT_GE(watch.ElapsedNanos(), 0);
   watch.Restart();
   EXPECT_GE(watch.ElapsedSeconds(), 0.0);
-}
-
-TEST(Metrics, RegistryNamesAndDump) {
-  MetricRegistry registry;
-  registry.counter("events").Increment(3);
-  registry.gauge("instances").Observe(7);
-  EXPECT_EQ(registry.counter("events").value(), 3);
-  EXPECT_EQ(registry.gauge("instances").max(), 7);
-  std::string dump = registry.ToString();
-  EXPECT_NE(dump.find("events = 3"), std::string::npos);
-  EXPECT_NE(dump.find("instances = 7 (max 7)"), std::string::npos);
-  registry.Reset();
-  EXPECT_EQ(registry.counter("events").value(), 0);
 }
 
 Event MakeEvent(const std::string& type) {

@@ -421,15 +421,6 @@ TEST(PayloadCodec, StatsRoundTripsEveryField) {
   plan.engine.events_reordered = 28;
   plan.engine.events_late = 29;
   plan.engine.max_reorder_buffered = 30;
-  plan.engine.rebalancer.rounds = 31;
-  plan.engine.rebalancer.rebalances = 32;
-  plan.engine.rebalancer.keys_migrated = 33;
-  plan.engine.rebalancer.overrides_active = 34;
-  plan.engine.rebalancer.keys_tracked = 35;
-  plan.engine.rebalancer.migrating_rounds = 36;
-  plan.engine.rebalancer.hot_key_rounds = 37;
-  plan.engine.rebalancer.cooldown_blocked = 38;
-  plan.engine.rebalancer.moves_rejected = 39;
   stats.plans.push_back(plan);
 
   Result<StatsResponse> decoded = StatsResponse::Decode(stats.Encode());
@@ -467,15 +458,6 @@ TEST(PayloadCodec, StatsRoundTripsEveryField) {
   EXPECT_EQ(got.engine.events_reordered, 28);
   EXPECT_EQ(got.engine.events_late, 29);
   EXPECT_EQ(got.engine.max_reorder_buffered, 30);
-  EXPECT_EQ(got.engine.rebalancer.rounds, 31);
-  EXPECT_EQ(got.engine.rebalancer.rebalances, 32);
-  EXPECT_EQ(got.engine.rebalancer.keys_migrated, 33);
-  EXPECT_EQ(got.engine.rebalancer.overrides_active, 34);
-  EXPECT_EQ(got.engine.rebalancer.keys_tracked, 35);
-  EXPECT_EQ(got.engine.rebalancer.migrating_rounds, 36);
-  EXPECT_EQ(got.engine.rebalancer.hot_key_rounds, 37);
-  EXPECT_EQ(got.engine.rebalancer.cooldown_blocked, 38);
-  EXPECT_EQ(got.engine.rebalancer.moves_rejected, 39);
 }
 
 TEST(PayloadCodec, EveryPayloadTruncationFailsCleanly) {

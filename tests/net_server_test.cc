@@ -10,12 +10,14 @@
 // disconnects free plans and pending matches, a full ingest queue answers
 // Busy without dropping admitted slabs, idle connections are torn down on
 // the injected clock, corrupt frames get a typed Error and a clean close
-// without hurting other connections, and the Stats packet carries
-// field-for-field parity with the in-process engine.
+// without hurting other connections, Stop() returns without waiting out
+// a poll slice, and the Stats packet carries field-for-field parity with
+// the in-process engine.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <semaphore>
@@ -371,6 +373,17 @@ TEST(ServerLifecycle, IdleConnectionIsTornDownOnFakeClock) {
   EXPECT_EQ(server->num_connections(), 0u);
   EXPECT_EQ(server->num_plans(), 0u);
   server->Stop();
+}
+
+TEST(ServerLifecycle, StopDoesNotWaitOutThePollSlice) {
+  std::unique_ptr<net::Server> server = StartServer({});
+  // Let the accept loop settle into its poll slice (25 ms) first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  auto start = std::chrono::steady_clock::now();
+  server->Stop();
+  auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(10))
+      << std::chrono::duration<double, std::milli>(elapsed).count() << " ms";
 }
 
 TEST(ServerLifecycle, CorruptFrameGetsTypedErrorAndCleanClose) {

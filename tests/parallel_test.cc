@@ -1,15 +1,20 @@
 // Tests for the sharded parallel partitioned runtime (exec/): exact
 // equivalence with serial partitioned and global execution across shard
 // counts, deterministic merge order, window-based partition eviction, the
-// compile-once guarantee, Reset-based reuse, and the BatchQueue primitive.
+// compile-once guarantee, Reset-based reuse, batched ingest (PushBatch /
+// RunRelation) with byte-identical output on skewed (Zipf) and churning
+// key distributions, and the BatchQueue primitive with its slab push.
+// Runs under ThreadSanitizer in CI.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <optional>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "core/automaton_builder.h"
 #include "core/partitioned.h"
 #include "exec/batch_queue.h"
@@ -42,10 +47,13 @@ Pattern CompletePattern(const char* window = "5h") {
       std::string(window));
 }
 
-EventRelation KeyedStream(uint64_t seed, int partitions, int64_t events) {
+/// `skew` is the Zipf exponent of the key draw (0 = uniform).
+EventRelation KeyedStream(uint64_t seed, int partitions, int64_t events,
+                          double skew = 0.0) {
   workload::StreamOptions options;
   options.num_events = events;
   options.num_partitions = partitions;
+  options.key_skew = skew;
   options.type_weights = {{"A", 1}, {"B", 1}, {"X", 1}, {"N", 1}};
   options.min_gap = duration::Minutes(1);
   options.max_gap = duration::Minutes(10);
@@ -53,14 +61,21 @@ EventRelation KeyedStream(uint64_t seed, int partitions, int64_t events) {
   return workload::GenerateStream(options);
 }
 
-/// Order-normalized identity: the sorted sequence of substitution keys.
-std::vector<std::vector<std::pair<VariableId, EventId>>> NormalizedKeys(
-    std::vector<Match> matches) {
-  SortMatches(&matches);
+/// The emitted order itself (no re-sorting): byte-identical output means
+/// this sequence matches the sorted serial result exactly.
+std::vector<std::vector<std::pair<VariableId, EventId>>> EmittedKeys(
+    const std::vector<Match>& matches) {
   std::vector<std::vector<std::pair<VariableId, EventId>>> keys;
   keys.reserve(matches.size());
   for (const Match& match : matches) keys.push_back(match.SubstitutionKey());
   return keys;
+}
+
+/// Order-normalized identity: the sorted sequence of substitution keys.
+std::vector<std::vector<std::pair<VariableId, EventId>>> NormalizedKeys(
+    std::vector<Match> matches) {
+  SortMatches(&matches);
+  return EmittedKeys(matches);
 }
 
 TEST(ParallelPartitioned, EquivalentAcrossShardCountsOnHighCardinality) {
@@ -103,20 +118,13 @@ TEST(ParallelPartitioned, MergeOrderIsDeterministicAndSorted) {
   ASSERT_TRUE(first.ok());
   ASSERT_FALSE(first->empty());
   // The emitted order must already be the canonical SortMatches order...
-  std::vector<Match> sorted = *first;
-  SortMatches(&sorted);
-  auto as_keys = [](const std::vector<Match>& matches) {
-    std::vector<std::vector<std::pair<VariableId, EventId>>> keys;
-    for (const Match& m : matches) keys.push_back(m.SubstitutionKey());
-    return keys;
-  };
-  EXPECT_EQ(as_keys(*first), as_keys(sorted));
+  EXPECT_EQ(EmittedKeys(*first), NormalizedKeys(*first));
   // ...and identical run to run despite worker scheduling.
   for (int run = 0; run < 3; ++run) {
     Result<std::vector<Match>> again =
         ParallelPartitionedMatchRelation(pattern, stream, -1, options);
     ASSERT_TRUE(again.ok());
-    EXPECT_EQ(as_keys(*first), as_keys(*again)) << "run " << run;
+    EXPECT_EQ(EmittedKeys(*first), EmittedKeys(*again)) << "run " << run;
   }
 }
 
@@ -255,6 +263,169 @@ TEST(ParallelPartitioned, CreateValidatesArguments) {
   EXPECT_EQ(clamped->num_shards(), 1);
 }
 
+TEST(BatchedIngest, SkewEquivalenceAcrossThreadCounts) {
+  Pattern pattern = CompletePattern();
+  for (double skew : {0.0, 1.2}) {
+    EventRelation stream = KeyedStream(/*seed=*/21, 64, 2000, skew);
+    Result<std::vector<Match>> serial = MatchRelation(pattern, stream);
+    ASSERT_TRUE(serial.ok());
+    SortMatches(&*serial);
+    auto expected = EmittedKeys(*serial);
+
+    for (int threads : {1, 2, 4, 8}) {
+      ParallelOptions options;
+      options.num_shards = threads;
+      options.batch_size = 32;
+      Result<ParallelPartitionedMatcher> matcher =
+          ParallelPartitionedMatcher::Create(pattern, /*attribute=*/0,
+                                             options);
+      ASSERT_TRUE(matcher.ok());
+      ASSERT_TRUE(
+          matcher->PushBatch(std::span<const Event>(stream.events())).ok());
+      std::vector<Match> matches;
+      ASSERT_TRUE(matcher->Flush(&matches).ok());
+      // Byte-identical emitted order, independent of shard count and of
+      // how unevenly the hot keys load the shards.
+      EXPECT_EQ(EmittedKeys(matches), expected)
+          << "skew " << skew << " threads " << threads;
+    }
+  }
+}
+
+/// Stream whose working key set turns over completely every phase: phase p
+/// draws keys Zipf-skewed from [p*churn+1, p*churn+live], so keys are born
+/// hot, cool off within one phase, and slip past the pattern window (and
+/// out of residence by eviction) while the stream keeps flowing.
+EventRelation ChurnStream(uint64_t seed, int phases, int live, int churn,
+                          int64_t events_per_phase) {
+  EventRelation stream(ChemotherapySchema());
+  Random random(seed);
+  ZipfDistribution zipf(live, /*s=*/1.2);
+  const char* types[] = {"A", "B", "X", "N"};
+  Timestamp t = 0;
+  for (int p = 0; p < phases; ++p) {
+    int64_t base = static_cast<int64_t>(p) * churn;
+    for (int64_t i = 0; i < events_per_phase; ++i) {
+      t += duration::Minutes(random.UniformInt(1, 5));
+      int64_t key = base + zipf.Sample(random);
+      stream.AppendUnchecked(
+          t, {Value(key), Value(std::string(types[random.Index(4)])),
+              Value(static_cast<double>(random.UniformInt(0, 99))),
+              Value(std::string("u"))});
+    }
+  }
+  return stream;
+}
+
+TEST(BatchedIngest, ChurnStressEquivalenceAcrossThreads) {
+  Pattern pattern = CompletePattern();
+  // 8 full key-set turnovers; each phase spans ~450 simulated minutes, so
+  // the previous phase's keys pass the 5h idleness horizon mid-phase.
+  EventRelation stream = ChurnStream(/*seed=*/77, /*phases=*/8, /*live=*/12,
+                                     /*churn=*/12, /*events_per_phase=*/150);
+  Result<std::vector<Match>> serial = MatchRelation(pattern, stream);
+  ASSERT_TRUE(serial.ok());
+  SortMatches(&*serial);
+  auto expected = EmittedKeys(*serial);
+
+  for (int threads : {2, 4, 8}) {
+    ParallelOptions options;
+    options.num_shards = threads;
+    options.batch_size = 16;
+    Result<ParallelPartitionedMatcher> matcher =
+        ParallelPartitionedMatcher::Create(pattern, /*attribute=*/0, options);
+    ASSERT_TRUE(matcher.ok());
+    ASSERT_TRUE(
+        matcher->PushBatch(std::span<const Event>(stream.events())).ok());
+    std::vector<Match> matches;
+    ASSERT_TRUE(matcher->Flush(&matches).ok());
+    // Byte-identical output no matter how many keys churned through
+    // creation and eviction along the way.
+    EXPECT_EQ(EmittedKeys(matches), expected) << "threads " << threads;
+  }
+}
+
+TEST(BatchedIngest, PushBatchMatchesPerEventPush) {
+  Pattern pattern = CompletePattern();
+  EventRelation stream = KeyedStream(/*seed=*/7, 32, 1200, /*skew=*/1.0);
+  ParallelOptions options;
+  options.num_shards = 4;
+  options.batch_size = 16;
+
+  Result<ParallelPartitionedMatcher> per_event =
+      ParallelPartitionedMatcher::Create(pattern, 0, options);
+  ASSERT_TRUE(per_event.ok());
+  for (const Event& e : stream) ASSERT_TRUE(per_event->Push(e).ok());
+  std::vector<Match> expected;
+  ASSERT_TRUE(per_event->Flush(&expected).ok());
+
+  // Whole relation in one span, and again in mixed spans + single pushes.
+  Result<ParallelPartitionedMatcher> batched =
+      ParallelPartitionedMatcher::Create(pattern, 0, options);
+  ASSERT_TRUE(batched.ok());
+  ASSERT_TRUE(
+      batched->PushBatch(std::span<const Event>(stream.events())).ok());
+  std::vector<Match> got;
+  ASSERT_TRUE(batched->Flush(&got).ok());
+  EXPECT_EQ(EmittedKeys(got), EmittedKeys(expected));
+
+  Result<ParallelPartitionedMatcher> mixed =
+      ParallelPartitionedMatcher::Create(pattern, 0, options);
+  ASSERT_TRUE(mixed.ok());
+  std::span<const Event> all(stream.events());
+  size_t third = all.size() / 3;
+  ASSERT_TRUE(mixed->PushBatch(all.subspan(0, third)).ok());
+  for (const Event& e : all.subspan(third, third)) {
+    ASSERT_TRUE(mixed->Push(e).ok());
+  }
+  ASSERT_TRUE(mixed->PushBatch(all.subspan(2 * third)).ok());
+  std::vector<Match> mixed_matches;
+  ASSERT_TRUE(mixed->Flush(&mixed_matches).ok());
+  EXPECT_EQ(EmittedKeys(mixed_matches), EmittedKeys(expected));
+}
+
+TEST(BatchedIngest, RunRelationValidatesAndFeedsTheWholeRelation) {
+  Pattern pattern = CompletePattern();
+  EventRelation stream = KeyedStream(/*seed=*/13, 24, 900);
+  ParallelOptions options;
+  options.num_shards = 2;
+  options.batch_size = 8;
+  Result<ParallelPartitionedMatcher> matcher =
+      ParallelPartitionedMatcher::Create(pattern, 0, options);
+  ASSERT_TRUE(matcher.ok());
+  ASSERT_TRUE(matcher->RunRelation(stream).ok());
+  std::vector<Match> got;
+  ASSERT_TRUE(matcher->Flush(&got).ok());
+  EXPECT_EQ(matcher->stats().events_ingested,
+            static_cast<int64_t>(stream.size()));
+
+  Result<std::vector<Match>> serial = MatchRelation(pattern, stream);
+  ASSERT_TRUE(serial.ok());
+  SortMatches(&*serial);
+  EXPECT_EQ(EmittedKeys(got), EmittedKeys(*serial));
+}
+
+TEST(BatchedIngest, PushBatchRejectsNonIncreasingTimestamps) {
+  Pattern pattern = CompletePattern();
+  EventRelation stream(ChemotherapySchema());
+  auto add = [&stream](Timestamp t) {
+    stream.AppendUnchecked(
+        t, {Value(int64_t{1}), Value(std::string("A")), Value(0.0),
+            Value(std::string("u"))});
+  };
+  add(10);
+  add(20);
+  ParallelOptions options;
+  options.num_shards = 2;
+  Result<ParallelPartitionedMatcher> matcher =
+      ParallelPartitionedMatcher::Create(pattern, 0, options);
+  ASSERT_TRUE(matcher.ok());
+  ASSERT_TRUE(matcher->PushBatch(std::span<const Event>(stream.events())).ok());
+  // Replaying the same span violates the cross-call watermark.
+  EXPECT_EQ(matcher->PushBatch(std::span<const Event>(stream.events())).code(),
+            StatusCode::kFailedPrecondition);
+}
+
 TEST(BatchQueue, FifoAndDepth) {
   BatchQueue queue(/*capacity=*/4);
   for (int i = 0; i < 3; ++i) {
@@ -277,6 +448,38 @@ TEST(BatchQueue, BoundedPushBlocksUntilPop) {
   EXPECT_EQ(queue.Pop()->watermark, 1);
   EXPECT_EQ(queue.Pop()->watermark, 2);
   producer.join();
+}
+
+TEST(BatchQueueSlab, PushAllPreservesFifoOrder) {
+  BatchQueue queue(/*capacity=*/8);
+  std::vector<EventBatch> slab;
+  for (int i = 0; i < 5; ++i) {
+    EventBatch batch;
+    batch.watermark = i;
+    slab.push_back(std::move(batch));
+  }
+  queue.PushAll(std::move(slab));
+  EXPECT_EQ(queue.depth(), 5u);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(queue.Pop()->watermark, i);
+  }
+}
+
+TEST(BatchQueueSlab, SlabLargerThanCapacityIsAdmittedInChunks) {
+  BatchQueue queue(/*capacity=*/2);
+  std::vector<EventBatch> slab;
+  for (int i = 0; i < 7; ++i) {
+    EventBatch batch;
+    batch.watermark = i;
+    slab.push_back(std::move(batch));
+  }
+  std::thread producer(
+      [&queue, &slab]() mutable { queue.PushAll(std::move(slab)); });
+  for (int i = 0; i < 7; ++i) {
+    EXPECT_EQ(queue.Pop()->watermark, i);
+  }
+  producer.join();
+  EXPECT_EQ(queue.depth(), 0u);
 }
 
 TEST(BatchQueueClose, WakesABlockedConsumer) {

@@ -238,7 +238,8 @@ TEST(GenericGenerator, KeySkewProducesAHotKey) {
     ++counts[static_cast<size_t>(id)];
   }
   // Zipf(32, 1.2): key 1 draws ~24% of all events — far above the uniform
-  // 1/32 ≈ 3%. That is the hot-spot regime the shard rebalancer targets.
+  // 1/32 ≈ 3%: one hot key that loads its parallel shard far above the
+  // others.
   EXPECT_GT(counts[1], 4000 / 8);
   // A uniform stream with the same seed has no such concentration.
   StreamOptions uniform = options;
