@@ -1,16 +1,20 @@
 // Catalog scale sweep: how multi-pattern evaluation behaves as the number
 // of registered plans grows. For each catalog size N in {1, 10, 100, 500}
-// the same stream runs through three equivalent evaluators:
+// the same stream runs through four equivalent evaluators:
 //
-//   independent  N standalone serial engines, each fed the full stream —
-//                the baseline a deployment without src/catalog/ would run;
-//   shared       CatalogEngine with the shared type index and the shared
-//                sec. 4.5 pre-filter bitmap on (the default);
-//   noshare      CatalogEngine with both shared-work structures off — one
-//                pass, but every plan sees every event.
+//   independent     N standalone serial engines, each fed the full stream —
+//                   the baseline a deployment without src/catalog/ would
+//                   run;
+//   shared          CatalogEngine with the shared type index and the shared
+//                   sec. 4.5 pre-filter bitmap on (the default);
+//   noshare         CatalogEngine with both shared-work structures off —
+//                   one pass, but every plan sees every event;
+//   shared-columnar the shared catalog fed through PushColumnar in
+//                   1024-row ColumnarBatch slabs (built outside the timer),
+//                   the layout ses_server's columnar clients send.
 //
-// All three deliver byte-identical per-plan match sets (docs/SEMANTICS.md
-// section 10); the bench checks the total match count agrees and reports
+// All four deliver byte-identical per-plan match sets (docs/SEMANTICS.md
+// sections 10-11); the bench checks the total match count agrees and reports
 // wall time, events/sec, and the index-skip ratio (the fraction of
 // (event, plan) pairs the type index routed away before any per-plan
 // work). With --json the report lands in the BENCH_catalog.json schema
@@ -21,6 +25,7 @@
 // stream alphabet, joined on ID — so every stream type interests about
 // 2N/26 plans and the index-skip ratio approaches 1 - 2/26 as N grows.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -30,6 +35,7 @@
 #include "catalog/catalog_engine.h"
 #include "catalog/query_catalog.h"
 #include "engine/registry.h"
+#include "event/columnar.h"
 #include "plan/compiled_plan.h"
 #include "query/pattern_builder.h"
 #include "workload/generic_generator.h"
@@ -40,6 +46,9 @@ using namespace ses;
 using namespace ses::bench;
 
 constexpr int kAlphabet = 26;
+
+/// Rows per ColumnarBatch slab in the shared-columnar arm.
+constexpr size_t kSlabRows = 1024;
 
 std::string TypeName(int i) {
   return std::string(1, static_cast<char>('A' + (i % kAlphabet)));
@@ -132,11 +141,32 @@ struct CatalogFleet {
     SES_CHECK(engine->PushBatch(events).ok());
     SES_CHECK(engine->Flush().ok());
   }
+
+  void RunColumnar(std::span<const ColumnarBatch> slabs) {
+    matches = 0;
+    engine->Reset();
+    for (const ColumnarBatch& slab : slabs) {
+      SES_CHECK(engine->PushColumnar(slab).ok());
+    }
+    SES_CHECK(engine->Flush().ok());
+  }
 };
+
+/// The stream cut into kSlabRows-row columnar slabs.
+std::vector<ColumnarBatch> ColumnarSlabs(const EventRelation& stream) {
+  const ColumnarBatch whole =
+      ColumnarBatch::FromEvents(stream.schema(), stream.events());
+  std::vector<ColumnarBatch> slabs;
+  for (size_t begin = 0; begin < whole.size(); begin += kSlabRows) {
+    slabs.push_back(
+        whole.Slice(begin, std::min(kSlabRows, whole.size() - begin)));
+  }
+  return slabs;
+}
 
 void PrintRow(const char* mode, const CaseResult& result, int64_t matches,
               double skip_ratio) {
-  std::printf("%-12s %12.4f %14.0f %10lld %12.3f\n", mode,
+  std::printf("%-16s %12.4f %14.0f %10lld %12.3f\n", mode,
               result.wall_seconds.mean, result.events_per_sec,
               static_cast<long long>(matches), skip_ratio);
 }
@@ -146,6 +176,7 @@ void SweepCatalogSizes(const Harness& harness, int64_t events,
                        BenchReport* report) {
   EventRelation stream = MakeStream(events, /*seed=*/41);
   std::span<const Event> span(stream.events());
+  const std::vector<ColumnarBatch> slabs = ColumnarSlabs(stream);
 
   for (int num_plans : plan_counts) {
     std::vector<std::shared_ptr<const plan::CompiledPlan>> plans;
@@ -154,7 +185,7 @@ void SweepCatalogSizes(const Harness& harness, int64_t events,
 
     std::printf("\nN = %d plan(s), %lld events, 26-type alphabet\n",
                 num_plans, static_cast<long long>(events));
-    std::printf("%-12s %12s %14s %10s %12s\n", "mode", "wall [s]",
+    std::printf("%-16s %12s %14s %10s %12s\n", "mode", "wall [s]",
                 "events/s", "matches", "skip ratio");
     const std::string prefix = "plans" + std::to_string(num_plans) + "/";
 
@@ -169,12 +200,24 @@ void SweepCatalogSizes(const Harness& harness, int64_t events,
     PrintRow("independent", independent_result, expected_matches, 0.0);
     report->Add(std::move(independent_result));
 
-    for (bool shared : {true, false}) {
-      CatalogFleet fleet(plans, shared);
+    // The catalog arms: name, shared work on, columnar slabs.
+    struct Arm {
+      const char* name;
+      bool shared;
+      bool columnar;
+    };
+    for (const Arm& arm : {Arm{"shared", true, false},
+                           Arm{"noshare", false, false},
+                           Arm{"shared-columnar", true, true}}) {
+      CatalogFleet fleet(plans, arm.shared);
       CaseResult result = harness.Run(
-          prefix + (shared ? "shared" : "noshare"),
-          static_cast<int64_t>(span.size()), [&](CaseRun& run) {
-            fleet.RunOnce(span);
+          prefix + arm.name, static_cast<int64_t>(span.size()),
+          [&](CaseRun& run) {
+            if (arm.columnar) {
+              fleet.RunColumnar(slabs);
+            } else {
+              fleet.RunOnce(span);
+            }
             catalog::CatalogStats stats = fleet.engine->stats();
             run.SetCounter("matches", fleet.matches, /*exact=*/true);
             run.SetCounter("events_considered", stats.events_considered,
@@ -186,16 +229,15 @@ void SweepCatalogSizes(const Harness& harness, int64_t events,
                            /*exact=*/true);
           });
       SES_CHECK(fleet.matches == expected_matches)
-          << "catalog (" << (shared ? "shared" : "noshare") << ", N="
-          << num_plans << ") delivered " << fleet.matches << " matches, "
-          << "independent engines delivered " << expected_matches;
+          << "catalog (" << arm.name << ", N=" << num_plans << ") delivered "
+          << fleet.matches << " matches, independent engines delivered "
+          << expected_matches;
       catalog::CatalogStats stats = fleet.engine->stats();
       const double pairs =
           static_cast<double>(stats.events_pushed) * num_plans;
       const double skip_ratio =
           pairs > 0 ? stats.events_skipped_by_index / pairs : 0.0;
-      PrintRow(shared ? "shared" : "noshare", result, fleet.matches,
-               skip_ratio);
+      PrintRow(arm.name, result, fleet.matches, skip_ratio);
       report->Add(std::move(result));
     }
   }
@@ -214,9 +256,10 @@ int main(int argc, char** argv) {
   BenchReport report("catalog");
   SweepCatalogSizes(harness, events, plan_counts, &report);
   std::printf(
-      "\nAll three modes delivered identical match counts per N; 'shared' "
+      "\nAll four modes delivered identical match counts per N; 'shared' "
       "vs 'independent' is the cost of src/catalog/'s one-pass shared-work "
-      "evaluation, 'noshare' isolates the routing win.\n");
+      "evaluation, 'noshare' isolates the routing win, 'shared-columnar' "
+      "is the same catalog fed columnar slabs.\n");
   MaybeWriteReport(args, report);
   return 0;
 }

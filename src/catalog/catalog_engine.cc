@@ -186,9 +186,10 @@ Status CatalogEngine::PushColumnar(const ColumnarBatch& batch) {
       }
       ++runtime.events_considered;
       // First interested passing plan pays the row materialization; the
-      // other plans of this row reuse it.
+      // other plans of this row reuse it. The row is shared, so every plan
+      // that binds it keeps the same values instead of copying them.
       if (!materialized) {
-        row_event = batch.RowEvent(row);
+        row_event = batch.RowEvent(row).Shared();
         materialized = true;
       }
       if (Status status = runtime.engine->Push(row_event); !status.ok()) {

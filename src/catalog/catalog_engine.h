@@ -138,9 +138,10 @@ class CatalogEngine {
   /// instead of per event, and the type-index lookup is resolved per
   /// dictionary code for STRING routing attributes. Each surviving row is
   /// materialized at most once — lazily, on its first interested passing
-  /// plan — and offered to the per-plan engines in the same order as
-  /// PushBatch over the same events, so every plan's match set and
-  /// counters are unchanged (docs/SEMANTICS.md §11).
+  /// plan — as a shared event (Event::Shared()), so every plan that binds
+  /// it holds the same values block. Rows are offered to the per-plan
+  /// engines in the same order as PushBatch over the same events, so every
+  /// plan's match set and counters are unchanged (docs/SEMANTICS.md §11).
   Status PushColumnar(const ColumnarBatch& batch);
 
   /// End-of-stream barrier: flushes every per-plan engine (delivering all

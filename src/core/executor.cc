@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <optional>
 #include <utility>
 
 #include "storage/checkpoint.h"
@@ -52,7 +53,7 @@ void SesExecutor::Consume(const Event& event, std::vector<Match>* out) {
 
   // Lines 5-15: every instance consumes the event in place (see the class
   // comment); branches still waiting at the end follow the last slot.
-  std::shared_ptr<const Event> bound;
+  std::optional<Event> bound;
   const size_t end = instances_.size();
   write_ = head_;
   for (size_t read = head_; read < end; ++read) {
@@ -105,7 +106,7 @@ void SesExecutor::ExpireUpTo(Timestamp now, std::vector<Match>* out) {
 }
 
 void SesExecutor::StepInstance(size_t read, const Event& event,
-                               std::shared_ptr<const Event>* bound) {
+                               std::optional<Event>* bound) {
   const AutomatonInstance& instance = instances_[read];
   const std::vector<Transition>& outgoing =
       automaton_->outgoing(instance.state);
@@ -130,12 +131,10 @@ void SesExecutor::StepInstance(size_t read, const Event& event,
 }
 
 void SesExecutor::Branch(size_t read, size_t first, const Event& event,
-                         std::shared_ptr<const Event>* bound) {
+                         std::optional<Event>* bound) {
   // The instance leaves its slot: its branches refill Ω′ from there.
   const AutomatonInstance source = std::move(instances_[read]);
-  if (*bound == nullptr) {
-    *bound = std::make_shared<const Event>(event.Shared());
-  }
+  if (!bound->has_value()) bound->emplace(event.Shared());
   const std::vector<Transition>& outgoing = automaton_->outgoing(source.state);
   for (size_t t = first; t < outgoing.size(); ++t) {
     const Transition& transition = outgoing[t];
@@ -147,7 +146,7 @@ void SesExecutor::Branch(size_t read, size_t first, const Event& event,
     ++stats_.instances_created;
     AutomatonInstance& branched = Place(
         AutomatonInstance{transition.to,
-                          source.buffer.Extend(transition.variable, *bound)},
+                          source.buffer.Extend(transition.variable, **bound)},
         read + 1);
     if (observer_ != nullptr) {
       observer_->OnTransition(source, transition, event, branched);
@@ -326,7 +325,7 @@ Status SesExecutor::Restore(const char** p, const char* limit) {
         return s;
       }
       buffer = buffer.Extend(static_cast<VariableId>(variable),
-                             std::make_shared<const Event>(event.Shared()));
+                             std::move(event).Shared());
     }
     // Expiry by head cursor relies on Ω's invariant: every instance holds a
     // binding, in first-binding order.

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -116,15 +117,15 @@ class SesExecutor {
   /// Algorithm 2 for the instance in slot `read`: a firing transition
   /// replaces it by its branches, a non-firing event leaves it unchanged
   /// unless it still sits in the start state. `bound` is the event's shared
-  /// node, made when a transition first binds the event.
+  /// copy (Event::Shared()), made when a transition first binds the event.
   void StepInstance(size_t read, const Event& event,
-                    std::shared_ptr<const Event>* bound);
+                    std::optional<Event>* bound);
 
   /// Moves the instance out of slot `read` and appends to Ω′ one branch per
   /// firing transition, from outgoing transition `first` (already known to
   /// fire) on.
   void Branch(size_t read, size_t first, const Event& event,
-              std::shared_ptr<const Event>* bound);
+              std::optional<Event>* bound);
 
   /// Appends `instance` to Ω′ and returns where it landed: the next free
   /// slot below `free_end`, or the side buffer once no slot is free or

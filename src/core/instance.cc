@@ -4,16 +4,11 @@
 
 namespace ses {
 
-MatchBuffer MatchBuffer::Extend(VariableId variable,
-                                std::shared_ptr<const Event> event) const {
+MatchBuffer MatchBuffer::Extend(VariableId variable, Event event) const {
   MatchBuffer extended;
-  auto node = std::make_shared<Node>();
-  node->parent = head_;
-  node->variable = variable;
-  node->event = std::move(event);
-  extended.min_timestamp_ =
-      empty() ? node->event->timestamp() : min_timestamp_;
-  extended.head_ = std::move(node);
+  extended.min_timestamp_ = empty() ? event.timestamp() : min_timestamp_;
+  extended.head_ =
+      std::make_shared<const Node>(Node{head_, variable, std::move(event)});
   extended.size_ = size_ + 1;
   return extended;
 }

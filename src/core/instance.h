@@ -19,8 +19,9 @@ using StateId = int;
 /// Buffers are immutable persistent lists: Extend() shares the existing
 /// nodes, so branching an instance on nondeterminism (Algorithm 2, line 5)
 /// costs O(1) and memory is shared across all instances that descend from a
-/// common prefix. Events are shared via shared_ptr because in streaming use
-/// the caller's Event goes away after Push().
+/// common prefix. A node holds its bound event by value; the executor binds
+/// only shared events (Event::Shared()), so a node copies the values
+/// pointer, never the values, and one binding costs one allocation.
 class MatchBuffer {
  public:
   /// The empty buffer.
@@ -32,16 +33,16 @@ class MatchBuffer {
   /// Timestamp of the earliest (== first-added) binding. Requires !empty().
   Timestamp min_timestamp() const { return min_timestamp_; }
 
-  /// Returns a buffer with the binding `variable`/`event` appended.
-  MatchBuffer Extend(VariableId variable,
-                     std::shared_ptr<const Event> event) const;
+  /// Returns a buffer with the binding `variable`/`event` appended. Pass a
+  /// shared event: an owned one would have its values copied into the node.
+  MatchBuffer Extend(VariableId variable, Event event) const;
 
   /// Invokes fn(VariableId, const Event&) for each binding, newest first.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const Node* node = head_.get(); node != nullptr;
          node = node->parent.get()) {
-      fn(node->variable, *node->event);
+      fn(node->variable, node->event);
     }
   }
 
@@ -52,7 +53,7 @@ class MatchBuffer {
   struct Node {
     std::shared_ptr<const Node> parent;
     VariableId variable;
-    std::shared_ptr<const Event> event;
+    Event event;
   };
 
   std::shared_ptr<const Node> head_;

@@ -4,11 +4,20 @@
 
 namespace ses {
 
-Event Event::Shared() const {
+Event Event::Shared() const& {
   Event shared(id_, timestamp_, {});
   shared.shared_ = shared_ != nullptr
                        ? shared_
                        : std::make_shared<const std::vector<Value>>(owned_);
+  return shared;
+}
+
+Event Event::Shared() && {
+  Event shared(id_, timestamp_, {});
+  shared.shared_ =
+      shared_ != nullptr
+          ? std::move(shared_)
+          : std::make_shared<const std::vector<Value>>(std::move(owned_));
   return shared;
 }
 

@@ -27,7 +27,9 @@ constexpr EventId kInvalidEventId = -1;
 /// An event owns its values, and a copy duplicates them, unless the event
 /// came from Shared(): its values are then immutable and reference-counted,
 /// so every further copy shares them. The matcher shares each event it
-/// binds, so match buffers and reported matches never duplicate attributes.
+/// binds, so match buffers and reported matches never duplicate attributes;
+/// the catalog shares each columnar row once, so every plan binding it
+/// reuses one values block.
 class Event {
  public:
   Event() : id_(kInvalidEventId), timestamp_(0) {}
@@ -45,7 +47,11 @@ class Event {
   }
 
   /// A copy of this event whose values are shared by all of its copies.
-  Event Shared() const;
+  /// Sharing an event that is already shared copies only the pointer.
+  Event Shared() const&;
+  /// As above, but moves owned values into the shared block instead of
+  /// copying them.
+  Event Shared() &&;
 
   void set_id(EventId id) { id_ = id; }
   void set_timestamp(Timestamp t) { timestamp_ = t; }

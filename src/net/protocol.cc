@@ -28,6 +28,13 @@ uint32_t ReadFixed32(const char* p) {
 /// The smallest legal body: type byte + empty payload + crc.
 constexpr uint32_t kMinFrameBody = 1 + 4;
 
+/// Bytes storage::PutCount spends on `v` (a base-128 varint).
+size_t VarintLength(uint64_t v) {
+  size_t bytes = 1;
+  for (; v >= 128; v >>= 7) ++bytes;
+  return bytes;
+}
+
 Status GetCount32(const char** p, const char* limit, uint32_t* out,
                   std::string_view what) {
   uint64_t v = 0;
@@ -463,6 +470,46 @@ std::string MatchBatchResponse::Encode(std::string_view plan_id,
     CheckpointMatch(match, schema, &payload);
   }
   return payload;
+}
+
+Status MatchBatchResponse::EncodeSplit(
+    std::string_view plan_id, std::span<const Match> matches,
+    const Schema& schema, size_t max_payload,
+    const std::function<void(std::string_view payload)>& emit) {
+  std::string head;
+  storage::PutString(&head, plan_id);
+  std::string body;  // the pending payload's match blobs
+  std::string blob;
+  std::string payload;
+  uint64_t count = 0;
+  // The payload size once `blob` joins the pending ones.
+  auto size_with_blob = [&] {
+    return head.size() + VarintLength(count + 1) + body.size() + blob.size();
+  };
+  auto flush = [&] {
+    payload = head;
+    storage::PutCount(&payload, count);
+    payload += body;
+    emit(payload);
+    body.clear();
+    count = 0;
+  };
+  for (const Match& match : matches) {
+    blob.clear();
+    CheckpointMatch(match, schema, &blob);
+    if (count > 0 && size_with_blob() > max_payload) flush();
+    if (size_with_blob() > max_payload) {
+      return Status::InvalidArgument(
+          "plan '" + std::string(plan_id) + "': a match of " +
+          std::to_string(blob.size()) +
+          " encoded bytes exceeds the MatchBatch payload limit of " +
+          std::to_string(max_payload) + " bytes");
+    }
+    body += blob;
+    ++count;
+  }
+  if (count > 0) flush();
+  return Status::OK();
 }
 
 Result<MatchBatchResponse> MatchBatchResponse::Decode(

@@ -2,6 +2,7 @@
 #define SES_NET_PROTOCOL_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -196,7 +197,8 @@ struct AckResponse {
 
 /// MatchBatch: completed matches for one plan, encoded as CheckpointMatch
 /// blobs against the stream schema. Sent to the connection that owns the
-/// plan, at engine-determined times (window expiry, flush).
+/// plan, at engine-determined times (window expiry, flush); one plan's
+/// matches may span several consecutive MatchBatch frames.
 struct MatchBatchResponse {
   std::string plan_id;
   std::vector<Match> matches;
@@ -204,6 +206,16 @@ struct MatchBatchResponse {
   static std::string Encode(std::string_view plan_id,
                             std::span<const Match> matches,
                             const Schema& schema);
+  /// Splits `matches` over consecutive payloads of at most `max_payload`
+  /// bytes, each holding as many of the next matches as fit, and hands
+  /// each payload to `emit` (none for an empty span). Decoding the
+  /// payloads in order returns `matches`. A match that does not fit a
+  /// payload on its own is InvalidArgument; the payloads before it have
+  /// been emitted.
+  static Status EncodeSplit(
+      std::string_view plan_id, std::span<const Match> matches,
+      const Schema& schema, size_t max_payload,
+      const std::function<void(std::string_view payload)>& emit);
   static Result<MatchBatchResponse> Decode(std::string_view payload,
                                            const Schema& schema);
 };

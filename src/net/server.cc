@@ -22,6 +22,13 @@ namespace {
 /// once.
 constexpr int kPollSliceMs = 25;
 
+/// A frame's bytes besides its payload: length prefix, type byte, crc.
+constexpr size_t kFrameOverhead = 4 + 1 + 4;
+
+/// The largest MatchBatch payload one frame carries (kMaxFrameBody counts
+/// the type byte and crc too).
+constexpr size_t kMaxMatchPayload = kMaxFrameBody - 1 - 4;
+
 int64_t SteadyNowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -376,11 +383,12 @@ void Server::WorkerLoop(std::shared_ptr<Connection> conn) {
           engine.Reset();
           ended = false;
         }
-        const Status status =
+        Status status =
             item->push.layout == PushEventsRequest::Layout::kColumnar
                 ? engine.PushColumnar(item->push.columnar)
                 : engine.PushBatch(std::span<const Event>(item->push.events));
-        DeliverPending(conn.get());
+        const Status delivered = DeliverPending(conn.get());
+        if (status.ok()) status = delivered;
         if (!status.ok()) {
           std::lock_guard<std::mutex> lock(conn->status_mu);
           if (conn->stream_status.ok()) conn->stream_status = status;
@@ -390,17 +398,18 @@ void Server::WorkerLoop(std::shared_ptr<Connection> conn) {
       case PacketType::kFlush: {
         Status status = engine.Flush();
         ended = true;
-        {
-          // A slab that failed evaluation fails the Flush too — otherwise
-          // the stream would end silently missing matches. The error is
-          // reported once; the next stream starts clean.
-          std::lock_guard<std::mutex> lock(conn->status_mu);
-          if (status.ok()) status = conn->stream_status;
-          conn->stream_status = Status::OK();
-        }
         // Matches first, then the Ack: once a client sees the Flush Ack,
         // every match of the stream has been written to its socket.
-        DeliverPending(conn.get());
+        const Status delivered = DeliverPending(conn.get());
+        {
+          // A slab that failed evaluation or delivery fails the Flush too —
+          // otherwise the stream would end silently missing matches. The
+          // error is reported once; the next stream starts clean.
+          std::lock_guard<std::mutex> lock(conn->status_mu);
+          if (status.ok()) status = conn->stream_status;
+          if (status.ok()) status = delivered;
+          conn->stream_status = Status::OK();
+        }
         if (status.ok()) {
           SendAck(conn.get(), PacketType::kFlush, "");
         } else {
@@ -418,13 +427,31 @@ void Server::WorkerLoop(std::shared_ptr<Connection> conn) {
   }
 }
 
-void Server::DeliverPending(Connection* conn) {
+Status Server::DeliverPending(Connection* conn) {
+  // Every plan's frames, in plan-id order, go out in one write; the buffer
+  // is sent early before a frame would take it past kMaxFrameBody.
+  std::string wire;
+  auto send = [&] {
+    std::lock_guard<std::mutex> lock(conn->write_mu);
+    WriteAll(conn->sock.fd(), wire).ok();
+    wire.clear();
+  };
+  Status first_error;
   for (const auto& [plan_id, matches] : conn->pending) {
-    const std::string payload = MatchBatchResponse::Encode(
-        plan_id, std::span<const Match>(matches), options_.schema);
-    SendFrame(conn, PacketType::kMatchBatch, payload).ok();
+    const Status split = MatchBatchResponse::EncodeSplit(
+        plan_id, std::span<const Match>(matches), options_.schema,
+        kMaxMatchPayload, [&](std::string_view payload) {
+          if (!wire.empty() &&
+              wire.size() + kFrameOverhead + payload.size() > kMaxFrameBody) {
+            send();
+          }
+          EncodeFrame(PacketType::kMatchBatch, payload, &wire);
+        });
+    if (first_error.ok()) first_error = split;
   }
+  if (!wire.empty()) send();
   conn->pending.clear();
+  return first_error;
 }
 
 Status Server::SendFrame(Connection* conn, PacketType type,

@@ -187,9 +187,12 @@ class Server {
   void HandleCheckpoint(Connection* conn);
   void HandleStats(Connection* conn);
 
-  /// Writes the engine's pending matches as MatchBatch frames (write
-  /// errors are the reader's problem to notice) and clears them.
-  void DeliverPending(Connection* conn);
+  /// Writes the engine's pending matches as MatchBatch frames, coalesced
+  /// into one write (write errors are the reader's problem to notice), and
+  /// clears them. A plan whose matches exceed one frame spans several. A
+  /// match too large for any frame is not sent, nor are the matches of its
+  /// plan after it; the returned InvalidArgument names the plan.
+  Status DeliverPending(Connection* conn);
 
   Status SendFrame(Connection* conn, PacketType type,
                    std::string_view payload);

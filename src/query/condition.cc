@@ -74,18 +74,20 @@ std::optional<VariableId> Condition::OtherVariable(VariableId v) const {
 
 namespace {
 
-/// Fetches the referenced value; timestamps are compared as int64 values.
-Value FetchValue(const AttributeRef& ref, const Event& e) {
-  if (ref.is_timestamp()) return Value(static_cast<int64_t>(e.timestamp()));
-  return e.value(ref.attribute);
+/// Three-way comparison of the referenced attribute of `e` with `rhs`, in
+/// place: no attribute value is copied. Timestamps compare as int64.
+int CompareRef(const AttributeRef& ref, const Event& e, const Value& rhs) {
+  if (ref.is_timestamp()) {
+    return CompareTyped(static_cast<int64_t>(e.timestamp()), rhs);
+  }
+  return Compare(e.value(ref.attribute), rhs);
 }
 
 }  // namespace
 
 bool Condition::EvaluateConstant(const Event& e) const {
   SES_CHECK(is_constant_condition());
-  Value lhs_value = FetchValue(lhs_, e);
-  return ApplyComparison(op_, Compare(lhs_value, constant()));
+  return ApplyComparison(op_, CompareRef(lhs_, e, constant()));
 }
 
 bool Condition::EvaluateVariable(const Event& lhs_event,
@@ -99,18 +101,22 @@ bool Condition::EvaluateVariable(const Event& lhs_event,
     Timestamp b = rhs_event.timestamp() + rhs_offset_.int64();
     return ApplyComparison(op_, a < b ? -1 : (a > b ? 1 : 0));
   }
-  Value lhs_value = FetchValue(lhs_, lhs_event);
-  Value rhs_value = FetchValue(rhs_ref(), rhs_event);
-  if (has_offset()) {
-    // Validation guarantees numeric operands. Integer arithmetic is kept
-    // exact; any double promotes to double.
-    if (rhs_value.is_int64() && rhs_offset_.is_int64()) {
-      rhs_value = Value(rhs_value.int64() + rhs_offset_.int64());
-    } else {
-      rhs_value = Value(rhs_value.AsNumber() + rhs_offset_.AsNumber());
-    }
+  // A timestamp rhs becomes an int64 Value (no allocation); an attribute
+  // rhs is compared where it lies.
+  const AttributeRef& rhs = rhs_ref();
+  const Value rhs_time(static_cast<int64_t>(rhs_event.timestamp()));
+  const Value& rhs_value =
+      rhs.is_timestamp() ? rhs_time : rhs_event.value(rhs.attribute);
+  if (!has_offset()) {
+    return ApplyComparison(op_, CompareRef(lhs_, lhs_event, rhs_value));
   }
-  return ApplyComparison(op_, Compare(lhs_value, rhs_value));
+  // Validation guarantees numeric operands. Integer arithmetic is kept
+  // exact; any double promotes to double.
+  const Value shifted =
+      rhs_value.is_int64() && rhs_offset_.is_int64()
+          ? Value(rhs_value.int64() + rhs_offset_.int64())
+          : Value(rhs_value.AsNumber() + rhs_offset_.AsNumber());
+  return ApplyComparison(op_, CompareRef(lhs_, lhs_event, shifted));
 }
 
 std::string Condition::ToString() const {

@@ -19,6 +19,7 @@
 #include "catalog/catalog_engine.h"
 #include "catalog/query_catalog.h"
 #include "engine/registry.h"
+#include "event/columnar.h"
 #include "plan/compiled_plan.h"
 #include "query/parser.h"
 #include "workload/generic_generator.h"
@@ -568,6 +569,48 @@ TEST(CatalogEngineTest, ExplicitTypeAttributeMatchesAutoDetection) {
         SignatureOf(std::move(collector_u.by_plan["p" + std::to_string(i)])),
         StandaloneSignature("serial", plans[i], events))
         << "plan " << i;
+  }
+}
+
+/// PushColumnar shares each row once: every plan that binds the row holds
+/// the same values block, under every per-plan engine kind.
+TEST(CatalogEngineTest, ColumnarRowIsSharedByEveryPlanThatBindsIt) {
+  const Schema schema = ChemotherapySchema();
+  const std::vector<Event> rows = {
+      Event(1, duration::Minutes(1),
+            {Value(int64_t{7}), Value("A"), Value(1.0), Value("mg")}),
+      Event(2, duration::Minutes(2),
+            {Value(int64_t{7}), Value("B"), Value(2.0), Value("mg")})};
+  const ColumnarBatch batch = ColumnarBatch::FromEvents(schema, rows);
+
+  auto catalog = std::make_shared<QueryCatalog>();
+  ASSERT_TRUE(catalog->Add("joined", FamilyPlan(0, {"A", "B"})).ok());
+  ASSERT_TRUE(catalog
+                  ->Add("keyed", MustPlan("PATTERN {a} -> {b} WHERE a.L = "
+                                          "'A' AND b.L = 'B' AND a.ID = b.ID "
+                                          "AND a.V < b.V WITHIN 1h"))
+                  .ok());
+
+  for (const std::string engine_name : {"serial", "partitioned", "parallel"}) {
+    DemuxCollector collector;
+    CatalogOptions options;
+    options.sink = collector.Sink();
+    options.engine = engine_name;
+    options.engine_options.num_shards = 2;
+    auto engine = MustEngine(catalog, std::move(options));
+    ASSERT_TRUE(engine->PushColumnar(batch).ok());
+    ASSERT_TRUE(engine->Flush().ok());
+    ASSERT_EQ(collector.by_plan["joined"].size(), 1u) << engine_name;
+    ASSERT_EQ(collector.by_plan["keyed"].size(), 1u) << engine_name;
+    const Match& joined = collector.by_plan["joined"][0];
+    const Match& keyed = collector.by_plan["keyed"][0];
+    ASSERT_EQ(joined.event_ids(), (std::vector<EventId>{1, 2}));
+    ASSERT_EQ(keyed.event_ids(), (std::vector<EventId>{1, 2}));
+    for (size_t i = 0; i < 2; ++i) {
+      EXPECT_EQ(&joined.bindings()[i].event.values(),
+                &keyed.bindings()[i].event.values())
+          << engine_name << " row " << i;
+    }
   }
 }
 

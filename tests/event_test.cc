@@ -118,6 +118,18 @@ TEST(Event, SharedCopiesShareTheirValues) {
   EXPECT_EQ(shared.ToString(), e.ToString());
 }
 
+TEST(Event, SharingATemporaryMovesItsValues) {
+  Event e(3, 7, {Value(int64_t{1}), Value("B"), Value(84.0)});
+  const Value* storage = e.values().data();
+  Event shared = std::move(e).Shared();
+  EXPECT_EQ(shared.values().data(), storage);
+  EXPECT_EQ(shared.id(), 3);
+  EXPECT_EQ(shared.timestamp(), 7);
+  EXPECT_EQ(shared.value(1).string(), "B");
+  Event again = std::move(shared).Shared();
+  EXPECT_EQ(again.values().data(), storage);
+}
+
 TEST(EventRelation, AppendValidatesArityTypeAndOrder) {
   EventRelation r(TestSchema());
   EXPECT_TRUE(

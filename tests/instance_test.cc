@@ -9,10 +9,10 @@
 namespace ses {
 namespace {
 
-std::shared_ptr<const Event> MakeEvent(EventId id, Timestamp ts) {
-  return std::make_shared<const Event>(
-      Event(id, ts, {Value(int64_t{1}), Value("A"), Value(0.0),
-                     Value(std::string("u"))}));
+Event MakeEvent(EventId id, Timestamp ts) {
+  return Event(id, ts, {Value(int64_t{1}), Value("A"), Value(0.0),
+                        Value(std::string("u"))})
+      .Shared();
 }
 
 TEST(MatchBuffer, EmptyBuffer) {
@@ -59,6 +59,17 @@ TEST(MatchBuffer, ToBindingsIsChronological) {
   EXPECT_EQ(bindings[2].event.id(), 3);
   EXPECT_EQ(bindings[0].variable, 2);
   EXPECT_EQ(bindings[1].variable, 0);
+}
+
+TEST(MatchBuffer, ExtendKeepsTheValuesOfASharedEvent) {
+  const Event event = MakeEvent(1, 10);
+  MatchBuffer one = MatchBuffer().Extend(0, event);
+  MatchBuffer two = one.Extend(1, event);
+  std::vector<const std::vector<Value>*> seen;
+  two.ForEach([&](VariableId, const Event& e) { seen.push_back(&e.values()); });
+  EXPECT_EQ(seen, (std::vector<const std::vector<Value>*>{&event.values(),
+                                                          &event.values()}));
+  EXPECT_EQ(&two.ToBindings()[0].event.values(), &event.values());
 }
 
 TEST(MatchBuffer, ForEachVisitsNewestFirst) {

@@ -385,6 +385,108 @@ TEST(PayloadCodec, MatchBatchRoundTrip) {
   }
 }
 
+/// Decodes `payloads` in order and checks they carry `want` for `plan_id`.
+void ExpectSplitDecodesTo(const std::vector<std::string>& payloads,
+                          std::string_view plan_id,
+                          const std::vector<Match>& want,
+                          const Schema& schema) {
+  std::vector<Match> got;
+  for (const std::string& payload : payloads) {
+    Result<MatchBatchResponse> decoded =
+        MatchBatchResponse::Decode(payload, schema);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->plan_id, plan_id);
+    EXPECT_FALSE(decoded->matches.empty());
+    for (Match& match : decoded->matches) got.push_back(std::move(match));
+  }
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].SubstitutionKey(), want[i].SubstitutionKey()) << i;
+    EXPECT_EQ(got[i].start_time(), want[i].start_time()) << i;
+    EXPECT_EQ(got[i].end_time(), want[i].end_time()) << i;
+  }
+}
+
+TEST(PayloadCodec, MatchBatchSplitFitsEveryPayloadInMatchOrder) {
+  const Schema schema = TestSchema();
+  const EventRelation stream = TestStream(60);
+  std::span<const Event> events(stream.events());
+  // Matches of one to three bindings, so payload sizes vary.
+  std::vector<Match> matches;
+  for (size_t i = 0; i + 3 <= events.size(); i += 3) {
+    std::vector<Binding> bindings;
+    const size_t arity = 1 + (i / 3) % 3;
+    for (size_t b = 0; b < arity; ++b) {
+      bindings.push_back({static_cast<VariableId>(b), events[i + b]});
+    }
+    matches.push_back(Match(std::move(bindings)));
+  }
+  const std::string whole = MatchBatchResponse::Encode(
+      "plan-a", std::span<const Match>(matches), schema);
+
+  for (size_t budget : {size_t{64}, size_t{100}, size_t{257}}) {
+    std::vector<std::string> payloads;
+    Status status = MatchBatchResponse::EncodeSplit(
+        "plan-a", std::span<const Match>(matches), schema, budget,
+        [&](std::string_view payload) { payloads.emplace_back(payload); });
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ASSERT_GT(payloads.size(), 1u) << budget;
+    for (const std::string& payload : payloads) {
+      EXPECT_LE(payload.size(), budget);
+    }
+    ExpectSplitDecodesTo(payloads, "plan-a", matches, schema);
+  }
+
+  // Under the frame limit one payload holds every match, byte for byte
+  // what a single MatchBatch always carried.
+  std::vector<std::string> payloads;
+  ASSERT_TRUE(MatchBatchResponse::EncodeSplit(
+                  "plan-a", std::span<const Match>(matches), schema,
+                  kMaxFrameBody - 5,
+                  [&](std::string_view payload) {
+                    payloads.emplace_back(payload);
+                  })
+                  .ok());
+  ASSERT_EQ(payloads.size(), 1u);
+  EXPECT_EQ(payloads[0], whole);
+
+  // No matches, no payload.
+  payloads.clear();
+  ASSERT_TRUE(MatchBatchResponse::EncodeSplit(
+                  "plan-a", {}, schema, 64,
+                  [&](std::string_view payload) {
+                    payloads.emplace_back(payload);
+                  })
+                  .ok());
+  EXPECT_TRUE(payloads.empty());
+}
+
+TEST(PayloadCodec, MatchBatchSplitRejectsAMatchLargerThanThePayload) {
+  const Schema schema = TestSchema();
+  const EventRelation stream = TestStream(4);
+  const Event large(99, 10,
+                    {Value(int64_t{1}), Value(std::string(500, 'x')),
+                     Value(0.0)});
+  std::vector<Match> matches;
+  matches.push_back(Match({{VariableId{0}, stream.events()[0]}}));
+  matches.push_back(Match({{VariableId{0}, stream.events()[1]}}));
+  matches.push_back(Match({{VariableId{0}, large}}));
+  matches.push_back(Match({{VariableId{0}, stream.events()[2]}}));
+
+  std::vector<std::string> payloads;
+  Status status = MatchBatchResponse::EncodeSplit(
+      "plan-big", std::span<const Match>(matches), schema, /*max_payload=*/64,
+      [&](std::string_view payload) { payloads.emplace_back(payload); });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("plan-big"), std::string::npos)
+      << status.message();
+  // The matches before the oversized one were emitted, and fit.
+  for (const std::string& payload : payloads) EXPECT_LE(payload.size(), 64u);
+  ExpectSplitDecodesTo(payloads, "plan-big",
+                       std::vector<Match>(matches.begin(), matches.begin() + 2),
+                       schema);
+}
+
 TEST(PayloadCodec, StatsRoundTripsEveryField) {
   // Every field gets a distinct value, so a transposed or dropped field in
   // the codec cannot cancel out.
