@@ -1,19 +1,17 @@
 // Catalog scale sweep: how multi-pattern evaluation behaves as the number
 // of registered plans grows. For each catalog size N in {1, 10, 100, 500}
-// the same stream runs through four equivalent evaluators:
+// the same stream runs through three equivalent evaluators:
 //
 //   independent     N standalone serial engines, each fed the full stream —
 //                   the baseline a deployment without src/catalog/ would
 //                   run;
-//   shared          CatalogEngine with the shared type index and the shared
-//                   sec. 4.5 pre-filter bitmap on (the default);
-//   noshare         CatalogEngine with both shared-work structures off —
-//                   one pass, but every plan sees every event;
+//   shared          CatalogEngine: the shared type index and the shared
+//                   sec. 4.5 pre-filter bitmap;
 //   shared-columnar the shared catalog fed through PushColumnar in
 //                   1024-row ColumnarBatch slabs (built outside the timer),
 //                   the layout ses_server's columnar clients send.
 //
-// All four deliver byte-identical per-plan match sets (docs/SEMANTICS.md
+// All three deliver byte-identical per-plan match sets (docs/SEMANTICS.md
 // sections 10-11); the bench checks the total match count agrees and reports
 // wall time, events/sec, and the index-skip ratio (the fraction of
 // (event, plan) pairs the type index routed away before any per-plan
@@ -112,22 +110,19 @@ struct IndependentFleet {
   }
 };
 
-/// One CatalogEngine over all N plans, shared work on or off.
+/// One CatalogEngine over all N plans.
 struct CatalogFleet {
   std::shared_ptr<catalog::QueryCatalog> catalog;
   std::unique_ptr<catalog::CatalogEngine> engine;
   int64_t matches = 0;
 
-  CatalogFleet(
-      const std::vector<std::shared_ptr<const plan::CompiledPlan>>& plans,
-      bool shared) {
+  explicit CatalogFleet(
+      const std::vector<std::shared_ptr<const plan::CompiledPlan>>& plans) {
     catalog = std::make_shared<catalog::QueryCatalog>();
     for (size_t i = 0; i < plans.size(); ++i) {
       SES_CHECK(catalog->Add("plan" + std::to_string(i), plans[i]).ok());
     }
     catalog::CatalogOptions options;
-    options.shared_type_index = shared;
-    options.shared_prefilter = shared;
     options.sink = [this](std::string_view, Match&&) { ++matches; };
     Result<std::unique_ptr<catalog::CatalogEngine>> built =
         catalog::CatalogEngine::Create(catalog, std::move(options));
@@ -200,16 +195,14 @@ void SweepCatalogSizes(const Harness& harness, int64_t events,
     PrintRow("independent", independent_result, expected_matches, 0.0);
     report->Add(std::move(independent_result));
 
-    // The catalog arms: name, shared work on, columnar slabs.
+    // The catalog arms: name, columnar slabs.
     struct Arm {
       const char* name;
-      bool shared;
       bool columnar;
     };
-    for (const Arm& arm : {Arm{"shared", true, false},
-                           Arm{"noshare", false, false},
-                           Arm{"shared-columnar", true, true}}) {
-      CatalogFleet fleet(plans, arm.shared);
+    for (const Arm& arm : {Arm{"shared", false},
+                           Arm{"shared-columnar", true}}) {
+      CatalogFleet fleet(plans);
       CaseResult result = harness.Run(
           prefix + arm.name, static_cast<int64_t>(span.size()),
           [&](CaseRun& run) {
@@ -256,10 +249,10 @@ int main(int argc, char** argv) {
   BenchReport report("catalog");
   SweepCatalogSizes(harness, events, plan_counts, &report);
   std::printf(
-      "\nAll four modes delivered identical match counts per N; 'shared' "
+      "\nAll three modes delivered identical match counts per N; 'shared' "
       "vs 'independent' is the cost of src/catalog/'s one-pass shared-work "
-      "evaluation, 'noshare' isolates the routing win, 'shared-columnar' "
-      "is the same catalog fed columnar slabs.\n");
+      "evaluation, 'shared-columnar' is the same catalog fed columnar "
+      "slabs.\n");
   MaybeWriteReport(args, report);
   return 0;
 }

@@ -87,44 +87,6 @@ void BM_FilterOff(benchmark::State& state) {
 }
 BENCHMARK(BM_FilterOff)->Arg(0)->Arg(4)->Arg(16)->Arg(64);
 
-/// Shared constant-condition evaluation ablation (DESIGN.md choice; see
-/// ExecutorOptions::shared_constant_evaluation). The non-exclusive pattern
-/// piles many instances into the same states, which is where memoization
-/// pays.
-void BM_SharedEvalOff(benchmark::State& state) {
-  Pattern pattern = MedicationPattern(4, /*exclusive=*/false,
-                                      /*group_p=*/false);
-  EventRelation stream = NoisyStream(4000, 2.0);
-  MatcherOptions options;
-  options.shared_constant_evaluation = false;
-  for (auto _ : state) {
-    Result<std::vector<Match>> matches =
-        MatchRelation(pattern, stream, options);
-    SES_CHECK(matches.ok());
-    benchmark::DoNotOptimize(matches->size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(stream.size()));
-}
-BENCHMARK(BM_SharedEvalOff);
-
-void BM_SharedEvalOn(benchmark::State& state) {
-  Pattern pattern = MedicationPattern(4, /*exclusive=*/false,
-                                      /*group_p=*/false);
-  EventRelation stream = NoisyStream(4000, 2.0);
-  MatcherOptions options;
-  options.shared_constant_evaluation = true;
-  for (auto _ : state) {
-    Result<std::vector<Match>> matches =
-        MatchRelation(pattern, stream, options);
-    SES_CHECK(matches.ok());
-    benchmark::DoNotOptimize(matches->size());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(stream.size()));
-}
-BENCHMARK(BM_SharedEvalOn);
-
 /// Streaming push path (per-event cost including the watermark check).
 void BM_StreamingPush(benchmark::State& state) {
   Pattern pattern = MedicationPattern(3, /*exclusive=*/true,

@@ -46,8 +46,10 @@ Schema ServedSchema() {
 /// consecutive pairs joined on ID — the ses_loadgen shape.
 EventRelation ClientStream(int index, int64_t events) {
   EventRelation relation(ServedSchema());
-  const std::string a = "A" + std::to_string(index);
-  const std::string b = "B" + std::to_string(index);
+  std::string a = "A";
+  a += std::to_string(index);
+  std::string b = "B";
+  b += std::to_string(index);
   for (int64_t i = 0; i < events; ++i) {
     relation.AppendUnchecked(
         static_cast<Timestamp>(i + 1),

@@ -58,19 +58,12 @@ struct CliArgs {
   /// Catalog file of named patterns ([plan-id] headers, docs/CATALOG.md);
   /// non-empty selects multi-pattern evaluation instead of --query.
   std::string catalog_path;
-  /// Shared-work toggles for catalog runs (on unless disabled; neither
-  /// changes any plan's matches — docs/SEMANTICS.md section 10).
-  bool no_type_index = false;
-  bool no_shared_prefilter = false;
-  /// Routing attribute for the catalog type index; empty = auto-detect.
-  std::string type_attribute;
   std::string format = "text";  // text | csv
   /// Registry name of the evaluation strategy; empty = "serial" (or
   /// "parallel" when --threads is given).
   std::string engine;
   bool demo = false;
   bool no_filter = false;
-  bool shared_const = false;
   bool stats = false;
   bool dot = false;
   bool list_engines = false;
@@ -108,15 +101,13 @@ void PrintUsage() {
   std::printf(
       "usage: ses_cli [--demo] [--schema \"NAME TYPE, ...\"] [--data FILE]\n"
       "               [--query TEXT | --query-file FILE | --catalog FILE]\n"
-      "               [--engine NAME] [--no-filter] [--shared-const]\n"
+      "               [--engine NAME] [--no-filter] [--list-engines]\n"
       "               [--stats] [--dot] [--format text|csv]\n"
       "               [--threads N] [--batch N]\n"
       "               [--lateness N] [--late-policy error|drop]\n"
       "               [--columnar on|off] [--batch-rows N]\n"
       "               [--checkpoint-dir DIR] [--checkpoint-interval N]\n"
       "               [--restore] [--crash-after-events N]\n"
-      "               [--type-attribute NAME] [--no-type-index]\n"
-      "               [--no-shared-prefilter] [--list-engines]\n"
       "  --demo         run the paper's running example (Figure 1 + Q1)\n"
       "  --schema       attribute list for CSV input (TYPE: INT, DOUBLE,\n"
       "                 STRING); .sestbl tables are self-describing\n"
@@ -131,8 +122,6 @@ void PrintUsage() {
       "                 serial (default serial; see --list-engines)\n"
       "  --list-engines print the available engines and exit\n"
       "  --no-filter    disable the event pre-filter (sec. 4.5)\n"
-      "  --shared-const share per-event constant-condition evaluation\n"
-      "                 across automaton instances\n"
       "  --stats        print execution statistics\n"
       "  --format F     output format: text (default) or csv\n"
       "  --dot          print the SES automaton as Graphviz dot and exit\n"
@@ -165,17 +154,7 @@ void PrintUsage() {
       "                 --checkpoint-dir (cold start when none exists yet)\n"
       "  --crash-after-events N\n"
       "                 crash-recovery testing: exit hard with code 137\n"
-      "                 after consuming N events (tools/crash_recovery.sh)\n"
-      "  --type-attribute NAME\n"
-      "                 routing attribute for the catalog's shared type\n"
-      "                 index (default: auto-detect the attribute most\n"
-      "                 plans constrain with equality constants)\n"
-      "  --no-type-index\n"
-      "                 catalog runs: do not route events by type value;\n"
-      "                 every plan sees every event (output unchanged)\n"
-      "  --no-shared-prefilter\n"
-      "                 catalog runs: do not share sec. 4.5 pre-filter\n"
-      "                 evaluation across plans (output unchanged)\n");
+      "                 after consuming N events (tools/crash_recovery.sh)\n");
 }
 
 Result<CliArgs> ParseArgs(int argc, char** argv) {
@@ -220,12 +199,6 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
       args.query = buffer.str();
     } else if (std::strcmp(argv[i], "--catalog") == 0) {
       SES_ASSIGN_OR_RETURN(args.catalog_path, need_value(i));
-    } else if (std::strcmp(argv[i], "--type-attribute") == 0) {
-      SES_ASSIGN_OR_RETURN(args.type_attribute, need_value(i));
-    } else if (std::strcmp(argv[i], "--no-type-index") == 0) {
-      args.no_type_index = true;
-    } else if (std::strcmp(argv[i], "--no-shared-prefilter") == 0) {
-      args.no_shared_prefilter = true;
     } else if (std::strcmp(argv[i], "--format") == 0) {
       SES_ASSIGN_OR_RETURN(args.format, need_value(i));
       if (args.format != "text" && args.format != "csv") {
@@ -267,8 +240,6 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
                            need_int(i, 1, kInt64Max));
     } else if (std::strcmp(argv[i], "--no-filter") == 0) {
       args.no_filter = true;
-    } else if (std::strcmp(argv[i], "--shared-const") == 0) {
-      args.shared_const = true;
     } else if (std::strcmp(argv[i], "--stats") == 0) {
       args.stats = true;
     } else if (std::strcmp(argv[i], "--dot") == 0) {
@@ -446,7 +417,6 @@ Status RunCatalog(const CliArgs& args) {
 
   plan::PlanOptions plan_options;
   plan_options.enable_prefilter = !args.no_filter;
-  plan_options.shared_constant_evaluation = args.shared_const;
 
   auto query_catalog = std::make_shared<catalog::QueryCatalog>();
   std::map<std::string, Pattern> patterns;  // id -> pattern, for printing
@@ -470,9 +440,6 @@ Status RunCatalog(const CliArgs& args) {
   catalog::CatalogOptions options;
   options.engine = engine_name;
   options.engine_options = MakeEngineOptions(args);
-  options.shared_type_index = !args.no_type_index;
-  options.shared_prefilter = !args.no_shared_prefilter;
-  options.type_attribute = args.type_attribute;
   std::map<std::string, std::vector<Match>> by_plan;
   options.sink = [&by_plan](std::string_view id, Match&& match) {
     by_plan[std::string(id)].push_back(std::move(match));
@@ -603,7 +570,6 @@ Status Run(const CliArgs& args) {
   // Compile once; the plan is shared by whichever engine runs it.
   plan::PlanOptions plan_options;
   plan_options.enable_prefilter = !args.no_filter;
-  plan_options.shared_constant_evaluation = args.shared_const;
   SES_ASSIGN_OR_RETURN(std::shared_ptr<const plan::CompiledPlan> plan,
                        plan::CompilePlan(pattern, plan_options));
 

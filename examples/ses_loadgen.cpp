@@ -145,8 +145,10 @@ Result<EventRelation> GenerateStream(const Schema& schema, int index,
                                      const LoadgenArgs& args, int label_attr,
                                      int key_attr) {
   EventRelation relation(schema);
-  const std::string a_label = "A" + std::to_string(index);
-  const std::string b_label = "B" + std::to_string(index);
+  std::string a_label = "A";
+  a_label += std::to_string(index);
+  std::string b_label = "B";
+  b_label += std::to_string(index);
   for (long i = 0; i < args.events; ++i) {
     std::vector<Value> values;
     values.reserve(schema.num_attributes());

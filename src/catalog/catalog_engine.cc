@@ -67,22 +67,6 @@ Status CatalogEngine::Refresh() {
   if (catalog_->generation() == snapshot_generation_) return Status::OK();
   std::shared_ptr<const CatalogSnapshot> snapshot = catalog_->Snapshot();
 
-  SharedIndexOptions index_options;
-  index_options.enable_type_index = options_.shared_type_index;
-  index_options.enable_shared_prefilter = options_.shared_prefilter;
-  if (!options_.type_attribute.empty() && !snapshot->empty()) {
-    const Schema& schema =
-        snapshot->entries().front().plan->pattern().schema();
-    SES_ASSIGN_OR_RETURN(index_options.type_attribute,
-                         schema.IndexOf(options_.type_attribute));
-    if (schema.attribute(index_options.type_attribute).type ==
-        ValueType::kDouble) {
-      return Status::InvalidArgument(
-          "type attribute '" + options_.type_attribute +
-          "' is DOUBLE-typed; floating-point equality cannot route events");
-    }
-  }
-
   // Pass 1: build runtimes for newly added plans. Any failure leaves the
   // engine serving the previous snapshot untouched.
   std::vector<std::unique_ptr<PlanRuntime>> next(snapshot->size());
@@ -117,7 +101,7 @@ Status CatalogEngine::Refresh() {
     next[pos] = std::move(runtimes_[old_pos]);
   }
   runtimes_ = std::move(next);
-  index_ = std::make_unique<SharedIndex>(*snapshot, index_options);
+  index_ = std::make_unique<SharedIndex>(*snapshot);
   snapshot_generation_ = snapshot->generation();
   ++snapshot_refreshes_;
   return Status::OK();

@@ -36,16 +36,6 @@ struct CatalogOptions {
   /// and so are the periodic-checkpoint fields: checkpoint the catalog as
   /// a whole with CatalogEngine::Checkpoint instead of per plan.
   engine::EngineOptions engine_options;
-  /// Shared-work toggles; see SharedIndexOptions. Both on by default, and
-  /// neither changes any plan's match set (docs/SEMANTICS.md §10) — turn
-  /// them off only to measure their effect (bench/catalog_scale).
-  bool shared_type_index = true;
-  bool shared_prefilter = true;
-  /// Name of the routing attribute for the type index; empty = auto-detect
-  /// the attribute most plans carry a complete equality alphabet on. A
-  /// named attribute must exist in the stream schema and must not be
-  /// DOUBLE-typed.
-  std::string type_attribute;
 };
 
 /// Per-plan statistics snapshot, one row per registered plan (sorted by

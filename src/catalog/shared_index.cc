@@ -9,60 +9,24 @@
 
 namespace ses::catalog {
 
-namespace {
-
-int TypeRank(const Value& v) {
-  switch (v.type()) {
-    case ValueType::kInt64:
-      return 0;
-    case ValueType::kDouble:
-      return 1;
-    case ValueType::kString:
-      return 2;
-  }
-  return 3;
-}
-
-}  // namespace
-
-bool SharedIndex::ValueLess::operator()(const Value& a,
-                                        const Value& b) const {
-  const int rank_a = TypeRank(a);
-  const int rank_b = TypeRank(b);
-  if (rank_a != rank_b) return rank_a < rank_b;
-  return Compare(a, b) < 0;
-}
-
-SharedIndex::SharedIndex(const CatalogSnapshot& snapshot,
-                         SharedIndexOptions options)
-    : options_(options),
-      num_plans_(static_cast<int>(snapshot.size())) {
+SharedIndex::SharedIndex(const CatalogSnapshot& snapshot)
+    : num_plans_(static_cast<int>(snapshot.size())) {
   const std::vector<CatalogEntry>& entries = snapshot.entries();
   all_plans_.resize(num_plans_);
   for (int pos = 0; pos < num_plans_; ++pos) all_plans_[pos] = pos;
 
-  // Resolve the routing attribute. An explicitly requested attribute that
-  // is out of range or DOUBLE-typed was rejected by the catalog engine
-  // before we get here; re-checking keeps the index safe standalone.
-  if (options_.enable_type_index && !snapshot.empty()) {
+  // Route on the attribute most plans have a complete alphabet on.
+  if (!snapshot.empty()) {
     const Schema& schema = entries.front().plan->pattern().schema();
-    if (options_.type_attribute >= 0) {
-      if (options_.type_attribute < schema.num_attributes() &&
-          schema.attribute(options_.type_attribute).type !=
-              ValueType::kDouble) {
-        type_attribute_ = options_.type_attribute;
+    int best_count = 0;
+    for (int a = 0; a < schema.num_attributes(); ++a) {
+      int count = 0;
+      for (const CatalogEntry& entry : entries) {
+        if (entry.plan->EqualityAlphabet(a).has_value()) ++count;
       }
-    } else {
-      int best_count = 0;
-      for (int a = 0; a < schema.num_attributes(); ++a) {
-        int count = 0;
-        for (const CatalogEntry& entry : entries) {
-          if (entry.plan->EqualityAlphabet(a).has_value()) ++count;
-        }
-        if (count > best_count) {
-          best_count = count;
-          type_attribute_ = a;
-        }
+      if (count > best_count) {
+        best_count = count;
+        type_attribute_ = a;
       }
     }
   }
@@ -85,29 +49,27 @@ SharedIndex::SharedIndex(const CatalogSnapshot& snapshot,
 
   // Deduplicate the active pre-filters into the shared condition table.
   masks_.resize(num_plans_);
-  if (options_.enable_shared_prefilter) {
-    std::map<ConstantConditionKey, int> table;
-    std::vector<std::vector<int>> plan_bits(num_plans_);
-    for (int pos = 0; pos < num_plans_; ++pos) {
-      const auto& prefilter = entries[pos].plan->shared_prefilter();
-      if (prefilter == nullptr || !prefilter->active()) continue;
-      for (const Condition& condition : prefilter->constant_conditions()) {
-        ++num_plan_conditions_;
-        auto [it, inserted] =
-            table.emplace(ConstantConditionKey::Of(condition),
-                          static_cast<int>(conditions_.size()));
-        if (inserted) conditions_.push_back(condition);
-        plan_bits[pos].push_back(it->second);
-      }
+  std::map<ConstantConditionKey, int> table;
+  std::vector<std::vector<int>> plan_bits(num_plans_);
+  for (int pos = 0; pos < num_plans_; ++pos) {
+    const auto& prefilter = entries[pos].plan->shared_prefilter();
+    if (prefilter == nullptr || !prefilter->active()) continue;
+    for (const Condition& condition : prefilter->constant_conditions()) {
+      ++num_plan_conditions_;
+      auto [it, inserted] =
+          table.emplace(ConstantConditionKey::Of(condition),
+                        static_cast<int>(conditions_.size()));
+      if (inserted) conditions_.push_back(condition);
+      plan_bits[pos].push_back(it->second);
     }
-    const size_t words = (conditions_.size() + 63) / 64;
-    bitmap_.resize(words);
-    for (int pos = 0; pos < num_plans_; ++pos) {
-      if (plan_bits[pos].empty()) continue;
-      masks_[pos].assign(words, 0);
-      for (int bit : plan_bits[pos]) {
-        masks_[pos][bit / 64] |= uint64_t{1} << (bit % 64);
-      }
+  }
+  const size_t words = (conditions_.size() + 63) / 64;
+  bitmap_.resize(words);
+  for (int pos = 0; pos < num_plans_; ++pos) {
+    if (plan_bits[pos].empty()) continue;
+    masks_[pos].assign(words, 0);
+    for (int bit : plan_bits[pos]) {
+      masks_[pos][bit / 64] |= uint64_t{1} << (bit % 64);
     }
   }
 }

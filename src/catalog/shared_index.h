@@ -12,33 +12,15 @@
 
 namespace ses::catalog {
 
-/// Knobs of the shared-work structures, fixed when the index is built
-/// (rebuilt on every catalog snapshot refresh, so a handful of times per
-/// stream, not per event).
-struct SharedIndexOptions {
-  /// Event-type inverted index: an event is offered only to plans whose
-  /// alphabet on the type attribute contains the event's value (plus the
-  /// plans with no complete alphabet, which see every event). Off = every
-  /// plan sees every event.
-  bool enable_type_index = true;
-  /// Shared §4.5 pre-filter: the distinct constant conditions of all
-  /// registered plans are deduplicated into one table, evaluated at most
-  /// once per event, and each plan's ShouldProcess answer is read off a
-  /// bitmap instead of re-evaluating its own condition list.
-  bool enable_shared_prefilter = true;
-  /// Schema index of the routing ("type") attribute; negative = pick the
-  /// attribute on which the most plans have a complete equality alphabet
-  /// (ties to the lowest index; see plan::CompiledPlan::EqualityAlphabet).
-  int type_attribute = -1;
-};
-
 /// The work shared across all plans of one catalog snapshot, rebuilt
 /// whenever the registered set changes:
 ///
 ///   * the inverted event-type index — type value → sorted positions of
 ///     the plans whose alphabet contains it — plus the sorted positions of
 ///     the "universal" plans (no complete alphabet on the type attribute),
-///     which must see every event;
+///     which must see every event. The type attribute is the one on which
+///     the most plans have a complete equality alphabet (ties to the lowest
+///     index; see plan::CompiledPlan::EqualityAlphabet);
 ///   * the deduplicated constant-condition table and one bitmask per plan
 ///     over it, realizing every plan's active §4.5 pre-filter as a single
 ///     AND against a bitmap computed at most once per event.
@@ -53,14 +35,12 @@ struct SharedIndexOptions {
 class SharedIndex {
  public:
   /// Builds the index over `snapshot`'s plans (positions 0..size-1 in
-  /// snapshot entry order). `options.type_attribute` must be a valid
-  /// schema index or negative (the catalog engine validates named
-  /// attributes before building).
-  SharedIndex(const CatalogSnapshot& snapshot, SharedIndexOptions options);
+  /// snapshot entry order).
+  explicit SharedIndex(const CatalogSnapshot& snapshot);
 
   /// Resolved schema index of the routing attribute; -1 when the type
-  /// index is off (disabled, empty snapshot, or no plan has a complete
-  /// alphabet on any candidate attribute).
+  /// index is inactive (empty snapshot, or no plan has a complete alphabet
+  /// on any attribute).
   int type_attribute() const { return type_attribute_; }
   bool type_index_active() const { return type_attribute_ >= 0; }
 
@@ -76,12 +56,12 @@ class SharedIndex {
   void BeginEvent(const Event& event);
 
   /// Positions of the plans this event must be offered to, sorted
-  /// ascending (deterministic evaluation order). With the type index off
-  /// this is every plan. The reference is valid until the next BeginEvent.
+  /// ascending (deterministic evaluation order). With the type index
+  /// inactive this is every plan. The reference is valid until the next BeginEvent.
   const std::vector<int>& InterestedPlans(const Event& event);
 
   /// Whether plan `pos` must process the current event: true when the plan
-  /// has no active shared pre-filter, else whether any of its constant
+  /// has no active pre-filter, else whether any of its constant
   /// conditions holds (read off the shared bitmap). Call only between
   /// BeginEvent(e) and the next BeginEvent, with `e` the same event.
   bool PassesPrefilter(int pos, const Event& event);
@@ -109,33 +89,25 @@ class SharedIndex {
   bool PassesPrefilterRow(int pos, size_t row) const;
 
  private:
-  /// Strict weak order over Values of possibly different types: rank by
-  /// type, Compare within a type (mixed numeric types cannot meet here —
-  /// the type attribute is never DOUBLE and alphabet values share its
-  /// declared type).
-  struct ValueLess {
-    bool operator()(const Value& a, const Value& b) const;
-  };
-
   void EvaluateBitmap(const Event& event);
 
-  SharedIndexOptions options_;
   int type_attribute_ = -1;
   int num_plans_ = 0;
   int64_t num_plan_conditions_ = 0;
 
-  /// Type value → sorted plan positions whose alphabet contains it.
+  /// Type value → sorted plan positions whose alphabet contains it. Every
+  /// key has the type attribute's declared type, which is never DOUBLE.
   std::map<Value, std::vector<int>, ValueLess> typed_plans_;
   /// Sorted positions of plans that must see every event.
   std::vector<int> universal_plans_;
-  /// All positions 0..N-1; returned when the type index is off.
+  /// All positions 0..N-1; returned when the type index is inactive.
   std::vector<int> all_plans_;
 
   /// Deduplicated constant conditions (one representative each; the lhs
   /// variable id is irrelevant to EvaluateConstant).
   std::vector<Condition> conditions_;
   /// Per plan: bitmask over `conditions_` of its active pre-filter's
-  /// conditions; empty = no shared pre-filter for this plan (pass always).
+  /// conditions; empty = no active pre-filter for this plan (pass always).
   std::vector<std::vector<uint64_t>> masks_;
 
   /// Per-event scratch.

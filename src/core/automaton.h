@@ -22,14 +22,9 @@ struct Transition {
   /// with respect to constants, to variables of preceding event set
   /// patterns, and to variables of the source state — plus the synthesized
   /// inter-set ordering constraints v'.T < v.T added by concatenation
-  /// (§4.2.2). Ordered constants-first: conditions[0, num_constant) are
-  /// the constant conditions (v.A φ C), the rest reference variables.
+  /// (§4.2.2). Ordered constants-first: the constant conditions (v.A φ C)
+  /// lead, the conditions that reference variables follow.
   std::vector<Condition> conditions;
-  /// Number of leading constant conditions in `conditions`.
-  int num_constant = 0;
-  /// Dense id across all transitions of the automaton; used by the
-  /// executor's shared constant-condition memoization.
-  int id = -1;
 
   bool is_loop() const { return from == to; }
 };

@@ -18,11 +18,9 @@ std::atomic<int64_t> g_builds_started{0};
 /// (§4.2.1).
 std::vector<Condition> CollectConditions(const Pattern& pattern,
                                          VariableId variable,
-                                         VariableMask bound_mask,
-                                         int* num_constant) {
-  // Constant conditions first: they depend only on the input event, so the
-  // executor can evaluate them once per (event, transition) instead of per
-  // instance and reject cheaply.
+                                         VariableMask bound_mask) {
+  // Constant conditions first: they depend only on the input event and
+  // reject cheaply, before any condition walks the instance's bindings.
   std::vector<Condition> conditions;
   VariableMask allowed = bits::Set(bound_mask, variable);
   for (const Condition& c : pattern.conditions()) {
@@ -30,7 +28,6 @@ std::vector<Condition> CollectConditions(const Pattern& pattern,
       conditions.push_back(c);
     }
   }
-  *num_constant = static_cast<int>(conditions.size());
   for (const Condition& c : pattern.conditions()) {
     if (!c.References(variable) || c.is_constant_condition()) continue;
     VariableId other = *c.OtherVariable(variable);
@@ -151,8 +148,7 @@ SesAutomaton AutomatonBuilder::Build(const Pattern& pattern) {
         t.from = from;
         t.to = automaton.state_index_.at(bits::Set(state_mask, v));
         t.variable = v;
-        t.conditions =
-            CollectConditions(pattern, v, state_mask, &t.num_constant);
+        t.conditions = CollectConditions(pattern, v, state_mask);
         if (s == 0 && (state_mask & pattern.prefix_mask(k)) != 0) {
           // First variable of set k: events bound to preceding sets must
           // be strictly earlier (concatenation constraints, §4.2.2). Only
@@ -172,17 +168,10 @@ SesAutomaton AutomatonBuilder::Build(const Pattern& pattern) {
         t.from = from;
         t.to = from;
         t.variable = v;
-        t.conditions =
-            CollectConditions(pattern, v, state_mask, &t.num_constant);
+        t.conditions = CollectConditions(pattern, v, state_mask);
         automaton.outgoing_[from].push_back(std::move(t));
       });
     }
-  }
-
-  // Dense transition ids for the executor's per-event memo tables.
-  int next_id = 0;
-  for (auto& transitions : automaton.outgoing_) {
-    for (Transition& t : transitions) t.id = next_id++;
   }
 
   return automaton;

@@ -10,23 +10,18 @@
 namespace ses {
 
 SesExecutor::SesExecutor(const SesAutomaton* automaton,
-                         ExecutorOptions options)
+                         MatcherOptions options)
     : SesExecutor(automaton, options, nullptr) {}
 
 SesExecutor::SesExecutor(const SesAutomaton* automaton,
-                         ExecutorOptions options,
+                         MatcherOptions options,
                          std::shared_ptr<const EventPreFilter> filter)
     : automaton_(automaton),
       options_(options),
       filter_(filter != nullptr
                   ? std::move(filter)
                   : std::make_shared<const EventPreFilter>(
-                        automaton->pattern())) {
-  if (options_.shared_constant_evaluation) {
-    constant_memo_.resize(
-        static_cast<size_t>(automaton_->num_transitions()));
-  }
-}
+                        automaton->pattern())) {}
 
 void SesExecutor::Consume(const Event& event, std::vector<Match>* out) {
   ++stats_.events_seen;
@@ -43,7 +38,6 @@ void SesExecutor::Consume(const Event& event, std::vector<Match>* out) {
   }
   ++stats_.events_processed;
   if (observer_ != nullptr) observer_->OnEvent(event, /*filtered=*/false);
-  ++event_epoch_;
   ExpireUpTo(event.timestamp(), out);
 
   // Line 4 of Algorithm 1: a fresh instance in the start state. It dies in
@@ -175,35 +169,6 @@ void SesExecutor::Drain(size_t free_end) {
 bool SesExecutor::EvaluateTransition(const Transition& transition,
                                      const MatchBuffer& buffer,
                                      const Event& event) {
-  // Constant conditions (conditions[0, num_constant)) depend only on the
-  // event; with shared evaluation enabled their verdict is computed once
-  // per event per transition and reused across instances.
-  if (options_.shared_constant_evaluation && transition.num_constant > 0) {
-    ConstantVerdict& verdict =
-        constant_memo_[static_cast<size_t>(transition.id)];
-    if (verdict.epoch != event_epoch_) {
-      verdict.epoch = event_epoch_;
-      verdict.satisfied = true;
-      for (int i = 0; i < transition.num_constant; ++i) {
-        ++stats_.conditions_evaluated;
-        if (!transition.conditions[static_cast<size_t>(i)].EvaluateConstant(
-                event)) {
-          verdict.satisfied = false;
-          break;
-        }
-      }
-    }
-    if (!verdict.satisfied) return false;
-    for (size_t i = static_cast<size_t>(transition.num_constant);
-         i < transition.conditions.size(); ++i) {
-      if (!EvaluateVariableCondition(transition.conditions[i],
-                                     transition.variable, buffer, event)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   for (const Condition& condition : transition.conditions) {
     if (condition.is_constant_condition()) {
       ++stats_.conditions_evaluated;

@@ -17,20 +17,12 @@
 
 namespace ses {
 
-/// Execution options for the SES automaton.
-struct ExecutorOptions {
+/// Options for the public matching API (Matcher) and the executor it runs.
+struct MatcherOptions {
   /// Enables the §4.5 event pre-filter (skipped automatically when the
   /// pattern has a variable without constant conditions; see
   /// EventPreFilter).
   bool enable_prefilter = true;
-  /// Evaluates each transition's constant conditions once per input event
-  /// and memoizes the verdict, instead of re-evaluating them for every
-  /// instance sitting in the transition's source state. Semantically
-  /// neutral (constant conditions depend only on the event); pays off when
-  /// nondeterminism piles many instances into the same states. Off by
-  /// default to keep the executor's per-instance work identical to the
-  /// paper's Algorithm 2; benchmarked as an ablation in bench/micro_match.
-  bool shared_constant_evaluation = false;
 };
 
 /// Counters collected during execution. `max_simultaneous_instances` is the
@@ -69,14 +61,14 @@ class SesExecutor {
  public:
   /// `automaton` must outlive the executor and is not owned. The executor
   /// builds its own EventPreFilter from the automaton's pattern.
-  SesExecutor(const SesAutomaton* automaton, ExecutorOptions options);
+  SesExecutor(const SesAutomaton* automaton, MatcherOptions options);
 
   /// Shares a pre-built pre-filter (see plan::CompiledPlan). The filter is
   /// immutable after construction, so one instance can serve every
   /// per-partition executor of a partitioned run instead of re-scanning the
   /// pattern's conditions on every partition creation. A null filter falls
   /// back to building one.
-  SesExecutor(const SesAutomaton* automaton, ExecutorOptions options,
+  SesExecutor(const SesAutomaton* automaton, MatcherOptions options,
               std::shared_ptr<const EventPreFilter> filter);
 
   /// Feeds the next event (strictly increasing timestamps; enforced by
@@ -169,7 +161,7 @@ class SesExecutor {
   void EmitMatch(const AutomatonInstance& instance, std::vector<Match>* out);
 
   const SesAutomaton* automaton_;
-  ExecutorOptions options_;
+  MatcherOptions options_;
   /// Shared with sibling executors when handed in at construction (one
   /// filter per compiled plan), privately owned otherwise.
   std::shared_ptr<const EventPreFilter> filter_;
@@ -184,14 +176,6 @@ class SesExecutor {
   size_t spill_head_ = 0;
   ExecutorStats stats_;
 
-  /// Per-event memo for shared constant-condition evaluation, indexed by
-  /// Transition::id. An entry is valid when its epoch equals event_epoch_.
-  struct ConstantVerdict {
-    uint64_t epoch = 0;
-    bool satisfied = false;
-  };
-  std::vector<ConstantVerdict> constant_memo_;
-  uint64_t event_epoch_ = 0;
   ExecutionObserver* observer_ = nullptr;
 };
 

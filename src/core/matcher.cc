@@ -21,15 +21,9 @@ Matcher::Matcher(std::shared_ptr<const SesAutomaton> automaton,
 Matcher::Matcher(std::shared_ptr<const SesAutomaton> automaton,
                  MatcherOptions options,
                  std::shared_ptr<const EventPreFilter> filter)
-    : automaton_(std::move(automaton)) {
-  ExecutorOptions executor_options;
-  executor_options.enable_prefilter = options.enable_prefilter;
-  executor_options.shared_constant_evaluation =
-      options.shared_constant_evaluation;
-  executor_ = std::make_unique<SesExecutor>(automaton_.get(),
-                                            executor_options,
-                                            std::move(filter));
-}
+    : automaton_(std::move(automaton)),
+      executor_(std::make_unique<SesExecutor>(automaton_.get(), options,
+                                              std::move(filter))) {}
 
 Status Matcher::Push(const Event& event, std::vector<Match>* out) {
   if (has_watermark_ && event.timestamp() <= watermark_) {

@@ -13,15 +13,6 @@
 
 namespace ses {
 
-/// Options for the public matching API.
-struct MatcherOptions {
-  /// Enables the §4.5 event pre-filter.
-  bool enable_prefilter = true;
-  /// Enables shared per-event evaluation of constant transition conditions
-  /// (see ExecutorOptions::shared_constant_evaluation).
-  bool shared_constant_evaluation = false;
-};
-
 /// The public entry point of libses: matches a SES pattern against a stream
 /// or relation of events.
 ///

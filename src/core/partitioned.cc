@@ -5,6 +5,11 @@
 
 namespace ses {
 
+namespace {
+
+/// True iff `attribute` is a valid partition attribute for `pattern`: in
+/// range, not DOUBLE (partition keys need exact equality), and carrying a
+/// complete pairwise equality graph over all event variables.
 bool IsPartitionAttribute(const Pattern& pattern, int attribute) {
   if (attribute < 0 || attribute >= pattern.schema().num_attributes()) {
     return false;
@@ -32,6 +37,8 @@ bool IsPartitionAttribute(const Pattern& pattern, int attribute) {
   }
   return true;
 }
+
+}  // namespace
 
 Result<int> FindPartitionAttribute(const Pattern& pattern) {
   for (int attr = 0; attr < pattern.schema().num_attributes(); ++attr) {

@@ -32,11 +32,6 @@ namespace ses {
 /// below therefore only accepts complete graphs, where equivalence is
 /// exact (property-tested against the global matcher).
 
-/// True iff `attribute` is a valid partition attribute for `pattern`: in
-/// range, not DOUBLE (partition keys need exact equality), and carrying a
-/// complete pairwise equality graph over all event variables.
-bool IsPartitionAttribute(const Pattern& pattern, int attribute);
-
 /// Finds an attribute on which the pattern's equality conditions form a
 /// complete graph over all variables. Returns the schema attribute index,
 /// or NotFound if no attribute qualifies. Only INT and STRING attributes

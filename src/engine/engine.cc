@@ -197,7 +197,6 @@ class ParallelEngine : public Engine {
     parallel.num_shards = engine->options_.num_shards;
     parallel.batch_size = engine->options_.batch_size;
     parallel.queue_capacity = engine->options_.queue_capacity;
-    parallel.idle_timeout = engine->options_.idle_timeout;
     parallel.emit_interval_events = engine->options_.emit_interval_events;
     parallel.matcher = engine->plan_->matcher_options();
     // The engine is heap-allocated and owns the matcher, so its address

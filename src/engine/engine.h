@@ -18,11 +18,11 @@
 
 namespace ses::engine {
 
-/// Runtime knobs of an engine instance, fixed at creation. Plan-level
-/// choices (pre-filter, shared constant evaluation, partition attribute)
-/// live in plan::PlanOptions instead — the same plan runs under any engine
-/// options. Fields that a given engine does not use are ignored: the
-/// serial engine reads only `sink`, the parallel engine reads everything.
+/// Runtime knobs of an engine instance, fixed at creation. The plan-level
+/// choice (the §4.5 pre-filter) lives in plan::PlanOptions instead — the
+/// same plan runs under any engine options. Fields that a given engine
+/// does not use are ignored: the serial engine reads only `sink`, the
+/// parallel engine reads everything.
 struct EngineOptions {
   /// Streaming match consumer; required (CreateEngine rejects a null sink).
   /// Runs on the thread that drives the engine and must not re-enter it.
@@ -34,10 +34,6 @@ struct EngineOptions {
   size_t batch_size = 256;
   /// Per-shard queue capacity, in batches (parallel engine).
   size_t queue_capacity = 64;
-  /// Idle-partition eviction threshold τe of the parallel engine; 0 means
-  /// "evict as soon as provably safe", negative disables eviction (and with
-  /// it incremental emission). See exec::ParallelOptions::idle_timeout.
-  Duration idle_timeout = 0;
   /// How often (in ingested events) the parallel engine emits matches below
   /// the safety watermark. See exec::ParallelOptions::emit_interval_events.
   int64_t emit_interval_events = 4096;

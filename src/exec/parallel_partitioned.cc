@@ -100,11 +100,8 @@ struct ParallelPartitionedMatcher::Impl {
   std::shared_ptr<const EventPreFilter> filter;
   int attribute = 0;
   ParallelOptions options;
-  /// Eviction threshold after clamping to the pattern window; negative
-  /// disables eviction.
-  Duration effective_timeout = -1;
-  /// True when a sink is installed AND eviction is enabled: workers seal
-  /// per-batch runs and the ingest thread emits below the safety watermark.
+  /// True when a sink is installed: workers seal per-batch runs and the
+  /// ingest thread emits below the safety watermark.
   bool incremental = false;
 
   std::vector<std::unique_ptr<Shard>> shards;
@@ -221,7 +218,7 @@ struct ParallelPartitionedMatcher::Impl {
       Status status = partition.matcher.Push(event, &shard.matches);
       if (!status.ok()) shard.status = std::move(status);
     }
-    if (effective_timeout >= 0) EvictIdle(shard, batch.watermark);
+    EvictIdle(shard, batch.watermark);
     shard.stats.matches_emitted +=
         static_cast<int64_t>(shard.matches.size() - matches_before);
     if (incremental) {
@@ -242,14 +239,15 @@ struct ParallelPartitionedMatcher::Impl {
   }
 
   /// Flushes and reclaims partitions whose newest event is older than
-  /// `watermark − τe`. Every automaton instance of such a partition has
-  /// min_timestamp ≤ last_seen, and any future event of the key arrives at
-  /// t > watermark, so t − min_timestamp > τe ≥ window: the instance has
-  /// logically expired, and Flush emits exactly the matches the serial
+  /// `watermark − τe`, with τe = τ. Every automaton instance of such a
+  /// partition has min_timestamp ≤ last_seen, and any future event of the
+  /// key arrives at t > watermark, so t − min_timestamp > τ: the instance
+  /// has logically expired, and Flush emits exactly the matches the serial
   /// matcher would emit at that expiry.
   void EvictIdle(Shard& shard, Timestamp shard_watermark) {
+    const Duration idle_after = automaton->window();
     for (auto it = shard.partitions.begin(); it != shard.partitions.end();) {
-      if (it->second.last_seen < shard_watermark - effective_timeout) {
+      if (it->second.last_seen < shard_watermark - idle_after) {
         it->second.matcher.Flush(&shard.matches);
         it = shard.partitions.erase(it);
         ++shard.stats.partitions_evicted;
@@ -433,8 +431,8 @@ struct ParallelPartitionedMatcher::Impl {
     if (!any_fed || min_published == kNoWatermark || merge_runs.empty()) {
       return;
     }
-    const Timestamp threshold =
-        min_published - effective_timeout - automaton->window();
+    // τe = τ: eviction and the window each account for one τ.
+    const Timestamp threshold = min_published - 2 * automaton->window();
     std::vector<Match> merged = MergeSortedRuns(std::move(merge_runs));
     merge_runs.clear();
     auto split = std::partition_point(
@@ -780,15 +778,7 @@ Result<ParallelPartitionedMatcher> ParallelPartitionedMatcher::Create(
   options.batch_size = std::max<size_t>(options.batch_size, 1);
   options.emit_interval_events = std::max<int64_t>(options.emit_interval_events, 1);
   impl->options = std::move(options);
-  impl->effective_timeout =
-      impl->options.idle_timeout < 0
-          ? -1
-          : std::max(impl->options.idle_timeout, impl->automaton->window());
-  // Incremental emission needs both a consumer and the eviction guarantee:
-  // with eviction off, an idle partition may hold an arbitrarily old pending
-  // match, so no prefix of the stream is ever provably complete.
-  impl->incremental =
-      impl->options.sink != nullptr && impl->effective_timeout >= 0;
+  impl->incremental = impl->options.sink != nullptr;
   impl->shards.reserve(static_cast<size_t>(impl->options.num_shards));
   for (int i = 0; i < impl->options.num_shards; ++i) {
     impl->shards.push_back(

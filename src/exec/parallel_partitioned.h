@@ -30,32 +30,27 @@ namespace ses::exec {
 /// thread merges the per-shard buffers and sorts them with SortMatches, so
 /// the output is byte-identical to serial partitioned (and global)
 /// execution after the same normalization, independent of shard count and
-/// scheduling. With a sink installed (ParallelOptions::sink) and eviction
-/// enabled, matches are additionally delivered *incrementally*: each worker
-/// seals its per-batch matches as a sorted run, and the ingest thread
-/// k-way-merges the runs and emits every match whose start time lies below
-/// the safety watermark min(shard progress) − τe − τ — no later match can
-/// sort before that point (see docs/SEMANTICS.md §8) — so the resident
-/// match buffer stays bounded on long streams instead of growing until
-/// Flush. The emitted sequence over the whole stream is exactly the
+/// scheduling. With a sink installed (ParallelOptions::sink), matches are
+/// additionally delivered *incrementally*: each worker seals its per-batch
+/// matches as a sorted run, and the ingest thread k-way-merges the runs
+/// and emits every match whose start time lies below the safety watermark
+/// min(shard progress) − τe − τ — no later match can sort before that
+/// point (see docs/SEMANTICS.md §8) — so the resident match buffer stays
+/// bounded on long streams instead of growing until Flush. The emitted sequence over the whole stream is exactly the
 /// canonical sorted order either way.
 ///
 /// Partition eviction: streaming over high-cardinality keys (the "millions
 /// of users" regime) must not keep every partition resident forever. A
 /// partition whose newest event is older than `watermark − τe` is flushed
-/// (accepting instances emit their matches) and reclaimed. Because τe is
-/// clamped to at least the pattern window τ, every instance of an evicted
-/// partition has already logically expired — any future event of that key
-/// would arrive more than τ after the instance's earliest binding — so
-/// eviction preserves Definition 2 semantics exactly (see DESIGN.md §8).
+/// (accepting instances emit their matches) and reclaimed. τe is the
+/// pattern window τ, the earliest eviction that is provably safe: every
+/// instance of an evicted partition has already logically expired — any
+/// future event of that key would arrive more than τ after the instance's
+/// earliest binding — so eviction preserves Definition 2 semantics exactly
+/// (see DESIGN.md §8).
 struct ParallelOptions {
   /// Number of worker shards (threads). Clamped to at least 1.
   int num_shards = 4;
-  /// Idle-partition eviction threshold τe, in ticks. Clamped up to the
-  /// pattern window so eviction never changes the match set; 0 means
-  /// "evict as soon as provably safe" (τe = window). Negative disables
-  /// eviction (partitions stay resident until Flush).
-  Duration idle_timeout = 0;
   /// Events buffered per shard before the batch is enqueued.
   size_t batch_size = 256;
   /// Queue capacity per shard, in batches; bounds the memory a slow shard
@@ -64,12 +59,10 @@ struct ParallelOptions {
   /// Options forwarded to every per-partition Matcher.
   MatcherOptions matcher;
   /// Streaming match consumer. When set, Flush(out) delivers every match to
-  /// the sink (out may be null), and — if eviction is enabled (idle_timeout
-  /// >= 0) — matches are emitted incrementally below the safety watermark
-  /// while the stream is still running, keeping match memory bounded. The
-  /// sink runs on the ingest thread (inside Push/PushBatch/Flush). When
-  /// eviction is disabled, the sink still receives everything, but only at
-  /// the Flush barrier.
+  /// the sink (out may be null), and matches are emitted incrementally
+  /// below the safety watermark while the stream is still running, keeping
+  /// match memory bounded. The sink runs on the ingest thread (inside
+  /// Push/PushBatch/Flush).
   MatchSink sink;
   /// How often (in ingested events) the ingest thread collects sealed shard
   /// runs and emits matches below the safety watermark. Only meaningful
@@ -100,7 +93,7 @@ struct ParallelStats {
   int64_t max_queue_depth = 0;
   int64_t matches_emitted = 0;
   /// Matches delivered to the sink before the Flush barrier (incremental
-  /// watermark-bounded emission; 0 without a sink or with eviction off).
+  /// watermark-bounded emission; 0 without a sink).
   int64_t matches_emitted_early = 0;
   /// Peak number of completed matches resident in sealed shard runs plus
   /// the ingest-side merger — the buffer that incremental emission bounds.

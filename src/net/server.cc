@@ -204,9 +204,6 @@ bool Server::Handshake(Connection* conn) {
   catalog::CatalogOptions catalog_options;
   catalog_options.engine = options_.engine;
   catalog_options.engine_options = options_.engine_options;
-  catalog_options.shared_type_index = options_.shared_type_index;
-  catalog_options.shared_prefilter = options_.shared_prefilter;
-  catalog_options.type_attribute = options_.type_attribute;
   catalog_options.sink = [conn](std::string_view plan_id, Match&& match) {
     conn->pending[std::string(plan_id)].push_back(std::move(match));
   };

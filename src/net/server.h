@@ -35,10 +35,6 @@ struct ServerOptions {
   /// Template for every per-plan engine; the sink field is ignored (the
   /// server installs its own demux sink).
   engine::EngineOptions engine_options;
-  /// Shared-work toggles, forwarded to catalog::CatalogOptions.
-  bool shared_type_index = true;
-  bool shared_prefilter = true;
-  std::string type_attribute;
   /// Per-connection ingest queue capacity, in PushEvents slabs. A full
   /// queue turns the next PushEvents into a Busy response (backpressure)
   /// instead of unbounded buffering.

@@ -87,7 +87,10 @@ Result<Socket> ListenTcp(uint16_t port, uint16_t* bound_port) {
       0) {
     return Status::IoError(Errno("bind 127.0.0.1:" + std::to_string(port)));
   }
-  if (::listen(sock.fd(), 128) != 0) {
+  // The kernel caps the backlog at net.core.somaxconn. A smaller fixed
+  // backlog overflows when hundreds of clients connect at once, and each
+  // dropped SYN costs its client a 1 s retransmit.
+  if (::listen(sock.fd(), SOMAXCONN) != 0) {
     return Status::IoError(Errno("listen"));
   }
   if (bound_port != nullptr) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/strings.h"
 #include "core/partitioned.h"
 
 namespace ses::plan {
@@ -14,9 +13,8 @@ std::optional<std::vector<Value>> CompiledPlan::EqualityAlphabet(
   if (attribute < 0 || attribute >= pattern.schema().num_attributes()) {
     return std::nullopt;
   }
-  if (pattern.schema().attribute(attribute).type == ValueType::kDouble) {
-    return std::nullopt;
-  }
+  const ValueType type = pattern.schema().attribute(attribute).type;
+  if (type == ValueType::kDouble) return std::nullopt;
   std::vector<bool> covered(pattern.num_variables(), false);
   std::vector<Value> alphabet;
   for (const Condition& condition : pattern.conditions()) {
@@ -24,6 +22,11 @@ std::optional<std::vector<Value>> CompiledPlan::EqualityAlphabet(
     const AttributeRef& lhs = condition.lhs();
     if (lhs.is_timestamp() || lhs.attribute != attribute) continue;
     if (condition.op() != ComparisonOp::kEq) continue;
+    // Validation accepts any numeric constant on an INT attribute: the INT
+    // value 1 satisfies `K = 1.0`, yet as routing keys 1 and 1.0 differ.
+    // Coercing 1.0 to 1 would be wrong too: INT vs DOUBLE compares as
+    // doubles, so above 2^53 one DOUBLE constant equals several INT values.
+    if (condition.constant().type() != type) return std::nullopt;
     covered[lhs.variable] = true;
     alphabet.push_back(condition.constant());
   }
@@ -31,8 +34,7 @@ std::optional<std::vector<Value>> CompiledPlan::EqualityAlphabet(
                    [](bool c) { return c; })) {
     return std::nullopt;
   }
-  // Values on one non-DOUBLE attribute share its declared type (pattern
-  // validation), so Compare is total here.
+  // Every value has the attribute's declared type, so Compare is total.
   std::sort(alphabet.begin(), alphabet.end(),
             [](const Value& a, const Value& b) { return Compare(a, b) < 0; });
   alphabet.erase(std::unique(alphabet.begin(), alphabet.end()),
@@ -42,24 +44,8 @@ std::optional<std::vector<Value>> CompiledPlan::EqualityAlphabet(
 
 Result<std::shared_ptr<const CompiledPlan>> CompilePlan(const Pattern& pattern,
                                                         PlanOptions options) {
-  int attribute = options.partition_attribute;
-  if (attribute >= 0) {
-    if (attribute >= pattern.schema().num_attributes()) {
-      return Status::InvalidArgument(
-          "partition attribute index out of range");
-    }
-    if (!IsPartitionAttribute(pattern, attribute)) {
-      return Status::InvalidArgument(strings::Format(
-          "attribute '%s' does not carry a complete equality graph over all "
-          "event variables; partitioned execution would not be equivalent",
-          pattern.schema().attribute(attribute).name.c_str()));
-    }
-  } else {
-    // Auto-detection: a pattern without a qualifying attribute still
-    // compiles — it just cannot feed partition-pure engines.
-    Result<int> found = FindPartitionAttribute(pattern);
-    attribute = found.ok() ? *found : -1;
-  }
+  Result<int> found = FindPartitionAttribute(pattern);
+  const int attribute = found.ok() ? *found : -1;
 
   std::shared_ptr<const SesAutomaton> automaton = CompileAutomaton(pattern);
   std::shared_ptr<const EventPreFilter> prefilter;

@@ -19,17 +19,6 @@ struct PlanOptions {
   /// partitions and shards. When disabled, no filter is built and engines
   /// process every event.
   bool enable_prefilter = true;
-  /// Enables shared per-event evaluation of constant transition conditions
-  /// in every executor created from this plan (see
-  /// ExecutorOptions::shared_constant_evaluation).
-  bool shared_constant_evaluation = false;
-  /// Partition attribute for partition-pure engines. Negative means
-  /// auto-detect with FindPartitionAttribute; detection failure is not an
-  /// error — the plan simply reports has_partition_attribute() == false and
-  /// partitioned engines refuse to build from it. A non-negative value is
-  /// validated against FindPartitionAttribute's result and rejected if the
-  /// pattern's equality graph is not complete on it.
-  int partition_attribute = -1;
 };
 
 /// The immutable artifact of pattern compilation, shared by every engine
@@ -89,10 +78,13 @@ class CompiledPlan {
   ///
   /// Returns nullopt — "this plan is interested in every event" — when some
   /// variable lacks an equality condition on `attribute`, when `attribute`
-  /// is out of range, or when the attribute is DOUBLE-typed (floating-point
-  /// equality is not a routing key). The values are deduplicated and
-  /// ordered (Compare), so equal alphabets compare equal. Computed on
-  /// demand from the pattern; call at registration time, not per event.
+  /// is out of range, when the attribute is DOUBLE-typed (floating-point
+  /// equality is not a routing key), or when one of the equality constants
+  /// has another type than the attribute (`K = 1.0` on an INT attribute).
+  /// So every value has the attribute's declared type; the values are
+  /// deduplicated and ordered (Compare), so equal alphabets compare equal.
+  /// Computed on demand from the pattern; call at registration time, not
+  /// per event.
   std::optional<std::vector<Value>> EqualityAlphabet(int attribute) const;
 
   /// The per-evaluator options every engine built from this plan must
@@ -100,7 +92,6 @@ class CompiledPlan {
   MatcherOptions matcher_options() const {
     MatcherOptions options;
     options.enable_prefilter = options_.enable_prefilter;
-    options.shared_constant_evaluation = options_.shared_constant_evaluation;
     return options;
   }
 
@@ -126,11 +117,10 @@ class CompiledPlan {
 };
 
 /// Compiles `pattern` once into a shareable plan: runs the powerset
-/// construction, builds the pre-filter (when enabled), and detects or
-/// validates the partition attribute. Fails only on an explicitly requested
-/// partition attribute that does not carry a complete equality graph (or is
-/// out of range / of DOUBLE type); an undetectable attribute under
-/// auto-detection just yields a plan without one.
+/// construction, builds the pre-filter (when enabled), and detects the
+/// partition attribute with FindPartitionAttribute. A pattern without one
+/// still compiles: the plan reports has_partition_attribute() == false and
+/// partition-pure engines refuse to build from it.
 Result<std::shared_ptr<const CompiledPlan>> CompilePlan(
     const Pattern& pattern, PlanOptions options = {});
 

@@ -124,7 +124,8 @@ std::string Condition::ToString() const {
                                     lhs_.attribute,
                                     std::string(ComparisonOpToString(op_)).c_str());
   if (is_constant_condition()) {
-    out += " " + constant().ToString();
+    out += ' ';
+    out += constant().ToString();
   } else {
     out += strings::Format(" v%d.#%d", rhs_ref().variable,
                            rhs_ref().attribute);

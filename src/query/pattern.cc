@@ -341,7 +341,9 @@ std::string Pattern::ConditionToString(const Condition& condition) const {
   out += " ";
   if (condition.is_constant_condition()) {
     if (condition.constant().is_string()) {
-      out += "'" + condition.constant().ToString() + "'";
+      out += '\'';
+      out += condition.constant().ToString();
+      out += '\'';
     } else {
       out += condition.constant().ToString();
     }

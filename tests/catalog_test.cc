@@ -1,10 +1,10 @@
 // Differential and lifecycle tests for the multi-pattern catalog layer
 // (src/catalog/): for every registered plan, CatalogEngine's delivered
 // match set must be identical to a standalone engine running that plan
-// alone over the same events — with the shared type index and shared
-// pre-filter bitmap on or off, for N ∈ {1, 10, 100} plans with
+// alone over the same events — for N ∈ {1, 10, 100} plans with
 // overlapping alphabets, under skewed type mixes, across per-plan engine
-// kinds, and across add/remove-while-streaming (docs/SEMANTICS.md §10).
+// kinds, for a DOUBLE literal on an INT routing attribute, and across
+// add/remove-while-streaming (docs/SEMANTICS.md §10).
 // Plus the registration contract: duplicate ids, schema pinning,
 // remove-then-push, empty catalogs, disjoint alphabets, reuse via Reset.
 
@@ -215,26 +215,10 @@ TEST(CatalogEngineTest, RejectsBadOptions) {
   EXPECT_EQ(
       CatalogEngine::Create(catalog, std::move(bad_engine)).status().code(),
       StatusCode::kNotFound);
-
-  // A named routing attribute must exist and must not be DOUBLE.
-  ASSERT_TRUE(catalog->Add("q1", FamilyPlan(0, {"A", "B"})).ok());
-  CatalogOptions bad_attr;
-  bad_attr.sink = collector.Sink();
-  bad_attr.type_attribute = "nope";
-  EXPECT_EQ(
-      CatalogEngine::Create(catalog, std::move(bad_attr)).status().code(),
-      StatusCode::kNotFound);
-  CatalogOptions double_attr;
-  double_attr.sink = collector.Sink();
-  double_attr.type_attribute = "V";
-  EXPECT_EQ(
-      CatalogEngine::Create(catalog, std::move(double_attr)).status().code(),
-      StatusCode::kInvalidArgument);
 }
 
 /// The core differential: catalog output ≡ standalone engines, plan by
-/// plan, for growing catalog sizes and for every shared-work toggle
-/// combination.
+/// plan, for growing catalog sizes.
 TEST(CatalogEngineTest, DifferentialAgainstStandaloneEngines) {
   const std::vector<std::string> types = {"A", "B", "C", "D",
                                           "E", "F", "G", "H"};
@@ -250,53 +234,36 @@ TEST(CatalogEngineTest, DifferentialAgainstStandaloneEngines) {
           catalog->Add("plan" + std::to_string(i), plans.back()).ok());
     }
 
-    Signature reference_total;  // computed once per plan below
-    for (int index_on : {1, 0}) {
-      for (int prefilter_on : {1, 0}) {
-        DemuxCollector collector;
-        CatalogOptions options;
-        options.sink = collector.Sink();
-        options.shared_type_index = index_on != 0;
-        options.shared_prefilter = prefilter_on != 0;
-        auto engine = MustEngine(catalog, std::move(options));
-        ASSERT_TRUE(engine->PushBatch(events).ok());
-        ASSERT_TRUE(engine->Flush().ok());
+    DemuxCollector collector;
+    CatalogOptions options;
+    options.sink = collector.Sink();
+    auto engine = MustEngine(catalog, std::move(options));
+    ASSERT_TRUE(engine->PushBatch(events).ok());
+    ASSERT_TRUE(engine->Flush().ok());
 
-        for (int i = 0; i < num_plans; ++i) {
-          const std::string id = "plan" + std::to_string(i);
-          Signature expected = StandaloneSignature("serial", plans[i], events);
-          Signature actual =
-              SignatureOf(std::move(collector.by_plan[id]));
-          ASSERT_EQ(actual, expected)
-              << "plan " << id << " diverged (N=" << num_plans
-              << ", index=" << index_on << ", prefilter=" << prefilter_on
-              << ")";
-        }
-
-        CatalogStats stats = engine->stats();
-        EXPECT_EQ(stats.events_pushed,
-                  static_cast<int64_t>(events.size()));
-        EXPECT_EQ(stats.num_plans, num_plans);
-        if (index_on) {
-          // Auto-detection must route on L: every family plan has a
-          // complete equality alphabet there.
-          Result<int> l_index = ChemotherapySchema().IndexOf("L");
-          ASSERT_TRUE(l_index.ok());
-          EXPECT_EQ(stats.type_attribute, *l_index);
-          if (num_plans >= 10) {
-            EXPECT_GT(stats.events_skipped_by_index, 0);
-          }
-        } else {
-          EXPECT_EQ(stats.type_attribute, -1);
-          EXPECT_EQ(stats.events_skipped_by_index, 0);
-        }
-        // The accounting identity: every (event, plan) pair while
-        // registered is considered, index-skipped, or prefilter-skipped.
-        EXPECT_EQ(stats.events_considered + stats.events_skipped_by_index +
-                      stats.events_skipped_by_prefilter,
-                  stats.events_pushed * num_plans);
-      }
+    for (int i = 0; i < num_plans; ++i) {
+      const std::string id = "plan" + std::to_string(i);
+      Signature expected = StandaloneSignature("serial", plans[i], events);
+      Signature actual = SignatureOf(std::move(collector.by_plan[id]));
+      ASSERT_EQ(actual, expected)
+          << "plan " << id << " diverged (N=" << num_plans << ")";
     }
+    CatalogStats stats = engine->stats();
+    EXPECT_EQ(stats.events_pushed, static_cast<int64_t>(events.size()));
+    EXPECT_EQ(stats.num_plans, num_plans);
+    // Auto-detection must route on L: every family plan has a complete
+    // equality alphabet there.
+    Result<int> l_index = ChemotherapySchema().IndexOf("L");
+    ASSERT_TRUE(l_index.ok());
+    EXPECT_EQ(stats.type_attribute, *l_index);
+    if (num_plans >= 10) {
+      EXPECT_GT(stats.events_skipped_by_index, 0);
+    }
+    // The accounting identity: every (event, plan) pair while registered
+    // is considered, index-skipped, or prefilter-skipped.
+    EXPECT_EQ(stats.events_considered + stats.events_skipped_by_index +
+                  stats.events_skipped_by_prefilter,
+              stats.events_pushed * num_plans);
   }
 }
 
@@ -368,9 +335,12 @@ TEST(CatalogEngineTest, DifferentialAcrossPerPlanEngineKinds) {
 
   auto catalog = std::make_shared<QueryCatalog>();
   std::vector<std::shared_ptr<const CompiledPlan>> plans;
+  std::vector<std::string> ids;
   for (int i = 0; i < 6; ++i) {
     plans.push_back(FamilyPlan(i, types));
-    ASSERT_TRUE(catalog->Add("p" + std::to_string(i), plans[i]).ok());
+    ids.push_back("p");
+    ids.back() += std::to_string(i);
+    ASSERT_TRUE(catalog->Add(ids.back(), plans[i]).ok());
   }
 
   for (const std::string engine_name : {"serial", "partitioned", "parallel"}) {
@@ -387,9 +357,7 @@ TEST(CatalogEngineTest, DifferentialAcrossPerPlanEngineKinds) {
       standalone_options.num_shards = 2;
       Signature expected = StandaloneSignature(engine_name, plans[i], events,
                                                standalone_options);
-      ASSERT_EQ(
-          SignatureOf(std::move(collector.by_plan["p" + std::to_string(i)])),
-          expected)
+      ASSERT_EQ(SignatureOf(std::move(collector.by_plan[ids[i]])), expected)
           << engine_name << " plan " << i;
     }
   }
@@ -529,46 +497,44 @@ TEST(CatalogEngineTest, ResetReusesEnginesAndClearsCounters) {
   EXPECT_EQ(SignatureOf(std::move(collector.by_plan["q"])), first);
 }
 
-TEST(CatalogEngineTest, ExplicitTypeAttributeMatchesAutoDetection) {
-  const std::vector<std::string> types = {"A", "B", "C", "D"};
-  EventRelation stream = TypedStream(/*seed=*/31, /*events=*/1200, types);
-  std::span<const Event> events(stream.events());
+/// `a.K = 1.0` on an INT attribute holds for K = 1, but as routing keys
+/// the INT 1 and the DOUBLE 1.0 differ. So the type index must not route
+/// such a plan on its alphabet: it sees every event, on the row and the
+/// columnar path, and finds what a standalone engine finds.
+TEST(CatalogEngineTest, DoubleLiteralOnIntAttributeSeesEveryEvent) {
+  Result<Schema> schema = ParseSchemaText("ID INT, K INT");
+  ASSERT_TRUE(schema.ok()) << schema.status().ToString();
+  Result<Pattern> pattern = ParsePattern(
+      "PATTERN {a} -> {b} WHERE a.K = 1.0 AND b.K = 2 WITHIN 10h", *schema);
+  ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
+  Result<std::shared_ptr<const CompiledPlan>> plan = CompilePlan(*pattern);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  std::vector<Event> events;
+  for (int64_t i = 0; i < 6; ++i) {
+    events.push_back(Event(i + 1, duration::Hours(i + 1),
+                           {Value(int64_t{7}), Value(i % 2 + 1)}));
+  }
+  const Signature expected = StandaloneSignature("serial", *plan, events);
+  ASSERT_EQ(expected.size(), 3u);
 
   auto catalog = std::make_shared<QueryCatalog>();
-  std::vector<std::shared_ptr<const CompiledPlan>> plans;
-  for (int i = 0; i < 8; ++i) {
-    plans.push_back(FamilyPlan(i, types));
-    ASSERT_TRUE(catalog->Add("p" + std::to_string(i), plans[i]).ok());
-  }
-
-  DemuxCollector collector;
-  CatalogOptions options;
-  options.sink = collector.Sink();
-  options.type_attribute = "L";
-  auto engine = MustEngine(catalog, std::move(options));
-  ASSERT_TRUE(engine->PushBatch(events).ok());
-  ASSERT_TRUE(engine->Flush().ok());
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(
-        SignatureOf(std::move(collector.by_plan["p" + std::to_string(i)])),
-        StandaloneSignature("serial", plans[i], events))
-        << "plan " << i;
-  }
-  // Routing on a STRING attribute with no complete alphabet anywhere:
-  // index stays built but routes nothing away (every plan universal).
-  DemuxCollector collector_u;
-  CatalogOptions u_options;
-  u_options.sink = collector_u.Sink();
-  u_options.type_attribute = "U";
-  auto engine_u = MustEngine(catalog, std::move(u_options));
-  ASSERT_TRUE(engine_u->PushBatch(events).ok());
-  ASSERT_TRUE(engine_u->Flush().ok());
-  EXPECT_EQ(engine_u->stats().events_skipped_by_index, 0);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_EQ(
-        SignatureOf(std::move(collector_u.by_plan["p" + std::to_string(i)])),
-        StandaloneSignature("serial", plans[i], events))
-        << "plan " << i;
+  ASSERT_TRUE(catalog->Add("q", *plan).ok());
+  for (bool columnar : {false, true}) {
+    DemuxCollector collector;
+    CatalogOptions options;
+    options.sink = collector.Sink();
+    auto engine = MustEngine(catalog, std::move(options));
+    if (columnar) {
+      ASSERT_TRUE(
+          engine->PushColumnar(ColumnarBatch::FromEvents(*schema, events))
+              .ok());
+    } else {
+      ASSERT_TRUE(engine->PushBatch(events).ok());
+    }
+    ASSERT_TRUE(engine->Flush().ok());
+    EXPECT_EQ(SignatureOf(std::move(collector.by_plan["q"])), expected)
+        << (columnar ? "columnar" : "row") << " path";
+    EXPECT_EQ(engine->stats().events_skipped_by_index, 0);
   }
 }
 

@@ -359,12 +359,10 @@ TEST(ColumnarDifferential, TenPlanCatalogMatchesRowPath) {
         catalog->Add("plan-" + std::to_string(i), FamilyPlan(i, types)).ok());
   }
 
-  auto run = [&](bool columnar, bool shared_work)
+  auto run = [&](bool columnar)
       -> std::pair<std::map<std::string, Signature>,
                    std::vector<PlanStats>> {
     CatalogOptions options;
-    options.shared_type_index = shared_work;
-    options.shared_prefilter = shared_work;
     std::map<std::string, std::vector<Match>> by_plan;
     options.sink = [&by_plan](std::string_view id, Match&& match) {
       by_plan[std::string(id)].push_back(std::move(match));
@@ -394,23 +392,19 @@ TEST(ColumnarDifferential, TenPlanCatalogMatchesRowPath) {
     return {std::move(signatures), (*engine)->plan_stats()};
   };
 
-  for (bool shared_work : {true, false}) {
-    auto [row_signatures, row_stats] = run(false, shared_work);
-    auto [col_signatures, col_stats] = run(true, shared_work);
-    EXPECT_EQ(col_signatures, row_signatures)
-        << "shared_work " << shared_work;
-    ASSERT_EQ(col_stats.size(), row_stats.size());
-    for (size_t i = 0; i < row_stats.size(); ++i) {
-      EXPECT_EQ(col_stats[i].events_considered,
-                row_stats[i].events_considered)
-          << row_stats[i].id << " shared_work " << shared_work;
-      EXPECT_EQ(col_stats[i].events_skipped_by_prefilter,
-                row_stats[i].events_skipped_by_prefilter)
-          << row_stats[i].id << " shared_work " << shared_work;
-      EXPECT_EQ(col_stats[i].events_skipped_by_index,
-                row_stats[i].events_skipped_by_index)
-          << row_stats[i].id << " shared_work " << shared_work;
-    }
+  auto [row_signatures, row_stats] = run(false);
+  auto [col_signatures, col_stats] = run(true);
+  EXPECT_EQ(col_signatures, row_signatures);
+  ASSERT_EQ(col_stats.size(), row_stats.size());
+  for (size_t i = 0; i < row_stats.size(); ++i) {
+    EXPECT_EQ(col_stats[i].events_considered, row_stats[i].events_considered)
+        << row_stats[i].id;
+    EXPECT_EQ(col_stats[i].events_skipped_by_prefilter,
+              row_stats[i].events_skipped_by_prefilter)
+        << row_stats[i].id;
+    EXPECT_EQ(col_stats[i].events_skipped_by_index,
+              row_stats[i].events_skipped_by_index)
+        << row_stats[i].id;
   }
 }
 

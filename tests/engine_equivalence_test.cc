@@ -225,20 +225,16 @@ TEST(EngineEquivalence, PlanOptionVariantsDoNotChangeTheMatchSet) {
   auto expected = NormalizedKeys(RunEngine("serial", *baseline, stream));
 
   for (bool prefilter : {true, false}) {
-    for (bool shared_const : {true, false}) {
-      PlanOptions options;
-      options.enable_prefilter = prefilter;
-      options.shared_constant_evaluation = shared_const;
-      Result<std::shared_ptr<const CompiledPlan>> plan =
-          CompilePlan(pattern, options);
-      ASSERT_TRUE(plan.ok());
-      EXPECT_EQ(*plan != nullptr && (*plan)->shared_prefilter() != nullptr,
-                prefilter);
-      for (const std::string& name : AllEngineNames()) {
-        EXPECT_EQ(NormalizedKeys(RunEngine(name, *plan, stream)), expected)
-            << "engine " << name << " prefilter " << prefilter
-            << " shared_const " << shared_const;
-      }
+    PlanOptions options;
+    options.enable_prefilter = prefilter;
+    Result<std::shared_ptr<const CompiledPlan>> plan =
+        CompilePlan(pattern, options);
+    ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(*plan != nullptr && (*plan)->shared_prefilter() != nullptr,
+              prefilter);
+    for (const std::string& name : AllEngineNames()) {
+      EXPECT_EQ(NormalizedKeys(RunEngine(name, *plan, stream)), expected)
+          << "engine " << name << " prefilter " << prefilter;
     }
   }
 }
@@ -298,14 +294,6 @@ TEST(CompiledPlan, DetectsAndValidatesPartitionAttribute) {
   ASSERT_TRUE(plan.ok());
   EXPECT_TRUE((*plan)->has_partition_attribute());
   EXPECT_EQ((*plan)->partition_attribute(), 0);
-
-  // Explicitly requesting ID succeeds; a non-qualifying attribute fails.
-  PlanOptions explicit_id;
-  explicit_id.partition_attribute = 0;
-  EXPECT_TRUE(CompilePlan(CompletePattern(), explicit_id).ok());
-  PlanOptions wrong;
-  wrong.partition_attribute = 1;  // L: no equality graph on it
-  EXPECT_FALSE(CompilePlan(CompletePattern(), wrong).ok());
 
   // A chain equality graph (Q1-style) is not partitionable: the plan still
   // compiles, but the partition-pure engines refuse it.

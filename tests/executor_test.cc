@@ -310,36 +310,6 @@ TEST(Executor, StatsCountInstancesAndTransitions) {
   EXPECT_GT(stats.conditions_evaluated, 0);
 }
 
-TEST(Executor, SharedConstantEvaluationMemoizesPerEvent) {
-  // Non-exclusive pattern: many instances share states, so the constant
-  // conditions of each transition are evaluated once per event instead of
-  // once per instance.
-  // The group variable keeps every run's instances looping in the {a+}
-  // and {a+, b} states, so dozens of instances share each state and the
-  // per-(event, transition) memo eliminates most constant evaluations.
-  Pattern p = MustParse(
-      "PATTERN {a+, b} WHERE a.L = 'A' AND b.L = 'A' WITHIN 10h");
-  std::vector<std::pair<std::string, int64_t>> spec;
-  for (int i = 0; i < 12; ++i) spec.push_back({"A", i + 1});
-  EventRelation stream = MakeStream(spec);
-
-  MatcherOptions plain;
-  MatcherOptions shared;
-  shared.shared_constant_evaluation = true;
-  ExecutorStats plain_stats;
-  ExecutorStats shared_stats;
-  Result<std::vector<Match>> a =
-      MatchRelation(p, stream, plain, &plain_stats);
-  Result<std::vector<Match>> b =
-      MatchRelation(p, stream, shared, &shared_stats);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(SameMatchSet(*a, *b));
-  // With dozens of instances per state the saving must be substantial.
-  EXPECT_LT(shared_stats.conditions_evaluated,
-            plain_stats.conditions_evaluated / 2);
-}
-
 TEST(Executor, TimestampConditionsInPatterns) {
   // Explicit timestamp conditions via the reserved attribute T.
   Pattern p = MustParse(
@@ -460,7 +430,7 @@ TEST(Executor, RestoreRejectsUnboundOrUnorderedInstances) {
     return bytes;
   };
   auto restore = [&](const std::string& bytes) {
-    SesExecutor executor(automaton.get(), ExecutorOptions{});
+    SesExecutor executor(automaton.get(), MatcherOptions{});
     const char* cursor = bytes.data();
     return executor.Restore(&cursor, bytes.data() + bytes.size()).code();
   };

@@ -49,7 +49,8 @@ std::vector<Pattern> PatternFamily() {
                 for (int size : sizes) {
                   builder.BeginSet();
                   for (int k = 0; k < size; ++k, ++variable) {
-                    std::string name = "v" + std::to_string(variable);
+                    std::string name = "v";
+                    name += std::to_string(variable);
                     switch (quantifiers[variable]) {
                       case 0:
                         builder.Var(name);

@@ -168,7 +168,6 @@ TEST(ParallelPartitioned, IdlePartitionIsEvictedAndStillEmits) {
   ParallelOptions options;
   options.num_shards = 1;   // both keys share the worker: deterministic
   options.batch_size = 1;   // eviction sweep after every event
-  options.idle_timeout = 0; // τe = window
   ParallelStats stats;
   Result<std::vector<Match>> matches =
       ParallelPartitionedMatchRelation(pattern, stream, 0, options, &stats);
@@ -183,23 +182,8 @@ TEST(ParallelPartitioned, IdlePartitionIsEvictedAndStillEmits) {
             NormalizedKeys(*MatchRelation(pattern, stream)));
 }
 
-TEST(ParallelPartitioned, NegativeTimeoutDisablesEviction) {
-  Pattern pattern = CompletePattern("5h");
-  EventRelation stream = TwoKeyIdleStream();
-  ParallelOptions options;
-  options.num_shards = 1;
-  options.batch_size = 1;
-  options.idle_timeout = -1;
-  ParallelStats stats;
-  Result<std::vector<Match>> matches =
-      ParallelPartitionedMatchRelation(pattern, stream, 0, options, &stats);
-  ASSERT_TRUE(matches.ok());
-  EXPECT_EQ(stats.partitions_evicted, 0);
-  EXPECT_EQ(matches->size(), 2u);
-}
-
 TEST(ParallelPartitioned, EvictionNeverChangesTheMatchSet) {
-  // Property check: aggressive eviction (τe clamped to the window) over a
+  // Property check: aggressive eviction (τe = the window) over a
   // bursty multi-key stream emits exactly the serial match set.
   Pattern pattern = CompletePattern("2h");
   for (uint64_t seed = 11; seed <= 14; ++seed) {
@@ -209,7 +193,6 @@ TEST(ParallelPartitioned, EvictionNeverChangesTheMatchSet) {
     ParallelOptions options;
     options.num_shards = 4;
     options.batch_size = 16;
-    options.idle_timeout = 0;
     ParallelStats stats;
     Result<std::vector<Match>> parallel = ParallelPartitionedMatchRelation(
         pattern, stream, -1, options, &stats);

@@ -44,7 +44,8 @@ Pattern RandomPattern(Random* random) {
     builder.BeginSet();
     int num_vars = 1 + static_cast<int>(random->Uniform(3));
     for (int v = 0; v < num_vars; ++v) {
-      std::string name = "v" + std::to_string(names.size());
+      std::string name = "v";
+      name += std::to_string(names.size());
       bool group = random->Bernoulli(0.3);
       // The very first variable stays required so the pattern is valid.
       bool optional = !group && !names.empty() && random->Bernoulli(0.2);
@@ -152,32 +153,6 @@ TEST_P(RandomizedMatching, FilterOnAndOffAreEquivalent) {
     EXPECT_EQ(stats_on.max_simultaneous_instances,
               stats_off.max_simultaneous_instances)
         << pattern.ToString();
-  }
-}
-
-TEST_P(RandomizedMatching, SharedConstantEvaluationIsEquivalent) {
-  Random random(GetParam() + 5000);
-  for (int round = 0; round < 4; ++round) {
-    Pattern pattern = RandomPattern(&random);
-    EventRelation stream = RandomStream(GetParam() * 23 + round);
-    MatcherOptions plain;
-    MatcherOptions shared;
-    shared.shared_constant_evaluation = true;
-    ExecutorStats plain_stats;
-    ExecutorStats shared_stats;
-    Result<std::vector<Match>> a =
-        MatchRelation(pattern, stream, plain, &plain_stats);
-    Result<std::vector<Match>> b =
-        MatchRelation(pattern, stream, shared, &shared_stats);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_TRUE(SameMatchSet(*a, *b)) << pattern.ToString();
-    // Memoization only removes redundant evaluations.
-    EXPECT_LE(shared_stats.conditions_evaluated,
-              plain_stats.conditions_evaluated);
-    EXPECT_EQ(shared_stats.max_simultaneous_instances,
-              plain_stats.max_simultaneous_instances);
-    EXPECT_EQ(shared_stats.transitions_fired, plain_stats.transitions_fired);
   }
 }
 
@@ -298,7 +273,7 @@ TEST_P(RandomizedMatching, InPlaceOmegaStaysOrderedByFirstBinding) {
     std::shared_ptr<const SesAutomaton> automaton =
         CompileAutomaton(pattern);
     for (bool prefilter : {true, false}) {
-      ExecutorOptions options;
+      MatcherOptions options;
       options.enable_prefilter = prefilter;
       SesExecutor executor(automaton.get(), options);
       std::vector<Match> matches;

@@ -297,7 +297,9 @@ TEST(Pattern, TooManyVariablesRejected) {
   std::vector<EventVariable> vars;
   std::vector<VariableId> set;
   for (int i = 0; i < 64; ++i) {
-    vars.push_back({"v" + std::to_string(i), false, 0});
+    std::string name = "v";
+    name += std::to_string(i);
+    vars.push_back({name, false, 0});
     set.push_back(i);
   }
   EXPECT_FALSE(

@@ -16,7 +16,8 @@
 #
 # Before that, malformed or out-of-range numeric flags must be refused as
 # usage errors: exit 2 from ses_server and ses_loadgen, exit 1 with the
-# range message from ses_cli.
+# range message from ses_cli. The flags of options deleted from ses_cli
+# must be unknown to it: exit 1 with "unknown flag".
 #
 # Usage: tools/server_smoke.sh [CLIENTS] [EVENTS]
 #   CLIENTS  concurrent loadgen connections (default 8)
@@ -116,6 +117,19 @@ for bad in "--threads 2x" "--threads 0" "--batch 5000000000" \
   if [ "$code" -ne 1 ] ||
     ! grep -q "must be an integer in" "$workdir/cli_flag.err"; then
     echo "error: ses_cli $bad exited $code, want 1 with a range error" >&2
+    cat "$workdir/cli_flag.err" >&2
+    exit 1
+  fi
+done
+for removed in shared-const no-type-index no-shared-prefilter \
+  "type-attribute L"; do
+  code=0
+  # shellcheck disable=SC2086  # split "--flag value"
+  timeout 20 "$CLI" --demo --$removed > /dev/null \
+    2> "$workdir/cli_flag.err" || code=$?
+  if [ "$code" -ne 1 ] || ! grep -q "unknown flag" "$workdir/cli_flag.err"; then
+    echo "error: ses_cli --$removed exited $code, want 1 with an unknown" \
+      "flag error" >&2
     cat "$workdir/cli_flag.err" >&2
     exit 1
   fi
