@@ -95,6 +95,10 @@ struct CliArgs {
   /// Testing hook for tools/crash_recovery.sh: exit hard (code 137,
   /// no flush, no output) after consuming N events in this process.
   long long crash_after_events = 0;
+  /// The engine flags given (--engine, --threads, --batch, --lateness,
+  /// --late-policy), in command-line order. They configure a
+  /// single-pattern engine, so a --catalog run rejects them.
+  std::vector<std::string> engine_flags;
 };
 
 void PrintUsage() {
@@ -117,7 +121,9 @@ void PrintUsage() {
       "  --catalog FILE evaluate a catalog of named patterns in one pass\n"
       "                 over the stream ([plan-id] headers, each followed\n"
       "                 by its query; see docs/CATALOG.md); matches are\n"
-      "                 printed tagged with the plan id\n"
+      "                 printed tagged with the plan id. --engine,\n"
+      "                 --threads, --batch, --lateness and --late-policy\n"
+      "                 configure single-pattern runs only\n"
       "  --engine NAME  evaluation strategy: parallel, partitioned or\n"
       "                 serial (default serial; see --list-engines)\n"
       "  --list-engines print the available engines and exit\n"
@@ -205,16 +211,21 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
         return Status::InvalidArgument("--format must be text or csv");
       }
     } else if (std::strcmp(argv[i], "--engine") == 0) {
+      args.engine_flags.push_back(argv[i]);
       SES_ASSIGN_OR_RETURN(args.engine, need_value(i));
     } else if (std::strcmp(argv[i], "--list-engines") == 0) {
       args.list_engines = true;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
+      args.engine_flags.push_back(argv[i]);
       SES_ASSIGN_OR_RETURN(args.threads, need_int(i, 1, kIntMax));
     } else if (std::strcmp(argv[i], "--batch") == 0) {
+      args.engine_flags.push_back(argv[i]);
       SES_ASSIGN_OR_RETURN(args.batch, need_int(i, 1, kIntMax));
     } else if (std::strcmp(argv[i], "--lateness") == 0) {
+      args.engine_flags.push_back(argv[i]);
       SES_ASSIGN_OR_RETURN(args.lateness, need_int(i, 0, kInt64Max));
     } else if (std::strcmp(argv[i], "--late-policy") == 0) {
+      args.engine_flags.push_back(argv[i]);
       SES_ASSIGN_OR_RETURN(std::string value, need_value(i));
       SES_ASSIGN_OR_RETURN(args.late_policy, exec::ParseLatePolicy(value));
     } else if (std::strcmp(argv[i], "--columnar") == 0) {
@@ -410,7 +421,8 @@ Result<std::vector<std::pair<std::string, std::string>>> ParseCatalogFile(
 /// Multi-pattern run: every catalog entry is parsed against the stream
 /// schema, compiled, registered, and evaluated in one pass by a
 /// CatalogEngine. Output is the same canonical per-plan listing a loop of
-/// single-pattern runs would print, each line tagged with its plan id.
+/// single-pattern serial runs would print, each line tagged with its plan
+/// id.
 Status RunCatalog(const CliArgs& args) {
   SES_ASSIGN_OR_RETURN(LoadedData data, LoadData(args));
   SES_ASSIGN_OR_RETURN(auto entries, ParseCatalogFile(args.catalog_path));
@@ -436,10 +448,7 @@ Status RunCatalog(const CliArgs& args) {
     patterns.emplace(id, std::move(*pattern));
   }
 
-  SES_ASSIGN_OR_RETURN(std::string engine_name, ResolveEngineName(args));
   catalog::CatalogOptions options;
-  options.engine = engine_name;
-  options.engine_options = MakeEngineOptions(args);
   std::map<std::string, std::vector<Match>> by_plan;
   options.sink = [&by_plan](std::string_view id, Match&& match) {
     by_plan[std::string(id)].push_back(std::move(match));
@@ -496,10 +505,10 @@ Status RunCatalog(const CliArgs& args) {
   if (args.stats) {
     catalog::CatalogStats stats = engine->stats();
     std::printf(
-        "catalog [%s x%lld]: %lld events pushed, %lld matches; type index "
+        "catalog [x%lld]: %lld events pushed, %lld matches; type index "
         "on %s; %lld/%lld (event,plan) pairs skipped by index, %lld by "
         "shared pre-filter; %lld distinct of %lld plan conditions\n",
-        engine_name.c_str(), static_cast<long long>(stats.num_plans),
+        static_cast<long long>(stats.num_plans),
         static_cast<long long>(stats.events_pushed),
         static_cast<long long>(stats.matches),
         stats.type_attribute >= 0
@@ -548,6 +557,12 @@ Status Run(const CliArgs& args) {
       return Status::InvalidArgument(
           "--checkpoint-dir/--crash-after-events cover single-pattern runs; "
           "checkpoint a catalog through CatalogEngine::Checkpoint");
+    }
+    if (!args.engine_flags.empty()) {
+      return Status::InvalidArgument(
+          args.engine_flags.front() +
+          " configures a single-pattern engine; --catalog evaluates every "
+          "plan over one ordered stream");
     }
     return RunCatalog(args);
   }

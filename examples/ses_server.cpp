@@ -7,9 +7,8 @@
 //   # serve the demo schema on an ephemeral port (printed on stdout)
 //   ses_server --schema "ID INT, L STRING, V DOUBLE, U STRING"
 //
-//   # fixed port, parallel per-plan engines, checkpointing enabled
-//   ses_server --schema "..." --port 7341 --engine parallel --threads 4
-//              --checkpoint-dir /var/lib/ses
+//   # fixed port, checkpointing enabled
+//   ses_server --schema "..." --port 7341 --checkpoint-dir /var/lib/ses
 //
 // The server runs until SIGINT/SIGTERM, then closes every connection
 // cleanly (clients see the socket close; admitted slabs finish evaluating
@@ -24,7 +23,6 @@
 #include <thread>
 
 #include "common/strings.h"
-#include "engine/registry.h"
 #include "net/server.h"
 
 namespace {
@@ -38,8 +36,6 @@ void HandleSignal(int) { g_stop = 1; }
 struct ServerArgs {
   std::string schema_text;
   int64_t port = 0;
-  std::string engine = "serial";
-  int64_t threads = 0;
   int64_t queue_capacity = 64;
   int64_t idle_timeout_ms = 60'000;
   std::string checkpoint_dir;
@@ -53,9 +49,6 @@ void PrintUsage(const char* argv0) {
       "                       \"ID INT, L STRING, V DOUBLE, U STRING\"\n"
       "  --port N             TCP port on 127.0.0.1, 0..65535 (default 0 =\n"
       "                       ephemeral; the chosen port is printed on stdout)\n"
-      "  --engine NAME        per-plan engine (default serial; see\n"
-      "                       ses_cli --list-engines)\n"
-      "  --threads N          shorthand for --engine parallel with N shards\n"
       "  --queue-capacity N   per-connection ingest queue slots (>= 1) before\n"
       "                       PushEvents answers Busy (default 64)\n"
       "  --idle-timeout-ms N  close connections idle this long (default\n"
@@ -68,7 +61,6 @@ void PrintUsage(const char* argv0) {
 
 ses::Result<ServerArgs> ParseArgs(int argc, char** argv) {
   ServerArgs args;
-  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
   constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
   for (int i = 1; i < argc; ++i) {
     std::string_view flag = argv[i];
@@ -94,10 +86,6 @@ ses::Result<ServerArgs> ParseArgs(int argc, char** argv) {
       SES_ASSIGN_OR_RETURN(args.schema_text, next());
     } else if (flag == "--port") {
       SES_ASSIGN_OR_RETURN(args.port, next_int(0, 65535));
-    } else if (flag == "--engine") {
-      SES_ASSIGN_OR_RETURN(args.engine, next());
-    } else if (flag == "--threads") {
-      SES_ASSIGN_OR_RETURN(args.threads, next_int(0, kIntMax));
     } else if (flag == "--queue-capacity") {
       SES_ASSIGN_OR_RETURN(args.queue_capacity, next_int(1, kInt64Max));
     } else if (flag == "--idle-timeout-ms") {
@@ -123,11 +111,6 @@ Status Run(const ServerArgs& args) {
   net::ServerOptions options;
   SES_ASSIGN_OR_RETURN(options.schema, ParseSchemaText(args.schema_text));
   options.port = static_cast<uint16_t>(args.port);
-  options.engine = args.engine;
-  if (args.threads > 0) {
-    options.engine = "parallel";
-    options.engine_options.num_shards = static_cast<int>(args.threads);
-  }
   options.queue_capacity = static_cast<size_t>(args.queue_capacity);
   options.idle_timeout_ms = args.idle_timeout_ms;
   options.checkpoint_dir = args.checkpoint_dir;
@@ -140,9 +123,8 @@ Status Run(const ServerArgs& args) {
   std::fflush(stdout);
   if (!args.quiet) {
     std::fprintf(stderr,
-                 "ses_server: engine=%s queue-capacity=%lld"
-                 " idle-timeout=%lldms checkpoints=%s\n",
-                 args.threads > 0 ? "parallel" : args.engine.c_str(),
+                 "ses_server: queue-capacity=%lld idle-timeout=%lldms"
+                 " checkpoints=%s\n",
                  static_cast<long long>(args.queue_capacity),
                  static_cast<long long>(args.idle_timeout_ms),
                  args.checkpoint_dir.empty() ? "<off>"

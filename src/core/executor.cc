@@ -18,7 +18,7 @@ SesExecutor::SesExecutor(const SesAutomaton* automaton,
                          std::shared_ptr<const EventPreFilter> filter)
     : automaton_(automaton),
       options_(options),
-      filter_(filter != nullptr
+      filter_(filter != nullptr || !options.enable_prefilter
                   ? std::move(filter)
                   : std::make_shared<const EventPreFilter>(
                         automaton->pattern())) {}

@@ -67,7 +67,7 @@ class SesExecutor {
   /// immutable after construction, so one instance can serve every
   /// per-partition executor of a partitioned run instead of re-scanning the
   /// pattern's conditions on every partition creation. A null filter falls
-  /// back to building one.
+  /// back to building one, unless options.enable_prefilter is false.
   SesExecutor(const SesAutomaton* automaton, MatcherOptions options,
               std::shared_ptr<const EventPreFilter> filter);
 
@@ -163,7 +163,8 @@ class SesExecutor {
   const SesAutomaton* automaton_;
   MatcherOptions options_;
   /// Shared with sibling executors when handed in at construction (one
-  /// filter per compiled plan), privately owned otherwise.
+  /// filter per compiled plan), privately owned otherwise; null when the
+  /// filter is disabled and none was handed in.
   std::shared_ptr<const EventPreFilter> filter_;
   /// Ω is instances_[head_, end); the slots below head_ held expired
   /// instances and are erased once there are as many as live ones.

@@ -16,21 +16,30 @@ namespace ses {
 /// the SQL pattern-matching proposal.
 ///
 /// When the pattern's conditions require v.A = v'.A for EVERY pair of
-/// event variables (a complete equality graph on attribute A), every
-/// automaton instance is partition-pure: its first binding fixes the value
-/// of A and every later transition carries an equality condition against a
-/// bound variable. Events of other partitions can then never fire a
-/// transition, so running one independent matcher per distinct value of A
-/// produces exactly the same matches while each event only iterates over
-/// its own partition's instances — the per-event cost drops by roughly the
-/// number of active partitions.
+/// event variables (a complete equality graph on attribute A), an
+/// instance's first binding fixes the value of A, and a transition that
+/// binds a variable compares it with every other bound variable. Events of
+/// other partitions then cannot fire a transition, so running one
+/// independent matcher per distinct value of A produces the same matches
+/// while each event only iterates over its own partition's instances — the
+/// per-event cost drops by roughly the number of active partitions.
+///
+/// One exception remains: a group variable p+ in the FIRST event set. While
+/// p is the only bound variable, the p+ self-loop compares p with nothing,
+/// so the global automaton lets another partition's event extend the run,
+/// which then fails the equality with the next variable it binds (the
+/// poisoning pitfall of DESIGN.md). Per-key execution never sees that
+/// event, so it can return more matches than the global matcher
+/// (PartitionedMatcher.FirstSetGroupVariableFindsMoreThanGlobal). The
+/// detector below does not refuse such patterns.
 ///
 /// Note the completeness requirement: a merely *connected* equality graph
 /// (a chain like Q1's Θ) is NOT sufficient — under a chain the global
 /// automaton can be poisoned by cross-partition events (see DESIGN.md), so
 /// partitioned execution would return strictly more matches. The detector
-/// below therefore only accepts complete graphs, where equivalence is
-/// exact (property-tested against the global matcher).
+/// below therefore only accepts complete graphs; there, apart from the
+/// exception above, the match sets are equal (property-tested against the
+/// global matcher).
 
 /// Finds an attribute on which the pattern's equality conditions form a
 /// complete graph over all variables. Returns the schema attribute index,

@@ -33,90 +33,44 @@ Status RequirePartitionAttribute(const plan::CompiledPlan& plan,
       "(see core/partitioned.h)");
 }
 
-/// "serial": one global Matcher; matches drain to the sink on every Push.
-class SerialEngine : public Engine {
+/// Registry names and the matcher-specific part of the stats snapshot of
+/// the two inline engines below.
+std::string_view InlineEngineName(const Matcher&) { return "serial"; }
+std::string_view InlineEngineName(const PartitionedMatcher&) {
+  return "partitioned";
+}
+
+void FillMatcherStats(const Matcher& matcher, EngineStats* stats) {
+  const ExecutorStats& executor = matcher.stats();
+  stats->events_filtered = executor.events_filtered;
+  stats->instances_created = executor.instances_created;
+  stats->instances_pruned = executor.instances_expired;
+  stats->max_simultaneous_instances = executor.max_simultaneous_instances;
+}
+
+void FillMatcherStats(const PartitionedMatcher& matcher, EngineStats* stats) {
+  stats->num_partitions = matcher.num_partitions();
+  // Summed across partitions, unlike the aggregated executors' maximum.
+  stats->max_simultaneous_instances =
+      matcher.stats().max_simultaneous_instances;
+  const ExecutorStats aggregated = matcher.AggregatedExecutorStats();
+  stats->events_filtered = aggregated.events_filtered;
+  stats->instances_created = aggregated.instances_created;
+  stats->instances_pruned = aggregated.instances_expired;
+}
+
+/// "serial" (MatcherT = Matcher, one global automaton) and "partitioned"
+/// (MatcherT = PartitionedMatcher, one Matcher per key): the matcher runs
+/// on the pushing thread, and its matches drain to the sink on every Push.
+template <typename MatcherT>
+class InlineEngine : public Engine {
  public:
-  SerialEngine(std::shared_ptr<const plan::CompiledPlan> plan,
-               EngineOptions options)
-      : Engine(std::move(plan), std::move(options)),
-        matcher_(plan_->shared_automaton(), plan_->matcher_options(),
-                 plan_->shared_prefilter()) {}
-
-  std::string_view name() const override { return "serial"; }
-
- protected:
-  Status PushOrdered(const Event& event) override {
-    SES_RETURN_IF_ERROR(matcher_.Push(event, &buffer_));
-    Drain(/*early=*/true);
-    return Status::OK();
-  }
-
-  Status FlushImpl() override {
-    matcher_.Flush(&buffer_);
-    Drain(/*early=*/false);
-    return Status::OK();
-  }
-
-  void ResetImpl() override {
-    matcher_.Reset();
-    buffer_.clear();
-    stats_ = EngineStats{};
-  }
-
-  EngineStats StatsImpl() const override {
-    EngineStats stats = stats_;
-    const ExecutorStats& executor = matcher_.stats();
-    stats.events_filtered = executor.events_filtered;
-    stats.instances_created = executor.instances_created;
-    stats.instances_pruned = executor.instances_expired;
-    stats.max_simultaneous_instances = executor.max_simultaneous_instances;
-    return stats;
-  }
-
-  Status CheckpointImpl(std::string* out) override {
-    matcher_.Checkpoint(out);
-    storage::PutSigned(out, stats_.matches_emitted);
-    storage::PutSigned(out, stats_.matches_emitted_early);
-    storage::PutSigned(out, stats_.max_buffered_matches);
-    return Status::OK();
-  }
-
-  Status RestoreImpl(const char** p, const char* limit) override {
-    SES_RETURN_IF_ERROR(matcher_.Restore(p, limit));
-    SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.matches_emitted));
-    SES_RETURN_IF_ERROR(
-        storage::GetSigned(p, limit, &stats_.matches_emitted_early));
-    SES_RETURN_IF_ERROR(
-        storage::GetSigned(p, limit, &stats_.max_buffered_matches));
-    return Status::OK();
-  }
-
- private:
-  void Drain(bool early) {
-    stats_.max_buffered_matches = std::max(
-        stats_.max_buffered_matches, static_cast<int64_t>(buffer_.size()));
-    for (Match& match : buffer_) {
-      ++stats_.matches_emitted;
-      if (early) ++stats_.matches_emitted_early;
-      options_.sink(std::move(match));
-    }
-    buffer_.clear();
-  }
-
-  Matcher matcher_;
-  std::vector<Match> buffer_;
-  EngineStats stats_;
-};
-
-/// "partitioned": serial partition-pure execution, one Matcher per key.
-class PartitionedEngine : public Engine {
- public:
-  PartitionedEngine(std::shared_ptr<const plan::CompiledPlan> plan,
-                    EngineOptions options, PartitionedMatcher matcher)
+  InlineEngine(std::shared_ptr<const plan::CompiledPlan> plan,
+               EngineOptions options, MatcherT matcher)
       : Engine(std::move(plan), std::move(options)),
         matcher_(std::move(matcher)) {}
 
-  std::string_view name() const override { return "partitioned"; }
+  std::string_view name() const override { return InlineEngineName(matcher_); }
 
  protected:
   Status PushOrdered(const Event& event) override {
@@ -139,13 +93,7 @@ class PartitionedEngine : public Engine {
 
   EngineStats StatsImpl() const override {
     EngineStats stats = stats_;
-    stats.num_partitions = matcher_.num_partitions();
-    stats.max_simultaneous_instances =
-        matcher_.stats().max_simultaneous_instances;
-    const ExecutorStats aggregated = matcher_.AggregatedExecutorStats();
-    stats.events_filtered = aggregated.events_filtered;
-    stats.instances_created = aggregated.instances_created;
-    stats.instances_pruned = aggregated.instances_expired;
+    FillMatcherStats(matcher_, &stats);
     return stats;
   }
 
@@ -179,7 +127,7 @@ class PartitionedEngine : public Engine {
     buffer_.clear();
   }
 
-  PartitionedMatcher matcher_;
+  MatcherT matcher_;
   std::vector<Match> buffer_;
   EngineStats stats_;
 };
@@ -642,8 +590,10 @@ std::vector<std::pair<std::string, int64_t>> EngineCounters(
 Result<std::unique_ptr<Engine>> CreateSerialEngine(
     std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options) {
   SES_RETURN_IF_ERROR(ValidateSink(options));
-  return std::unique_ptr<Engine>(
-      new SerialEngine(std::move(plan), std::move(options)));
+  Matcher matcher(plan->shared_automaton(), plan->matcher_options(),
+                  plan->shared_prefilter());
+  return std::unique_ptr<Engine>(new InlineEngine<Matcher>(
+      std::move(plan), std::move(options), std::move(matcher)));
 }
 
 Result<std::unique_ptr<Engine>> CreatePartitionedEngine(
@@ -656,7 +606,7 @@ Result<std::unique_ptr<Engine>> CreatePartitionedEngine(
                                  plan->partition_attribute(),
                                  plan->matcher_options(),
                                  plan->shared_prefilter()));
-  return std::unique_ptr<Engine>(new PartitionedEngine(
+  return std::unique_ptr<Engine>(new InlineEngine<PartitionedMatcher>(
       std::move(plan), std::move(options), std::move(matcher)));
 }
 

@@ -641,7 +641,6 @@ struct ParallelPartitionedMatcher::Impl {
       storage::PutSigned(out, shard->stats.partitions_created);
       storage::PutSigned(out, shard->stats.partitions_evicted);
       storage::PutSigned(out, shard->stats.max_resident_partitions);
-      storage::PutSigned(out, shard->stats.max_queue_depth);
       storage::PutSigned(out, shard->stats.matches_emitted);
       storage::PutSigned(out, shard->stats.busy_nanos);
     }
@@ -739,8 +738,6 @@ struct ParallelPartitionedMatcher::Impl {
             storage::GetSigned(p, limit, &shard->stats.partitions_evicted));
         SES_RETURN_IF_ERROR(storage::GetSigned(
             p, limit, &shard->stats.max_resident_partitions));
-        SES_RETURN_IF_ERROR(
-            storage::GetSigned(p, limit, &shard->stats.max_queue_depth));
         SES_RETURN_IF_ERROR(
             storage::GetSigned(p, limit, &shard->stats.matches_emitted));
         SES_RETURN_IF_ERROR(

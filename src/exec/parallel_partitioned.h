@@ -78,7 +78,6 @@ struct ShardStats {
   int64_t partitions_created = 0;
   int64_t partitions_evicted = 0;
   int64_t max_resident_partitions = 0;
-  int64_t max_queue_depth = 0;
   int64_t matches_emitted = 0;
   /// Wall-clock nanoseconds this worker spent processing batches.
   int64_t busy_nanos = 0;

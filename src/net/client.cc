@@ -32,7 +32,6 @@ Result<std::unique_ptr<Client>> Client::Connect(ClientOptions options) {
   SES_ASSIGN_OR_RETURN(HelloResponse ack,
                        HelloResponse::Decode(frame.payload));
   SES_ASSIGN_OR_RETURN(client->schema_, ParseSchemaText(ack.schema_text));
-  client->engine_ = ack.engine;
   return client;
 }
 

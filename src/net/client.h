@@ -54,8 +54,6 @@ class Client {
 
   /// The stream schema announced by the server in the handshake.
   const Schema& schema() const { return schema_; }
-  /// The server's per-plan engine (registry name), from the handshake.
-  const std::string& engine() const { return engine_; }
 
   /// Registers a standing query under `id` (AlreadyExists on duplicates,
   /// parse errors surface with the server's message).
@@ -81,7 +79,7 @@ class Client {
   /// every slab pushed before; returns the server-side file path.
   Result<std::string> Checkpoint();
 
-  /// This connection's statistics snapshot (catalog + per-plan engine
+  /// This connection's statistics snapshot (catalog + per-plan executor
   /// stats), covering every slab pushed before.
   Result<StatsResponse> Stats();
 
@@ -112,7 +110,6 @@ class Client {
   ClientOptions options_;
   Socket sock_;
   Schema schema_;
-  std::string engine_;
   std::map<std::string, std::vector<Match>> matches_;
 };
 

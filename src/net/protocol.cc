@@ -55,43 +55,32 @@ Status ExpectConsumed(const char* p, const char* limit,
   return Status::OK();
 }
 
-void PutEngineStats(std::string* dst, const engine::EngineStats& s) {
-  storage::PutSigned(dst, s.events_pushed);
-  storage::PutSigned(dst, s.matches_emitted);
-  storage::PutSigned(dst, s.matches_emitted_early);
-  storage::PutSigned(dst, s.max_buffered_matches);
-  storage::PutSigned(dst, s.num_partitions);
+void PutExecutorStats(std::string* dst, const ExecutorStats& s) {
+  storage::PutSigned(dst, s.events_seen);
   storage::PutSigned(dst, s.events_filtered);
+  storage::PutSigned(dst, s.events_processed);
   storage::PutSigned(dst, s.instances_created);
-  storage::PutSigned(dst, s.instances_pruned);
+  storage::PutSigned(dst, s.instances_expired);
   storage::PutSigned(dst, s.max_simultaneous_instances);
-  storage::PutSigned(dst, s.partitions_evicted);
-  storage::PutSigned(dst, s.max_queue_depth);
-  storage::PutSigned(dst, s.batches_enqueued);
-  storage::PutSigned(dst, s.events_reordered);
-  storage::PutSigned(dst, s.events_late);
-  storage::PutSigned(dst, s.max_reorder_buffered);
+  storage::PutSigned(dst, s.transitions_evaluated);
+  storage::PutSigned(dst, s.transitions_fired);
+  storage::PutSigned(dst, s.conditions_evaluated);
+  storage::PutSigned(dst, s.matches_emitted);
 }
 
-Status GetEngineStats(const char** p, const char* limit,
-                      engine::EngineStats* s) {
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->events_pushed));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->matches_emitted));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &s->matches_emitted_early));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->max_buffered_matches));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->num_partitions));
+Status GetExecutorStats(const char** p, const char* limit, ExecutorStats* s) {
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->events_seen));
   SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->events_filtered));
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->events_processed));
   SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->instances_created));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->instances_pruned));
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->instances_expired));
   SES_RETURN_IF_ERROR(
       storage::GetSigned(p, limit, &s->max_simultaneous_instances));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->partitions_evicted));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->max_queue_depth));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->batches_enqueued));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->events_reordered));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->events_late));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->max_reorder_buffered));
+  SES_RETURN_IF_ERROR(
+      storage::GetSigned(p, limit, &s->transitions_evaluated));
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->transitions_fired));
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->conditions_evaluated));
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->matches_emitted));
   return Status::OK();
 }
 
@@ -421,7 +410,6 @@ std::string HelloResponse::Encode() const {
   std::string payload;
   storage::PutCount(&payload, version);
   storage::PutString(&payload, schema_text);
-  storage::PutString(&payload, engine);
   return payload;
 }
 
@@ -432,7 +420,6 @@ Result<HelloResponse> HelloResponse::Decode(std::string_view payload) {
   SES_RETURN_IF_ERROR(
       GetCount32(&p, limit, &out.version, "HelloAck version"));
   SES_RETURN_IF_ERROR(storage::GetString(&p, limit, &out.schema_text));
-  SES_RETURN_IF_ERROR(storage::GetString(&p, limit, &out.engine));
   SES_RETURN_IF_ERROR(ExpectConsumed(p, limit, "HelloAck"));
   return out;
 }
@@ -592,7 +579,7 @@ std::string StatsResponse::Encode() const {
     storage::PutSigned(&payload, plan.events_considered);
     storage::PutSigned(&payload, plan.events_skipped_by_index);
     storage::PutSigned(&payload, plan.events_skipped_by_prefilter);
-    PutEngineStats(&payload, plan.engine);
+    PutExecutorStats(&payload, plan.executor);
   }
   return payload;
 }
@@ -642,7 +629,7 @@ Result<StatsResponse> StatsResponse::Decode(std::string_view payload) {
         storage::GetSigned(&p, limit, &plan.events_skipped_by_index));
     SES_RETURN_IF_ERROR(
         storage::GetSigned(&p, limit, &plan.events_skipped_by_prefilter));
-    SES_RETURN_IF_ERROR(GetEngineStats(&p, limit, &plan.engine));
+    SES_RETURN_IF_ERROR(GetExecutorStats(&p, limit, &plan.executor));
   }
   SES_RETURN_IF_ERROR(ExpectConsumed(p, limit, "Stats"));
   return out;

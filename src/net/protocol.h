@@ -11,7 +11,6 @@
 #include "catalog/catalog_engine.h"
 #include "common/result.h"
 #include "core/match.h"
-#include "engine/engine.h"
 #include "event/columnar.h"
 #include "event/event.h"
 #include "event/schema.h"
@@ -53,7 +52,7 @@ namespace ses::net {
 /// match: an older or a future version is rejected with
 /// Error(InvalidArgument) before any other packet is interpreted, and the
 /// connection is closed cleanly.
-constexpr uint32_t kProtocolVersion = 2;
+constexpr uint32_t kProtocolVersion = 3;
 
 /// Hard ceiling on the frame body (type + payload + crc). Push larger
 /// streams as multiple PushEvents frames; a length beyond this is rejected
@@ -173,13 +172,11 @@ struct PushEventsRequest {
 
 // --- Response payloads ---
 
-/// HelloAck: the handshake answer — negotiated version, the stream schema
-/// every SubmitPlan / PushEvents on this connection encodes against, and
-/// the registry name of the per-plan engine the server runs.
+/// HelloAck: the handshake answer — negotiated version and the stream
+/// schema every SubmitPlan / PushEvents on this connection encodes against.
 struct HelloResponse {
   uint32_t version = kProtocolVersion;
   std::string schema_text;
-  std::string engine;
 
   std::string Encode() const;
   static Result<HelloResponse> Decode(std::string_view payload);
@@ -245,10 +242,9 @@ struct BusyResponse {
 
 /// Stats: the full observability snapshot, answering kStatsRequest with
 /// the same numbers `ses_cli --stats` prints — catalog-wide counters plus
-/// one row per plan carrying the complete engine::EngineStats (including
-/// the reorder counters), so the wire surface cannot drift from the
-/// in-process one (parity-tested field-for-field in
-/// tests/net_server_test.cc).
+/// one row per plan carrying its complete ExecutorStats, so the wire
+/// surface cannot drift from the in-process one (parity-tested
+/// field-for-field in tests/net_server_test.cc).
 struct StatsResponse {
   catalog::CatalogStats catalog;
   std::vector<catalog::PlanStats> plans;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "engine/registry.h"
 #include "plan/compiled_plan.h"
 #include "query/parser.h"
 #include "storage/checkpoint.h"
@@ -42,9 +41,6 @@ Server::Server(ServerOptions options) : options_(std::move(options)) {}
 Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
   if (options.schema.num_attributes() == 0) {
     return Status::InvalidArgument("server needs a non-empty stream schema");
-  }
-  if (!engine::HasEngine(options.engine)) {
-    return Status::InvalidArgument("unknown engine: " + options.engine);
   }
   if (!options.clock_ms) options.clock_ms = SteadyNowMs;
 
@@ -202,8 +198,6 @@ bool Server::Handshake(Connection* conn) {
   // The connection's private stream, built before the HelloAck so every
   // plan the client submits is registered after the engine exists.
   catalog::CatalogOptions catalog_options;
-  catalog_options.engine = options_.engine;
-  catalog_options.engine_options = options_.engine_options;
   catalog_options.sink = [conn](std::string_view plan_id, Match&& match) {
     conn->pending[std::string(plan_id)].push_back(std::move(match));
   };
@@ -217,7 +211,6 @@ bool Server::Handshake(Connection* conn) {
   HelloResponse ack;
   ack.version = kProtocolVersion;
   ack.schema_text = FormatSchemaText(options_.schema);
-  ack.engine = options_.engine;
   return SendFrame(conn, PacketType::kHelloAck, ack.Encode()).ok();
 }
 

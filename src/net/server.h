@@ -14,7 +14,6 @@
 #include "catalog/catalog_engine.h"
 #include "catalog/query_catalog.h"
 #include "common/result.h"
-#include "engine/engine.h"
 #include "event/schema.h"
 #include "exec/batch_queue.h"
 #include "net/protocol.h"
@@ -30,11 +29,6 @@ struct ServerOptions {
   /// The stream schema every connection's plans and events encode against;
   /// announced in the HelloAck.
   Schema schema;
-  /// Registry name of the per-plan evaluator (engine/registry.h).
-  std::string engine = "serial";
-  /// Template for every per-plan engine; the sink field is ignored (the
-  /// server installs its own demux sink).
-  engine::EngineOptions engine_options;
   /// Per-connection ingest queue capacity, in PushEvents slabs. A full
   /// queue turns the next PushEvents into a Busy response (backpressure)
   /// instead of unbounded buffering.
@@ -83,8 +77,8 @@ struct ServerOptions {
 /// server answers with a typed Error and closes).
 class Server {
  public:
-  /// Validates the options (schema non-empty, engine registered), binds
-  /// the listening socket, and starts the accept loop.
+  /// Validates the options (schema non-empty), binds the listening socket,
+  /// and starts the accept loop.
   static Result<std::unique_ptr<Server>> Start(ServerOptions options);
 
   ~Server();

@@ -38,12 +38,12 @@ namespace ses::storage {
 ///
 /// Section payloads are opaque to this layer; each runtime component
 /// encodes its state with the primitive helpers below (varints, zigzag,
-/// the record encoding from table_format.h). Composite engines nest whole
-/// checkpoints as section payloads (e.g. the catalog stores one embedded
-/// checkpoint per plan).
+/// the record encoding from table_format.h). A composite runtime gives each
+/// component a section of its own (e.g. the catalog stores one executor
+/// state per plan under "plan/<id>").
 
 constexpr uint32_t kCheckpointMagic = 0x53455343;  // "SESC"
-constexpr uint32_t kCheckpointVersion = 2;
+constexpr uint32_t kCheckpointVersion = 3;
 
 /// Builds a checkpoint: named sections appended in order, each framed with
 /// a masked CRC-32C. Components append their serialized state under a

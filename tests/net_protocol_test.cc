@@ -243,12 +243,10 @@ TEST(PayloadCodec, HelloAckRoundTrip) {
   HelloResponse ack;
   ack.version = kProtocolVersion;
   ack.schema_text = "ID INT, L STRING";
-  ack.engine = "parallel";
   Result<HelloResponse> decoded = HelloResponse::Decode(ack.Encode());
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->version, kProtocolVersion);
   EXPECT_EQ(decoded->schema_text, "ID INT, L STRING");
-  EXPECT_EQ(decoded->engine, "parallel");
 }
 
 TEST(PayloadCodec, SubmitAndRemovePlanRoundTrip) {
@@ -508,21 +506,16 @@ TEST(PayloadCodec, StatsRoundTripsEveryField) {
   plan.events_considered = 13;
   plan.events_skipped_by_index = 14;
   plan.events_skipped_by_prefilter = 15;
-  plan.engine.events_pushed = 16;
-  plan.engine.matches_emitted = 17;
-  plan.engine.matches_emitted_early = 18;
-  plan.engine.max_buffered_matches = 19;
-  plan.engine.num_partitions = 20;
-  plan.engine.events_filtered = 21;
-  plan.engine.instances_created = 22;
-  plan.engine.instances_pruned = 23;
-  plan.engine.max_simultaneous_instances = 24;
-  plan.engine.partitions_evicted = 25;
-  plan.engine.max_queue_depth = 26;
-  plan.engine.batches_enqueued = 27;
-  plan.engine.events_reordered = 28;
-  plan.engine.events_late = 29;
-  plan.engine.max_reorder_buffered = 30;
+  plan.executor.events_seen = 16;
+  plan.executor.events_filtered = 17;
+  plan.executor.events_processed = 18;
+  plan.executor.instances_created = 19;
+  plan.executor.instances_expired = 20;
+  plan.executor.max_simultaneous_instances = 21;
+  plan.executor.transitions_evaluated = 22;
+  plan.executor.transitions_fired = 23;
+  plan.executor.conditions_evaluated = 24;
+  plan.executor.matches_emitted = 25;
   stats.plans.push_back(plan);
 
   Result<StatsResponse> decoded = StatsResponse::Decode(stats.Encode());
@@ -545,21 +538,16 @@ TEST(PayloadCodec, StatsRoundTripsEveryField) {
   EXPECT_EQ(got.events_considered, 13);
   EXPECT_EQ(got.events_skipped_by_index, 14);
   EXPECT_EQ(got.events_skipped_by_prefilter, 15);
-  EXPECT_EQ(got.engine.events_pushed, 16);
-  EXPECT_EQ(got.engine.matches_emitted, 17);
-  EXPECT_EQ(got.engine.matches_emitted_early, 18);
-  EXPECT_EQ(got.engine.max_buffered_matches, 19);
-  EXPECT_EQ(got.engine.num_partitions, 20);
-  EXPECT_EQ(got.engine.events_filtered, 21);
-  EXPECT_EQ(got.engine.instances_created, 22);
-  EXPECT_EQ(got.engine.instances_pruned, 23);
-  EXPECT_EQ(got.engine.max_simultaneous_instances, 24);
-  EXPECT_EQ(got.engine.partitions_evicted, 25);
-  EXPECT_EQ(got.engine.max_queue_depth, 26);
-  EXPECT_EQ(got.engine.batches_enqueued, 27);
-  EXPECT_EQ(got.engine.events_reordered, 28);
-  EXPECT_EQ(got.engine.events_late, 29);
-  EXPECT_EQ(got.engine.max_reorder_buffered, 30);
+  EXPECT_EQ(got.executor.events_seen, 16);
+  EXPECT_EQ(got.executor.events_filtered, 17);
+  EXPECT_EQ(got.executor.events_processed, 18);
+  EXPECT_EQ(got.executor.instances_created, 19);
+  EXPECT_EQ(got.executor.instances_expired, 20);
+  EXPECT_EQ(got.executor.max_simultaneous_instances, 21);
+  EXPECT_EQ(got.executor.transitions_evaluated, 22);
+  EXPECT_EQ(got.executor.transitions_fired, 23);
+  EXPECT_EQ(got.executor.conditions_evaluated, 24);
+  EXPECT_EQ(got.executor.matches_emitted, 25);
 }
 
 TEST(PayloadCodec, EveryPayloadTruncationFailsCleanly) {

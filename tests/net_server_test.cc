@@ -2,17 +2,17 @@
 // the end-to-end differential — matches delivered over the wire must be
 // BYTE-identical (as CheckpointMatch encodings) to a standalone in-process
 // CatalogEngine run over the connection's own plan and stream, across
-// engine kinds {serial, parallel x 4}, payload encodings {row, columnar},
-// client counts {1, 8}, and clients sharing one plan id, query and label
-// alphabet — plus per-connection stream scope: a Flush ends only its own
-// connection's stream, a new stream may follow with restarted timestamps,
-// and Stats answers in queue order. And the connection lifecycle:
-// disconnects free plans and pending matches, a full ingest queue answers
-// Busy without dropping admitted slabs, idle connections are torn down on
-// the injected clock, corrupt frames get a typed Error and a clean close
-// without hurting other connections, Stop() returns without waiting out
-// a poll slice, and the Stats packet carries field-for-field parity with
-// the in-process engine.
+// payload encodings {row, columnar}, client counts {1, 8}, and clients
+// sharing one plan id, query and label alphabet — plus per-connection
+// stream scope: a Flush ends only its own connection's stream, a new
+// stream may follow with restarted timestamps, a backwards timestamp
+// fails the stream, and Stats answers in queue order. And the connection
+// lifecycle: disconnects free plans and pending matches, a full ingest
+// queue answers Busy without dropping admitted slabs, idle connections
+// are torn down on the injected clock, corrupt frames get a typed Error
+// and a clean close without hurting other connections, Stop() returns
+// without waiting out a poll slice, and the Stats packet carries
+// field-for-field parity with the in-process engine.
 
 #include <gtest/gtest.h>
 
@@ -91,23 +91,14 @@ std::string EncodeMatchSet(std::vector<Match> matches,
   return out;
 }
 
-engine::EngineOptions EngineOptionsFor(const std::string& engine) {
-  engine::EngineOptions options;
-  if (engine == "parallel") options.num_shards = 4;
-  return options;
-}
-
 /// The reference: a standalone in-process CatalogEngine running one plan
 /// over one connection's stream, as the canonical match-set encoding.
-std::string StandaloneReference(const std::string& engine,
-                                const std::string& query,
+std::string StandaloneReference(const std::string& query,
                                 const EventRelation& stream) {
   const Schema schema = TestSchema();
   auto catalog = std::make_shared<QueryCatalog>();
   std::vector<Match> matches;
   CatalogOptions options;
-  options.engine = engine;
-  options.engine_options = EngineOptionsFor(engine);
   options.sink = [&](std::string_view, Match&& match) {
     matches.push_back(std::move(match));
   };
@@ -144,21 +135,17 @@ Result<std::unique_ptr<net::Client>> ConnectClient(uint16_t port,
 
 // --- Differential: server matches == in-process matches, byte for byte ---
 
-/// (engine, columnar, clients, shared): when `shared`, every client submits
-/// the same plan id and query over the same labels, and only its join keys
+/// (columnar, clients, shared): when `shared`, every client submits the
+/// same plan id and query over the same labels, and only its join keys
 /// differ — so a match delivered to the wrong connection changes the bytes.
 class DifferentialTest
-    : public ::testing::TestWithParam<
-          std::tuple<std::string, bool, int, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<bool, int, bool>> {};
 
 TEST_P(DifferentialTest, WireMatchesEqualInProcessMatches) {
-  const auto& [engine, columnar, clients, shared] = GetParam();
+  const auto& [columnar, clients, shared] = GetParam();
   const int events = 400;
 
-  net::ServerOptions server_options;
-  server_options.engine = engine;
-  server_options.engine_options = EngineOptionsFor(engine);
-  std::unique_ptr<net::Server> server = StartServer(std::move(server_options));
+  std::unique_ptr<net::Server> server = StartServer({});
 
   // Concurrent connections, one thread each; every client flushes right
   // after its own pushes, while its neighbors may still be pushing.
@@ -213,32 +200,32 @@ TEST_P(DifferentialTest, WireMatchesEqualInProcessMatches) {
     ASSERT_TRUE(got.contains(id)) << "client " << c;
     EXPECT_FALSE(got[id].empty()) << "client " << c;
     EXPECT_EQ(EncodeMatchSet(std::move(got[id]), schema),
-              StandaloneReference(engine, ClientQuery(label), stream_of(c)))
+              StandaloneReference(ClientQuery(label), stream_of(c)))
         << "client " << c << " match bytes differ";
     clients_vec[c]->Close();
   }
   server->Stop();
 }
 
+/// The "serial_" prefix names what the wire matches equal: the catalog
+/// evaluates every plan the way a standalone serial engine does.
 std::string DifferentialName(
     const ::testing::TestParamInfo<DifferentialTest::ParamType>& info) {
-  return std::get<0>(info.param) +
-         std::string(std::get<1>(info.param) ? "_columnar" : "_row") + "_" +
-         std::to_string(std::get<2>(info.param)) + "c" +
-         (std::get<3>(info.param) ? "_shared" : "");
+  return std::string("serial") +
+         (std::get<0>(info.param) ? "_columnar" : "_row") + "_" +
+         std::to_string(std::get<1>(info.param)) + "c" +
+         (std::get<2>(info.param) ? "_shared" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
     EnginesEncodingsClients, DifferentialTest,
-    ::testing::Combine(::testing::Values("serial", "parallel"),
-                       ::testing::Bool(), ::testing::Values(1, 8),
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 8),
                        ::testing::Values(false)),
     DifferentialName);
 
 INSTANTIATE_TEST_SUITE_P(
     SharedPlanIds, DifferentialTest,
-    ::testing::Combine(::testing::Values("serial", "parallel"),
-                       ::testing::Bool(), ::testing::Values(8),
+    ::testing::Combine(::testing::Bool(), ::testing::Values(8),
                        ::testing::Values(true)),
     DifferentialName);
 
@@ -347,7 +334,7 @@ TEST(ServerLifecycle, FullQueueAnswersBusyAndDropsNothing) {
 
   std::map<std::string, std::vector<Match>> got = (*client)->TakeMatches();
   EXPECT_EQ(EncodeMatchSet(std::move(got["plan-0"]), TestSchema()),
-            StandaloneReference("serial", ClientQuery(0), stream));
+            StandaloneReference(ClientQuery(0), stream));
   (*client)->Close();
   server->Stop();
 }
@@ -498,28 +485,26 @@ TEST(ServerStats, WireStatsMatchInProcessFieldForField) {
             want_plan.events_skipped_by_index);
   EXPECT_EQ(got_plan.events_skipped_by_prefilter,
             want_plan.events_skipped_by_prefilter);
-  EXPECT_EQ(got_plan.engine.events_pushed, want_plan.engine.events_pushed);
-  EXPECT_EQ(got_plan.engine.matches_emitted,
-            want_plan.engine.matches_emitted);
-  EXPECT_EQ(got_plan.engine.matches_emitted_early,
-            want_plan.engine.matches_emitted_early);
-  EXPECT_EQ(got_plan.engine.max_buffered_matches,
-            want_plan.engine.max_buffered_matches);
-  EXPECT_EQ(got_plan.engine.num_partitions,
-            want_plan.engine.num_partitions);
-  EXPECT_EQ(got_plan.engine.events_filtered,
-            want_plan.engine.events_filtered);
-  EXPECT_EQ(got_plan.engine.instances_created,
-            want_plan.engine.instances_created);
-  EXPECT_EQ(got_plan.engine.instances_pruned,
-            want_plan.engine.instances_pruned);
-  EXPECT_EQ(got_plan.engine.max_simultaneous_instances,
-            want_plan.engine.max_simultaneous_instances);
-  EXPECT_EQ(got_plan.engine.events_reordered,
-            want_plan.engine.events_reordered);
-  EXPECT_EQ(got_plan.engine.events_late, want_plan.engine.events_late);
-  EXPECT_EQ(got_plan.engine.max_reorder_buffered,
-            want_plan.engine.max_reorder_buffered);
+  EXPECT_EQ(got_plan.executor.events_seen, want_plan.executor.events_seen);
+  EXPECT_EQ(got_plan.executor.events_filtered,
+            want_plan.executor.events_filtered);
+  EXPECT_EQ(got_plan.executor.events_processed,
+            want_plan.executor.events_processed);
+  EXPECT_EQ(got_plan.executor.instances_created,
+            want_plan.executor.instances_created);
+  EXPECT_EQ(got_plan.executor.instances_expired,
+            want_plan.executor.instances_expired);
+  EXPECT_EQ(got_plan.executor.max_simultaneous_instances,
+            want_plan.executor.max_simultaneous_instances);
+  EXPECT_EQ(got_plan.executor.transitions_evaluated,
+            want_plan.executor.transitions_evaluated);
+  EXPECT_EQ(got_plan.executor.transitions_fired,
+            want_plan.executor.transitions_fired);
+  EXPECT_EQ(got_plan.executor.conditions_evaluated,
+            want_plan.executor.conditions_evaluated);
+  EXPECT_EQ(got_plan.executor.matches_emitted,
+            want_plan.executor.matches_emitted);
+  EXPECT_GT(got_plan.executor.events_seen, 0);
 
   (*client)->Close();
   server->Stop();
@@ -563,7 +548,7 @@ TEST(ServerFlush, FlushEndsOnlyItsConnectionsStream) {
     EXPECT_TRUE(flushed.ok())
         << "cycle " << cycle << ": " << flushed.ToString();
     EXPECT_EQ(EncodeMatchSet(std::move((*a)->TakeMatches()["plan-0"]), schema),
-              StandaloneReference("serial", ClientQuery(0), stream))
+              StandaloneReference(ClientQuery(0), stream))
         << "cycle " << cycle;
   }
   // Until the next push, Stats still reports the finished stream.
@@ -581,7 +566,7 @@ TEST(ServerFlush, FlushEndsOnlyItsConnectionsStream) {
   const Status flushed_b = (*b)->Flush();
   EXPECT_TRUE(flushed_b.ok()) << flushed_b.ToString();
   EXPECT_EQ(EncodeMatchSet(std::move((*b)->TakeMatches()["plan-1"]), schema),
-            StandaloneReference("serial", ClientQuery(1), stream_b));
+            StandaloneReference(ClientQuery(1), stream_b));
 
   // (c) The StatsRequest sent after B's Acked slab counts that slab.
   ASSERT_TRUE(stats_b.ok()) << stats_b.status().ToString();
@@ -617,7 +602,42 @@ TEST(ServerFlush, FailedStreamEndsAtFlushAndTheNextStartsClean) {
   ASSERT_TRUE((*client)->Flush().ok());
   std::map<std::string, std::vector<Match>> got = (*client)->TakeMatches();
   EXPECT_EQ(EncodeMatchSet(std::move(got["plan-0"]), TestSchema()),
-            StandaloneReference("serial", ClientQuery(0), stream));
+            StandaloneReference(ClientQuery(0), stream));
+  (*client)->Close();
+  server->Stop();
+}
+
+/// A, then B, then an A two seconds before the B, all of one key: the
+/// third event goes back in time. The A-only plan never sees the B (the
+/// type index routes it away), yet the stream still fails: it is one
+/// ordered stream. Row and columnar slabs alike, the error surfaces at the
+/// connection's Flush, and the next stream starts clean.
+TEST(ServerFlush, BackwardsTimestampFailsTheStreamAtFlush) {
+  std::unique_ptr<net::Server> server = StartServer({});
+  Result<std::unique_ptr<net::Client>> client = ConnectClient(server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)
+                  ->SubmitPlan("aa",
+                               "PATTERN {a} -> {x} WHERE a.L = 'A' AND "
+                               "x.L = 'A' AND a.ID = x.ID WITHIN 10s")
+                  .ok());
+  const Schema schema = TestSchema();
+  EventRelation relation(schema);
+  relation.AppendUnchecked(1, {Value(int64_t{7}), Value("A"), Value(0.0)});
+  relation.AppendUnchecked(5, {Value(int64_t{7}), Value("B"), Value(1.0)});
+  relation.AppendUnchecked(3, {Value(int64_t{7}), Value("A"), Value(2.0)});
+  std::span<const Event> events(relation.events());
+  for (bool columnar : {false, true}) {
+    Result<bool> ok =
+        columnar ? (*client)->PushColumnar(
+                       ColumnarBatch::FromEvents(schema, events))
+                 : (*client)->Push(events);
+    ASSERT_TRUE(ok.ok() && *ok) << Describe(ok);
+    const Status flushed = (*client)->Flush();
+    EXPECT_EQ(flushed.code(), StatusCode::kInvalidArgument)
+        << (columnar ? "columnar" : "row") << ": " << flushed.ToString();
+    EXPECT_TRUE((*client)->TakeMatches()["aa"].empty());
+  }
   (*client)->Close();
   server->Stop();
 }

@@ -1,6 +1,7 @@
-// Tests for partitioned execution: partition-attribute detection, exact
+// Tests for partitioned execution: partition-attribute detection,
 // equivalence with the global matcher when the equality graph is complete,
-// and the documented non-equivalence under chained conditions.
+// and the documented non-equivalences: chained conditions, and a complete
+// graph with a group variable in the first event set.
 
 #include <gtest/gtest.h>
 
@@ -115,6 +116,41 @@ TEST(PartitionedMatcher, ChainedPatternFindsMoreThanGlobal) {
       PartitionedMatchRelation(chained, relation, /*attribute=*/0);
   ASSERT_TRUE(partitioned.ok());
   EXPECT_EQ(partitioned->size(), 1u);
+}
+
+TEST(PartitionedMatcher, FirstSetGroupVariableFindsMoreThanGlobal) {
+  // The equality graph is complete, so the detector accepts the pattern.
+  // But while p+ is the only bound variable, its self-loop compares p with
+  // nothing: the global automaton lets key 2's P extend the run that key
+  // 1's P started, and that poisoned run then fails a.ID = p.ID. Per-key
+  // execution never sees the foreign P and keeps the match.
+  Pattern grouped = MustParse(
+      "PATTERN {a, p+} -> {x} WHERE a.L = 'A' AND p.L = 'P' AND x.L = 'X' "
+      "AND a.ID = p.ID AND a.ID = x.ID AND p.ID = x.ID WITHIN 10h");
+  Result<int> attribute = FindPartitionAttribute(grouped);
+  ASSERT_TRUE(attribute.ok()) << attribute.status().ToString();
+  EXPECT_EQ(*attribute, 0);  // ID
+  EventRelation relation(ChemotherapySchema());
+  auto add = [&relation](const std::string& type, int64_t hours, int64_t id) {
+    relation.AppendUnchecked(duration::Hours(hours),
+                             {Value(id), Value(type), Value(0.0),
+                              Value(std::string("u"))});
+  };
+  add("P", 1, 1);
+  add("P", 2, 2);
+  add("A", 3, 1);
+  add("X", 4, 1);
+  Result<std::vector<Match>> global = MatchRelation(grouped, relation);
+  ASSERT_TRUE(global.ok());
+  EXPECT_TRUE(global->empty());
+  Result<std::vector<Match>> partitioned =
+      PartitionedMatchRelation(grouped, relation, *attribute);
+  ASSERT_TRUE(partitioned.ok());
+  ASSERT_EQ(partitioned->size(), 1u);
+  EXPECT_EQ((*partitioned)[0].event_ids(),
+            (std::vector<EventId>{relation.events()[0].id(),
+                                  relation.events()[2].id(),
+                                  relation.events()[3].id()}));
 }
 
 TEST(PartitionedMatcher, CreateValidatesArguments) {

@@ -17,7 +17,10 @@
 # Before that, malformed or out-of-range numeric flags must be refused as
 # usage errors: exit 2 from ses_server and ses_loadgen, exit 1 with the
 # range message from ses_cli. The flags of options deleted from ses_cli
-# must be unknown to it: exit 1 with "unknown flag".
+# must be unknown to it: exit 1 with "unknown flag". The server has no
+# per-plan engine kind, so --engine and --threads are unknown to it (exit
+# 2), and a ses_cli --catalog run refuses the single-pattern engine flags
+# (exit 1, naming the flag).
 #
 # Usage: tools/server_smoke.sh [CLIENTS] [EVENTS]
 #   CLIENTS  concurrent loadgen connections (default 8)
@@ -84,12 +87,25 @@ trap cleanup EXIT
 #    timeouts turn a program that wrongly starts into a failure instead of
 #    a hang.
 for bad in "--port 70000" "--port abc" "--queue-capacity 0" \
-  "--queue-capacity -1" "--idle-timeout-ms -1" "--threads -1"; do
+  "--queue-capacity -1" "--idle-timeout-ms -1"; do
   code=0
   # shellcheck disable=SC2086  # split "--flag value"
   timeout 20 "$SERVER" --schema "$SCHEMA" $bad > /dev/null 2>&1 || code=$?
   if [ "$code" -ne 2 ]; then
     echo "error: ses_server $bad exited $code, want 2" >&2
+    exit 1
+  fi
+done
+for removed in "--engine parallel" "--threads 4"; do
+  code=0
+  # shellcheck disable=SC2086  # split "--flag value"
+  timeout 20 "$SERVER" --schema "$SCHEMA" $removed > /dev/null \
+    2> "$workdir/server_flag.err" || code=$?
+  if [ "$code" -ne 2 ] ||
+    ! grep -q "unknown flag" "$workdir/server_flag.err"; then
+    echo "error: ses_server $removed exited $code, want 2 with an unknown" \
+      "flag error" >&2
+    cat "$workdir/server_flag.err" >&2
     exit 1
   fi
 done
@@ -117,6 +133,23 @@ for bad in "--threads 2x" "--threads 0" "--batch 5000000000" \
   if [ "$code" -ne 1 ] ||
     ! grep -q "must be an integer in" "$workdir/cli_flag.err"; then
     echo "error: ses_cli $bad exited $code, want 1 with a range error" >&2
+    cat "$workdir/cli_flag.err" >&2
+    exit 1
+  fi
+done
+cat > "$workdir/demo.sescat" << 'EOF'
+[cd]
+PATTERN {c} -> {d} WHERE c.L = 'C' AND d.L = 'D' AND c.ID = d.ID WITHIN 264h
+EOF
+for flag in "--threads 2" "--engine serial" "--lateness 5"; do
+  code=0
+  # shellcheck disable=SC2086  # split "--flag value"
+  timeout 20 "$CLI" --demo --catalog "$workdir/demo.sescat" $flag \
+    > /dev/null 2> "$workdir/cli_flag.err" || code=$?
+  if [ "$code" -ne 1 ] ||
+    ! grep -q -- "${flag%% *} configures" "$workdir/cli_flag.err"; then
+    echo "error: ses_cli --catalog $flag exited $code, want 1 naming the" \
+      "flag" >&2
     cat "$workdir/cli_flag.err" >&2
     exit 1
   fi
