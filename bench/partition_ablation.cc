@@ -361,105 +361,6 @@ void SkewSweep(const Harness& harness, int64_t num_events,
   }
 }
 
-/// Bounded-lateness ingest ablation: the serial engine over the in-order
-/// stream with the reorder stage off, versus the same engine fed a
-/// within-bound shuffle (jittered arrival order) through the
-/// exec::ReorderBuffer ingest stage at increasing lateness bounds. The
-/// match set is asserted identical at every point — the reorder stage's
-/// whole contract — and the gated JSON records how much work the stage
-/// did (events_reordered, max_reorder_buffered).
-void LatenessSweep(const Harness& harness, int64_t num_events,
-                   BenchReport* report) {
-  Pattern pattern = CompletePattern();
-  Result<std::shared_ptr<const plan::CompiledPlan>> plan =
-      plan::CompilePlan(pattern);
-  SES_CHECK(plan.ok());
-
-  workload::StreamOptions options;
-  options.num_events = num_events;
-  options.num_partitions = 64;
-  options.type_weights = {{"A", 1}, {"B", 1}, {"X", 1}, {"N", 3}};
-  options.min_gap = duration::Minutes(1);
-  options.max_gap = duration::Minutes(5);
-  options.seed = 77;
-  EventRelation stream = workload::GenerateStream(options);
-
-  auto run_engine = [&](engine::EngineOptions engine_options,
-                        std::span<const Event> events,
-                        engine::EngineStats* stats) {
-    std::vector<Match> matches;
-    engine_options.sink = engine::CollectInto(&matches);
-    Result<std::unique_ptr<engine::Engine>> eng =
-        engine::CreateEngine("serial", *plan, std::move(engine_options));
-    SES_CHECK(eng.ok());
-    SES_CHECK((*eng)->PushBatch(events).ok());
-    SES_CHECK((*eng)->Flush().ok());
-    *stats = (*eng)->stats();
-    return matches;
-  };
-
-  std::printf(
-      "\nBounded-lateness sweep (%lld events, serial engine; shuffled "
-      "within the bound vs in-order ingest)\n",
-      static_cast<long long>(num_events));
-  std::printf("%-10s %12s %12s %14s %10s\n", "bound", "time [s]",
-              "reordered", "max buffered", "matches");
-
-  engine::EngineStats baseline_stats;
-  std::vector<Match> expected;
-  CaseResult off_case = harness.Run(
-      "lateness/off", num_events, [&](CaseRun& run) {
-        expected = run_engine({}, std::span<const Event>(stream.events()),
-                              &baseline_stats);
-        run.SetCounter("matches", static_cast<int64_t>(expected.size()),
-                       /*exact=*/true);
-        run.SetCounter("events_reordered", baseline_stats.events_reordered,
-                       /*exact=*/true);
-      });
-  std::printf("%-10s %12.4f %12lld %14lld %10zu\n", "off",
-              off_case.wall_seconds.mean,
-              static_cast<long long>(baseline_stats.events_reordered),
-              static_cast<long long>(baseline_stats.max_reorder_buffered),
-              expected.size());
-  report->Add(std::move(off_case));
-
-  const struct {
-    const char* label;
-    Duration bound;
-  } kBounds[] = {{"5m", duration::Minutes(5)},
-                 {"30m", duration::Minutes(30)},
-                 {"2h", duration::Hours(2)}};
-  for (const auto& [label, bound] : kBounds) {
-    std::vector<Event> shuffled =
-        workload::ShuffleWithinBound(stream.events(), bound, 9091);
-    engine::EngineStats stats;
-    std::vector<Match> matches;
-    char name[64];
-    std::snprintf(name, sizeof(name), "lateness/%s", label);
-    CaseResult bound_case = harness.Run(name, num_events, [&](CaseRun& run) {
-      engine::EngineOptions engine_options;
-      engine_options.lateness_bound = bound;
-      matches = run_engine(std::move(engine_options),
-                           std::span<const Event>(shuffled), &stats);
-      run.SetCounter("matches", static_cast<int64_t>(matches.size()),
-                     /*exact=*/true);
-      run.SetCounter("events_reordered", stats.events_reordered,
-                     /*exact=*/true);
-      run.SetCounter("events_late", stats.events_late, /*exact=*/true);
-      run.SetCounter("max_reorder_buffered", stats.max_reorder_buffered);
-    });
-    SES_CHECK(IdenticalNormalized(expected, matches))
-        << "bounded-lateness reorder must be output-identical (bound "
-        << label << ")";
-    std::printf("%-10s %12.4f %12lld %14lld %10zu\n", label,
-                bound_case.wall_seconds.mean,
-                static_cast<long long>(stats.events_reordered),
-                static_cast<long long>(stats.max_reorder_buffered),
-                matches.size());
-    report->Add(std::move(bound_case));
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -483,10 +384,6 @@ int main(int argc, char** argv) {
             args.full ? 120000
                       : static_cast<int64_t>(ScaleEvents(args, 30000)),
             &report);
-  LatenessSweep(harness,
-                args.full ? 120000
-                          : static_cast<int64_t>(ScaleEvents(args, 30000)),
-                &report);
   MaybeWriteReport(args, report);
   return 0;
 }

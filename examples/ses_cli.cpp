@@ -71,11 +71,6 @@ struct CliArgs {
   int threads = 0;
   /// Events per shard batch for the parallel engine (0 = library default).
   int batch = 0;
-  /// Bounded-lateness ingest: accept events up to this many ticks behind
-  /// the newest timestamp seen (0 = require in-order input).
-  long long lateness = 0;
-  /// What to do with events later than the bound.
-  exec::LatePolicy late_policy = exec::LatePolicy::kReject;
   /// Columnar ingest: transpose the stream into ColumnarBatch slices and
   /// push through PushColumnar (vectorized sec. 4.5 pre-filter). Matches
   /// are identical to the row path (docs/SEMANTICS.md section 11).
@@ -95,9 +90,9 @@ struct CliArgs {
   /// Testing hook for tools/crash_recovery.sh: exit hard (code 137,
   /// no flush, no output) after consuming N events in this process.
   long long crash_after_events = 0;
-  /// The engine flags given (--engine, --threads, --batch, --lateness,
-  /// --late-policy), in command-line order. They configure a
-  /// single-pattern engine, so a --catalog run rejects them.
+  /// The engine flags given (--engine, --threads, --batch), in
+  /// command-line order. They configure a single-pattern engine, so a
+  /// --catalog run rejects them.
   std::vector<std::string> engine_flags;
 };
 
@@ -108,7 +103,6 @@ void PrintUsage() {
       "               [--engine NAME] [--no-filter] [--list-engines]\n"
       "               [--stats] [--dot] [--format text|csv]\n"
       "               [--threads N] [--batch N]\n"
-      "               [--lateness N] [--late-policy error|drop]\n"
       "               [--columnar on|off] [--batch-rows N]\n"
       "               [--checkpoint-dir DIR] [--checkpoint-interval N]\n"
       "               [--restore] [--crash-after-events N]\n"
@@ -122,8 +116,8 @@ void PrintUsage() {
       "                 over the stream ([plan-id] headers, each followed\n"
       "                 by its query; see docs/CATALOG.md); matches are\n"
       "                 printed tagged with the plan id. --engine,\n"
-      "                 --threads, --batch, --lateness and --late-policy\n"
-      "                 configure single-pattern runs only\n"
+      "                 --threads and --batch configure single-pattern\n"
+      "                 runs only\n"
       "  --engine NAME  evaluation strategy: parallel, partitioned or\n"
       "                 serial (default serial; see --list-engines)\n"
       "  --list-engines print the available engines and exit\n"
@@ -136,13 +130,6 @@ void PrintUsage() {
       "                 graph on one attribute (partition key)\n"
       "  --batch N      events per shard batch for the parallel engine\n"
       "                 (ingest enqueues whole slabs; default 256)\n"
-      "  --lateness N   accept events up to N ticks behind the newest\n"
-      "                 timestamp seen and reorder them before evaluation\n"
-      "                 (bounded-lateness ingest; default 0 = input must\n"
-      "                 already be in time order)\n"
-      "  --late-policy error|drop\n"
-      "                 events later than the bound fail the run (error,\n"
-      "                 default) or are counted and dropped (drop)\n"
       "  --columnar on|off\n"
       "                 ingest through columnar batches with the vectorized\n"
       "                 sec. 4.5 pre-filter (default off; matches are\n"
@@ -221,13 +208,6 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--batch") == 0) {
       args.engine_flags.push_back(argv[i]);
       SES_ASSIGN_OR_RETURN(args.batch, need_int(i, 1, kIntMax));
-    } else if (std::strcmp(argv[i], "--lateness") == 0) {
-      args.engine_flags.push_back(argv[i]);
-      SES_ASSIGN_OR_RETURN(args.lateness, need_int(i, 0, kInt64Max));
-    } else if (std::strcmp(argv[i], "--late-policy") == 0) {
-      args.engine_flags.push_back(argv[i]);
-      SES_ASSIGN_OR_RETURN(std::string value, need_value(i));
-      SES_ASSIGN_OR_RETURN(args.late_policy, exec::ParseLatePolicy(value));
     } else if (std::strcmp(argv[i], "--columnar") == 0) {
       SES_ASSIGN_OR_RETURN(std::string value, need_value(i));
       if (value == "on") {
@@ -265,10 +245,8 @@ Result<CliArgs> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// Loaded input: the schema plus events in arrival order. Ordered sources
-/// (demo, .sestbl, CSV without --lateness) enforce time order at load;
-/// with --lateness on, CSV rows are taken as they arrive and the engine's
-/// reorder stage handles the (bounded) disorder.
+/// Loaded input: the schema plus events in time order (every source
+/// enforces it at load).
 struct LoadedData {
   Schema schema;
   std::vector<Event> events;
@@ -291,11 +269,6 @@ Result<LoadedData> LoadData(const CliArgs& args) {
     return Status::InvalidArgument("CSV input requires --schema");
   }
   SES_ASSIGN_OR_RETURN(Schema schema, ParseSchemaText(args.schema_text));
-  if (args.lateness > 0) {
-    SES_ASSIGN_OR_RETURN(std::vector<Event> events,
-                         ReadCsvFileArrivalOrder(args.data_path, schema));
-    return LoadedData{std::move(schema), std::move(events)};
-  }
   SES_ASSIGN_OR_RETURN(EventRelation relation,
                        ReadCsvFile(args.data_path, schema));
   return LoadedData{relation.schema(), relation.events()};
@@ -316,14 +289,12 @@ Result<std::string> ResolveEngineName(const CliArgs& args) {
   return std::string("serial");
 }
 
-/// Builds the per-engine options every run shape shares (threads, batch,
-/// lateness). The sink is installed by the caller.
+/// Builds the per-engine options every run shape shares (threads, batch).
+/// The sink is installed by the caller.
 engine::EngineOptions MakeEngineOptions(const CliArgs& args) {
   engine::EngineOptions options;
   if (args.threads >= 1) options.num_shards = args.threads;
   if (args.batch > 0) options.batch_size = static_cast<size_t>(args.batch);
-  options.lateness_bound = args.lateness;
-  options.late_policy = args.late_policy;
   return options;
 }
 
@@ -677,10 +648,6 @@ Status Run(const CliArgs& args) {
     }
   }
 
-  // With a lateness bound the engine's reorder stage handles (bounded)
-  // disorder itself; without one the engine rejects the first
-  // non-increasing timestamp, and LoadData already enforced order for
-  // ordered sources.
   const std::span<const Event> remaining =
       std::span<const Event>(data.events)
           .subspan(static_cast<size_t>(consumed));
@@ -759,16 +726,6 @@ Status Run(const CliArgs& args) {
         static_cast<long long>(stats.matches_emitted_early),
         static_cast<long long>(stats.max_buffered_matches),
         static_cast<long long>(stats.num_partitions));
-    if (args.lateness > 0 || stats.events_late > 0) {
-      std::printf(
-          "reorder [bound %lld, %s]: %lld event(s) reordered, %lld late, "
-          "max %lld buffered\n",
-          args.lateness,
-          std::string(exec::LatePolicyName(args.late_policy)).c_str(),
-          static_cast<long long>(stats.events_reordered),
-          static_cast<long long>(stats.events_late),
-          static_cast<long long>(stats.max_reorder_buffered));
-    }
   }
   return Status::OK();
 }

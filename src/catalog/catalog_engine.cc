@@ -49,7 +49,8 @@ void CatalogEngine::Refresh() {
       next.push_back(std::move(runtimes_[old_pos++]));
     } else {
       next.push_back(
-          std::make_unique<PlanRuntime>(entry.id, entry.plan, events_pushed_));
+          std::make_unique<PlanRuntime>(entry.id, entry.plan,
+                                        stream_.events_pushed()));
     }
   }
   runtimes_ = std::move(next);
@@ -58,26 +59,12 @@ void CatalogEngine::Refresh() {
   ++snapshot_refreshes_;
 }
 
-Status CatalogEngine::Admit(Timestamp timestamp) {
-  if (has_watermark_ && timestamp <= watermark_) {
-    return Status::InvalidArgument(
-        "out-of-order event at t=" + std::to_string(timestamp) +
-        " (newest timestamp seen is t=" + std::to_string(watermark_) +
-        "); a catalog's stream must have strictly increasing timestamps");
-  }
-  has_watermark_ = true;
-  watermark_ = timestamp;
-  ++events_pushed_;
-  return Status::OK();
-}
-
 void CatalogEngine::Deliver(const PlanRuntime& runtime) {
   for (Match& match : emitted_) options_.sink(runtime.id, std::move(match));
   emitted_.clear();
 }
 
-Status CatalogEngine::PushOne(const Event& event) {
-  SES_RETURN_IF_ERROR(Admit(event.timestamp()));
+void CatalogEngine::Route(const Event& event) {
   index_->BeginEvent(event);
   for (int pos : index_->InterestedPlans(event)) {
     PlanRuntime& runtime = *runtimes_[pos];
@@ -88,42 +75,45 @@ Status CatalogEngine::PushOne(const Event& event) {
     runtime.executor.Consume(event, &emitted_);
     Deliver(runtime);
   }
-  return Status::OK();
+}
+
+void CatalogEngine::AdvanceToWatermark() {
+  if (!stream_.has_watermark()) return;
+  for (const auto& runtime : runtimes_) {
+    runtime->executor.AdvanceTo(stream_.watermark(), &emitted_);
+    Deliver(*runtime);
+  }
 }
 
 Status CatalogEngine::Push(const Event& event) {
-  if (flushed_) {
-    return Status::FailedPrecondition(
-        "Push after Flush: call Reset() before pushing a new stream");
-  }
+  SES_RETURN_IF_ERROR(stream_.CheckOpen());
   Refresh();
-  return PushOne(event);
+  SES_RETURN_IF_ERROR(stream_.Admit(event.timestamp()));
+  Route(event);
+  AdvanceToWatermark();
+  return Status::OK();
 }
 
 Status CatalogEngine::PushBatch(std::span<const Event> events) {
-  if (flushed_) {
-    return Status::FailedPrecondition(
-        "PushBatch after Flush: call Reset() before pushing a new stream");
-  }
+  SES_RETURN_IF_ERROR(stream_.CheckOpen());
   Refresh();
-  for (const Event& event : events) {
-    SES_RETURN_IF_ERROR(PushOne(event));
+  const size_t admitted = stream_.AdmitPrefix(events);
+  for (const Event& event : events.first(admitted)) Route(event);
+  AdvanceToWatermark();
+  if (admitted < events.size()) {
+    return stream_.OutOfOrder(events[admitted].timestamp());
   }
   return Status::OK();
 }
 
 Status CatalogEngine::PushColumnar(const ColumnarBatch& batch) {
-  if (flushed_) {
-    return Status::FailedPrecondition(
-        "PushColumnar after Flush: call Reset() before pushing a new "
-        "stream");
-  }
+  SES_RETURN_IF_ERROR(stream_.CheckOpen());
   Refresh();
-  index_->BeginBatch(batch);
   const std::vector<Timestamp>& timestamps = batch.timestamps();
+  const size_t admitted = stream_.AdmitPrefix(timestamps);
+  index_->BeginBatch(batch);
   Event row_event;
-  for (size_t row = 0; row < batch.size(); ++row) {
-    SES_RETURN_IF_ERROR(Admit(timestamps[row]));
+  for (size_t row = 0; row < admitted; ++row) {
     bool materialized = false;
     for (int pos : index_->InterestedPlansRow(batch, row)) {
       PlanRuntime& runtime = *runtimes_[pos];
@@ -142,15 +132,19 @@ Status CatalogEngine::PushColumnar(const ColumnarBatch& batch) {
       Deliver(runtime);
     }
   }
+  AdvanceToWatermark();
+  if (admitted < batch.size()) {
+    return stream_.OutOfOrder(timestamps[admitted]);
+  }
   return Status::OK();
 }
 
 Status CatalogEngine::Flush() {
-  if (flushed_) return Status::OK();
+  if (stream_.flushed()) return Status::OK();
   // Pick up pending removals first: a plan removed before the flush must
   // not deliver its buffered matches. Plans added here contribute nothing.
   Refresh();
-  flushed_ = true;
+  stream_.MarkFlushed();
   for (const auto& runtime : runtimes_) {
     runtime->executor.Flush(&emitted_);
     Deliver(*runtime);
@@ -164,18 +158,12 @@ void CatalogEngine::Reset() {
     runtime->events_skipped_by_prefilter = 0;
     runtime->events_seen_base = 0;
   }
-  events_pushed_ = 0;
-  has_watermark_ = false;
-  watermark_ = 0;
-  flushed_ = false;
+  stream_.Reset();
 }
 
 Status CatalogEngine::Checkpoint(storage::CheckpointWriter* writer) {
   std::string base;
-  storage::PutSigned(&base, events_pushed_);
-  storage::PutBool(&base, flushed_);
-  storage::PutBool(&base, has_watermark_);
-  storage::PutSigned(&base, watermark_);
+  stream_.Checkpoint(&base);
   storage::PutCount(&base, runtimes_.size());
   for (const auto& runtime : runtimes_) {
     storage::PutString(&base, runtime->id);
@@ -204,10 +192,7 @@ Status CatalogEngine::Restore(const storage::CheckpointReader& reader) {
     }
     const char* p = base->data();
     const char* limit = base->data() + base->size();
-    SES_RETURN_IF_ERROR(storage::GetSigned(&p, limit, &events_pushed_));
-    SES_RETURN_IF_ERROR(storage::GetBool(&p, limit, &flushed_));
-    SES_RETURN_IF_ERROR(storage::GetBool(&p, limit, &has_watermark_));
-    SES_RETURN_IF_ERROR(storage::GetSigned(&p, limit, &watermark_));
+    SES_RETURN_IF_ERROR(stream_.Restore(&p, limit));
     uint64_t num_plans = 0;
     SES_RETURN_IF_ERROR(storage::GetCount(&p, limit, &num_plans));
     if (num_plans != runtimes_.size()) {
@@ -256,14 +241,14 @@ Status CatalogEngine::Restore(const storage::CheckpointReader& reader) {
 }
 
 int64_t CatalogEngine::IndexSkips(const PlanRuntime& runtime) const {
-  return (events_pushed_ - runtime.events_seen_base) -
+  return (stream_.events_pushed() - runtime.events_seen_base) -
          runtime.executor.stats().events_seen -
          runtime.events_skipped_by_prefilter;
 }
 
 CatalogStats CatalogEngine::stats() const {
   CatalogStats stats;
-  stats.events_pushed = events_pushed_;
+  stats.events_pushed = stream_.events_pushed();
   stats.num_plans = static_cast<int64_t>(runtimes_.size());
   stats.generation = snapshot_generation_;
   stats.snapshot_refreshes = snapshot_refreshes_;

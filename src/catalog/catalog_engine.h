@@ -14,6 +14,7 @@
 #include "common/time.h"
 #include "core/executor.h"
 #include "core/match.h"
+#include "core/stream_stage.h"
 #include "event/columnar.h"
 #include "plan/compiled_plan.h"
 #include "storage/checkpoint.h"
@@ -76,13 +77,16 @@ struct CatalogStats {
 };
 
 /// Evaluates every plan registered in a QueryCatalog in ONE pass over one
-/// time-ordered stream: the catalog checks the stream's timestamp order
-/// once per event, the type index routes the event to the plans whose
-/// alphabet contains its type value, the shared pre-filter bitmap answers
-/// each plan's §4.5 filter from conditions evaluated at most once per
-/// event, and each surviving (event, plan) pair is one step of that plan's
-/// SesExecutor. Matches go straight to the catalog sink with the plan id
-/// attached.
+/// time-ordered stream: the catalog's StreamStage checks the stream's
+/// timestamp order once per event, the type index routes the event to the
+/// plans whose alphabet contains its type value, the shared pre-filter
+/// bitmap answers each plan's §4.5 filter from conditions evaluated at
+/// most once per event, and each surviving (event, plan) pair is one step
+/// of that plan's SesExecutor. At the end of every push call each plan's
+/// clock advances to the stream's watermark, so a finished match is
+/// delivered by the call whose events pass its window, whichever plans
+/// those events reach. Matches go straight to the catalog sink with the
+/// plan id attached.
 ///
 /// Registration is picked up at batch boundaries: every Push / PushBatch /
 /// Flush first compares the catalog's generation with the snapshot being
@@ -91,13 +95,13 @@ struct CatalogStats {
 /// delivered stay delivered). A plan added mid-stream sees only the
 /// events pushed after the refresh that admitted it.
 ///
-/// Contract: timestamps strictly increase across the whole stream,
-/// whichever plans an event reaches (and also while no plan is
-/// registered); Flush once at end-of-stream; Reset to reuse. For every
-/// plan the delivered match set is identical to a standalone serial engine
-/// running that plan alone over the same events (differential-tested in
-/// tests/catalog_test.cc; argument in docs/SEMANTICS.md §10). Not
-/// thread-safe; drive from one thread.
+/// Contract: engine::Engine's (docs/SEMANTICS.md §9) — timestamps strictly
+/// increase across the whole stream, whichever plans an event reaches (and
+/// also while no plan is registered); Flush once at end-of-stream; Reset
+/// to reuse. For every plan the delivered match set and match order are
+/// identical to a standalone serial engine running that plan alone over
+/// the same events (differential-tested in tests/catalog_test.cc; argument
+/// in docs/SEMANTICS.md §10). Not thread-safe; drive from one thread.
 class CatalogEngine {
  public:
   /// Validates the arguments (catalog and sink set) and serves `catalog` —
@@ -107,9 +111,9 @@ class CatalogEngine {
       std::shared_ptr<QueryCatalog> catalog, CatalogOptions options);
 
   /// Offers the next event to every interested plan. A timestamp not after
-  /// the newest one seen is InvalidArgument and reaches no plan; the
-  /// stream may continue with later events. After Flush every push is
-  /// FailedPrecondition until Reset().
+  /// the newest one seen is InvalidArgument, is not counted and reaches no
+  /// plan; the stream may continue with later events. After Flush every
+  /// push is FailedPrecondition until Reset().
   Status Push(const Event& event);
 
   /// Pushes a span of events under the same contract; the registration
@@ -142,11 +146,10 @@ class CatalogEngine {
   CatalogStats stats() const;
 
   /// Serializes the full multi-query runtime state into `writer`: a
-  /// "catalog" section (stream cursor, timestamp watermark and per-plan
-  /// routing counters) and one section per registered plan under
-  /// "plan/<id>" holding that plan's executor state
-  /// (SesExecutor::Checkpoint). Call between events; the engine keeps
-  /// running.
+  /// "catalog" section (the stream stage and per-plan routing counters)
+  /// and one section per registered plan under "plan/<id>" holding that
+  /// plan's executor state (SesExecutor::Checkpoint). Call between events;
+  /// the engine keeps running.
   Status Checkpoint(storage::CheckpointWriter* writer);
 
   /// Restores state written by Checkpoint() of a catalog engine serving
@@ -188,15 +191,15 @@ class CatalogEngine {
   /// the generation moved.
   void Refresh();
 
-  /// Admits the next timestamp of the stream: InvalidArgument unless it is
-  /// after every timestamp admitted so far; counts the event as pushed.
-  Status Admit(Timestamp timestamp);
-
   /// Hands the matches `runtime`'s executor just emitted to the sink.
   void Deliver(const PlanRuntime& runtime);
 
-  /// Push of one event against the current snapshot (no refresh).
-  Status PushOne(const Event& event);
+  /// Offers one admitted event to the plans the index routes it to.
+  void Route(const Event& event);
+
+  /// Advances every plan's clock to the stream's watermark and delivers
+  /// the matches whose window it passed; ends every push call.
+  void AdvanceToWatermark();
 
   int64_t IndexSkips(const PlanRuntime& runtime) const;
 
@@ -208,11 +211,8 @@ class CatalogEngine {
   std::unique_ptr<SharedIndex> index_;
   int64_t snapshot_generation_ = -1;
   int64_t snapshot_refreshes_ = 0;
-  int64_t events_pushed_ = 0;
-  /// Newest admitted timestamp of the stream.
-  bool has_watermark_ = false;
-  Timestamp watermark_ = 0;
-  bool flushed_ = false;
+  /// The stream contract: Flush state, order check, admitted count.
+  StreamStage stream_;
   /// Matches of the executor call in progress, drained by Deliver.
   std::vector<Match> emitted_;
 };

@@ -33,12 +33,12 @@ void SesExecutor::Consume(const Event& event, std::vector<Match>* out) {
     // horizon never depend on how many events the filter drops.
     ++stats_.events_filtered;
     if (observer_ != nullptr) observer_->OnEvent(event, /*filtered=*/true);
-    ExpireUpTo(event.timestamp(), out);
+    AdvanceTo(event.timestamp(), out);
     return;
   }
   ++stats_.events_processed;
   if (observer_ != nullptr) observer_->OnEvent(event, /*filtered=*/false);
-  ExpireUpTo(event.timestamp(), out);
+  AdvanceTo(event.timestamp(), out);
 
   // Line 4 of Algorithm 1: a fresh instance in the start state. It dies in
   // StepInstance unless this event fires one of its transitions.
@@ -77,7 +77,7 @@ void SesExecutor::Consume(const Event& event, std::vector<Match>* out) {
                static_cast<int64_t>(num_active_instances()));
 }
 
-void SesExecutor::ExpireUpTo(Timestamp now, std::vector<Match>* out) {
+void SesExecutor::AdvanceTo(Timestamp now, std::vector<Match>* out) {
   const Duration window = automaton_->window();
   const size_t first = head_;
   while (PendingFloor() != kNoPending && now - PendingFloor() > window) {

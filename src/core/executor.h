@@ -72,8 +72,21 @@ class SesExecutor {
               std::shared_ptr<const EventPreFilter> filter);
 
   /// Feeds the next event (strictly increasing timestamps; enforced by
-  /// Matcher). Completed matches are appended to `out`.
+  /// the caller: Matcher, or an entry point's StreamStage). Completed
+  /// matches are appended to `out`.
   void Consume(const Event& event, std::vector<Match>* out);
+
+  /// Advances the executor's clock to `now`, the stream's newest
+  /// timestamp, without an event: expires the prefix of Ω whose window
+  /// `now` exceeds (lines 7-10 of Algorithm 1), appending the accepting
+  /// instances' matches to `out`. Consume runs it first for every event,
+  /// §4.5-filtered ones included: a filtered event cannot fire a
+  /// transition, but it still advances time, and delivery must not wait
+  /// for the next unfiltered event. A caller that feeds this executor
+  /// only some of the stream's events (the catalog's type index) calls it
+  /// for the rest. O(1) unless something actually expires; `now` must not
+  /// precede the last consumed event.
+  void AdvanceTo(Timestamp now, std::vector<Match>* out);
 
   /// Ends the stream: every instance in the accepting state yields a
   /// match; all instances are discarded.
@@ -138,15 +151,6 @@ class SesExecutor {
                                  VariableId bound_variable,
                                  const MatchBuffer& buffer,
                                  const Event& event);
-
-  /// Expires the prefix of Ω whose window `now` exceeds (lines 7-10 of
-  /// Algorithm 1): accepting instances report their buffer, all of them
-  /// are dropped by advancing head_. Runs for filtered events too: a §4.5
-  /// pre-filtered event cannot fire a transition, but it still advances
-  /// time, and delivery must not wait for the next unfiltered event — a
-  /// streaming consumer prunes state against a time watermark. O(1) unless
-  /// something actually expires.
-  void ExpireUpTo(Timestamp now, std::vector<Match>* out);
 
   /// Sentinel: no instance holds a binding, nothing can expire.
   static constexpr Timestamp kNoPending =

@@ -6,7 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "core/matcher.h"
+#include "core/executor.h"
 #include "core/partitioned.h"
 #include "exec/parallel_partitioned.h"
 
@@ -33,14 +33,25 @@ Status RequirePartitionAttribute(const plan::CompiledPlan& plan,
       "(see core/partitioned.h)");
 }
 
-/// Registry names and the matcher-specific part of the stats snapshot of
-/// the two inline engines below.
-std::string_view InlineEngineName(const Matcher&) { return "serial"; }
+/// Registry names, the event step and the matcher-specific part of the
+/// stats snapshot of the two inline engines below.
+std::string_view InlineEngineName(const SesExecutor&) { return "serial"; }
 std::string_view InlineEngineName(const PartitionedMatcher&) {
   return "partitioned";
 }
 
-void FillMatcherStats(const Matcher& matcher, EngineStats* stats) {
+/// The bare executor checks no order: the engine's stream stage has.
+Status Step(SesExecutor& executor, const Event& event,
+            std::vector<Match>* out) {
+  executor.Consume(event, out);
+  return Status::OK();
+}
+Status Step(PartitionedMatcher& matcher, const Event& event,
+            std::vector<Match>* out) {
+  return matcher.Push(event, out);
+}
+
+void FillMatcherStats(const SesExecutor& matcher, EngineStats* stats) {
   const ExecutorStats& executor = matcher.stats();
   stats->events_filtered = executor.events_filtered;
   stats->instances_created = executor.instances_created;
@@ -59,9 +70,10 @@ void FillMatcherStats(const PartitionedMatcher& matcher, EngineStats* stats) {
   stats->instances_pruned = aggregated.instances_expired;
 }
 
-/// "serial" (MatcherT = Matcher, one global automaton) and "partitioned"
-/// (MatcherT = PartitionedMatcher, one Matcher per key): the matcher runs
-/// on the pushing thread, and its matches drain to the sink on every Push.
+/// "serial" (MatcherT = SesExecutor, one global automaton) and
+/// "partitioned" (MatcherT = PartitionedMatcher, one Matcher per key): the
+/// matcher runs on the pushing thread, and its matches drain to the sink
+/// on every Push.
 template <typename MatcherT>
 class InlineEngine : public Engine {
  public:
@@ -74,7 +86,7 @@ class InlineEngine : public Engine {
 
  protected:
   Status PushOrdered(const Event& event) override {
-    SES_RETURN_IF_ERROR(matcher_.Push(event, &buffer_));
+    SES_RETURN_IF_ERROR(Step(matcher_, event, &buffer_));
     Drain(/*early=*/true);
     return Status::OK();
   }
@@ -257,22 +269,17 @@ class ParallelEngine : public Engine {
 Engine::Engine(std::shared_ptr<const plan::CompiledPlan> plan,
                EngineOptions options)
     : plan_(std::move(plan)), options_(std::move(options)) {
-  if (options_.lateness_bound > 0) {
-    exec::ReorderOptions reorder;
-    reorder.lateness_bound = options_.lateness_bound;
-    reorder.late_policy = options_.late_policy;
-    reorder_ = std::make_unique<exec::ReorderBuffer>(reorder);
-  }
   next_checkpoint_at_ = options_.checkpoint_interval_events;
 }
 
 Status Engine::MaybeCheckpoint() {
   if (options_.checkpoint_interval_events <= 0 ||
       options_.checkpoint_sink == nullptr ||
-      events_pushed_ < next_checkpoint_at_) {
+      stream_.events_pushed() < next_checkpoint_at_) {
     return Status::OK();
   }
-  next_checkpoint_at_ = events_pushed_ + options_.checkpoint_interval_events;
+  next_checkpoint_at_ =
+      stream_.events_pushed() + options_.checkpoint_interval_events;
   storage::CheckpointWriter writer;
   SES_RETURN_IF_ERROR(Checkpoint(&writer));
   return options_.checkpoint_sink(writer);
@@ -281,16 +288,8 @@ Status Engine::MaybeCheckpoint() {
 Status Engine::Checkpoint(storage::CheckpointWriter* writer) {
   std::string base;
   storage::PutString(&base, name());
-  storage::PutBool(&base, flushed_);
-  storage::PutBool(&base, has_last_timestamp_);
-  storage::PutSigned(&base, last_timestamp_);
-  storage::PutSigned(&base, events_pushed_);
-  storage::PutSigned(&base, events_late_);
+  stream_.Checkpoint(&base);
   storage::PutSigned(&base, events_filtered_columnar_);
-  storage::PutBool(&base, reorder_ != nullptr);
-  if (reorder_ != nullptr) {
-    reorder_->Checkpoint(plan_->pattern().schema(), &base);
-  }
   writer->AddSection("engine", base);
   std::string state;
   SES_RETURN_IF_ERROR(CheckpointImpl(&state));
@@ -315,23 +314,9 @@ Status Engine::Restore(const storage::CheckpointReader& reader) {
                                      engine_name + "', not '" +
                                      std::string(name()) + "'");
     }
-    SES_RETURN_IF_ERROR(storage::GetBool(&p, limit, &flushed_));
-    SES_RETURN_IF_ERROR(storage::GetBool(&p, limit, &has_last_timestamp_));
-    SES_RETURN_IF_ERROR(storage::GetSigned(&p, limit, &last_timestamp_));
-    SES_RETURN_IF_ERROR(storage::GetSigned(&p, limit, &events_pushed_));
-    SES_RETURN_IF_ERROR(storage::GetSigned(&p, limit, &events_late_));
+    SES_RETURN_IF_ERROR(stream_.Restore(&p, limit));
     SES_RETURN_IF_ERROR(
         storage::GetSigned(&p, limit, &events_filtered_columnar_));
-    bool has_reorder = false;
-    SES_RETURN_IF_ERROR(storage::GetBool(&p, limit, &has_reorder));
-    if (has_reorder != (reorder_ != nullptr)) {
-      return Status::InvalidArgument(
-          "checkpoint lateness configuration does not match this engine");
-    }
-    if (reorder_ != nullptr) {
-      SES_RETURN_IF_ERROR(
-          reorder_->Restore(plan_->pattern().schema(), &p, limit));
-    }
     if (p != limit) {
       return Status::Corruption(
           "checkpoint 'engine' section has trailing bytes");
@@ -352,7 +337,7 @@ Status Engine::Restore(const storage::CheckpointReader& reader) {
     // offsets the uninterrupted run would have.
     if (options_.checkpoint_interval_events > 0) {
       const int64_t interval = options_.checkpoint_interval_events;
-      next_checkpoint_at_ = (events_pushed_ / interval + 1) * interval;
+      next_checkpoint_at_ = (stream_.events_pushed() / interval + 1) * interval;
     }
     return Status::OK();
   }();
@@ -360,131 +345,42 @@ Status Engine::Restore(const storage::CheckpointReader& reader) {
   return s;
 }
 
-Status Engine::HandleLate(const Event& event) {
-  ++events_late_;
-  if (options_.late_policy == exec::LatePolicy::kDrop) return Status::OK();
-  return Status::InvalidArgument(
-      "out-of-order event at t=" + std::to_string(event.timestamp()) +
-      " (newest timestamp seen is t=" + std::to_string(last_timestamp_) +
-      " and lateness_bound is 0)");
-}
-
 Status Engine::Push(const Event& event) {
-  if (flushed_) {
-    return Status::FailedPrecondition(
-        "Push after Flush: call Reset() before pushing a new stream");
-  }
-  ++events_pushed_;
-  if (reorder_ != nullptr) {
-    released_.clear();
-    Status status = reorder_->Push(event, &released_);
-    if (!released_.empty()) {
-      SES_RETURN_IF_ERROR(PushBatchOrdered(released_));
-    }
-    SES_RETURN_IF_ERROR(status);
-    return MaybeCheckpoint();
-  }
-  if (has_last_timestamp_ && event.timestamp() <= last_timestamp_) {
-    return HandleLate(event);
-  }
-  last_timestamp_ = event.timestamp();
-  has_last_timestamp_ = true;
+  SES_RETURN_IF_ERROR(stream_.CheckOpen());
+  SES_RETURN_IF_ERROR(stream_.Admit(event.timestamp()));
   SES_RETURN_IF_ERROR(PushOrdered(event));
   return MaybeCheckpoint();
 }
 
 Status Engine::PushBatch(std::span<const Event> events) {
-  if (flushed_) {
-    return Status::FailedPrecondition(
-        "PushBatch after Flush: call Reset() before pushing a new stream");
+  SES_RETURN_IF_ERROR(stream_.CheckOpen());
+  const size_t admitted = stream_.AdmitPrefix(events);
+  if (admitted > 0) {
+    SES_RETURN_IF_ERROR(PushBatchOrdered(events.first(admitted)));
   }
-  events_pushed_ += static_cast<int64_t>(events.size());
-  SES_RETURN_IF_ERROR(IngestSpan(events));
+  if (admitted < events.size()) {
+    return stream_.OutOfOrder(events[admitted].timestamp());
+  }
   return MaybeCheckpoint();
 }
 
-Status Engine::IngestSpan(std::span<const Event> events) {
-  if (reorder_ != nullptr) {
-    released_.clear();
-    Status status = reorder_->PushBatch(events, &released_);
-    if (!released_.empty()) {
-      SES_RETURN_IF_ERROR(PushBatchOrdered(released_));
+Status Engine::PushColumnar(const ColumnarBatch& batch) {
+  SES_RETURN_IF_ERROR(stream_.CheckOpen());
+  const std::vector<Timestamp>& timestamps = batch.timestamps();
+  const size_t admitted = stream_.AdmitPrefix(timestamps);
+  if (admitted < batch.size()) {
+    // A backwards row: evaluate the rows before it, then refuse it.
+    if (admitted > 0) {
+      SES_RETURN_IF_ERROR(EvaluateColumnar(batch.Slice(0, admitted)));
     }
-    return status;
+    return stream_.OutOfOrder(timestamps[admitted]);
   }
-  // lateness_bound == 0: verify the span continues the strictly increasing
-  // stream, then hand it to the engine without copying.
-  size_t ordered = 0;
-  Timestamp last = last_timestamp_;
-  bool has_last = has_last_timestamp_;
-  while (ordered < events.size()) {
-    const Timestamp ts = events[ordered].timestamp();
-    if (has_last && ts <= last) break;
-    last = ts;
-    has_last = true;
-    ++ordered;
-  }
-  if (ordered == events.size()) {
-    last_timestamp_ = last;
-    has_last_timestamp_ = has_last;
-    return PushBatchOrdered(events);
-  }
-  if (options_.late_policy == exec::LatePolicy::kReject) {
-    // Deliver the in-order prefix, then fail on the violating event.
-    if (ordered > 0) {
-      last_timestamp_ = last;
-      has_last_timestamp_ = true;
-      SES_RETURN_IF_ERROR(PushBatchOrdered(events.subspan(0, ordered)));
-    }
-    return HandleLate(events[ordered]);
-  }
-  // kDrop: filter the violators out and deliver the in-order remainder.
-  released_.clear();
-  released_.reserve(events.size());
-  for (const Event& event : events) {
-    if (has_last_timestamp_ && event.timestamp() <= last_timestamp_) {
-      ++events_late_;
-      continue;
-    }
-    last_timestamp_ = event.timestamp();
-    has_last_timestamp_ = true;
-    released_.push_back(event);
-  }
-  if (released_.empty()) return Status::OK();
-  return PushBatchOrdered(released_);
+  if (batch.empty()) return Status::OK();
+  SES_RETURN_IF_ERROR(EvaluateColumnar(batch));
+  return MaybeCheckpoint();
 }
 
-Status Engine::PushColumnar(const ColumnarBatch& batch) {
-  if (flushed_) {
-    return Status::FailedPrecondition(
-        "PushColumnar after Flush: call Reset() before pushing a new stream");
-  }
-  events_pushed_ += static_cast<int64_t>(batch.size());
-  if (batch.empty()) return Status::OK();
-  const std::vector<Timestamp>& timestamps = batch.timestamps();
-  bool in_order = reorder_ == nullptr;
-  if (in_order) {
-    Timestamp last = last_timestamp_;
-    bool has_last = has_last_timestamp_;
-    for (Timestamp ts : timestamps) {
-      if (has_last && ts <= last) {
-        in_order = false;
-        break;
-      }
-      last = ts;
-      has_last = true;
-    }
-  }
-  if (!in_order) {
-    // Reorder stage engaged, or the batch violates strict ordering:
-    // materialize the rows and reuse the row-wise lateness machinery, so
-    // the two ingest paths agree on every reject/drop decision.
-    std::vector<Event> rows = batch.ToEvents();
-    SES_RETURN_IF_ERROR(IngestSpan(rows));
-    return MaybeCheckpoint();
-  }
-  last_timestamp_ = timestamps.back();
-  has_last_timestamp_ = true;
+Status Engine::EvaluateColumnar(const ColumnarBatch& batch) {
   const uint64_t* pass = nullptr;
   if (const auto& filter = plan_->shared_vector_prefilter();
       filter != nullptr && filter->active()) {
@@ -495,8 +391,7 @@ Status Engine::PushColumnar(const ColumnarBatch& batch) {
     events_filtered_columnar_ +=
         static_cast<int64_t>(batch.size() - passing);
   }
-  SES_RETURN_IF_ERROR(PushColumnarOrdered(batch, pass));
-  return MaybeCheckpoint();
+  return PushColumnarOrdered(batch, pass);
 }
 
 Status Engine::PushColumnarOrdered(const ColumnarBatch& batch,
@@ -513,26 +408,12 @@ Status Engine::PushColumnarOrdered(const ColumnarBatch& batch,
 }
 
 Status Engine::Flush() {
-  if (reorder_ != nullptr && !flushed_) {
-    released_.clear();
-    Status status = reorder_->Flush(&released_);
-    if (!released_.empty()) {
-      SES_RETURN_IF_ERROR(PushBatchOrdered(released_));
-    }
-    SES_RETURN_IF_ERROR(status);
-  }
-  flushed_ = true;
+  stream_.MarkFlushed();
   return FlushImpl();
 }
 
 void Engine::Reset() {
-  if (reorder_ != nullptr) reorder_->Reset();
-  released_.clear();
-  has_last_timestamp_ = false;
-  last_timestamp_ = 0;
-  flushed_ = false;
-  events_pushed_ = 0;
-  events_late_ = 0;
+  stream_.Reset();
   events_filtered_columnar_ = 0;
   next_checkpoint_at_ = options_.checkpoint_interval_events;
   ResetImpl();
@@ -540,18 +421,8 @@ void Engine::Reset() {
 
 EngineStats Engine::stats() const {
   EngineStats stats = StatsImpl();
-  stats.events_pushed = events_pushed_;
+  stats.events_pushed = stream_.events_pushed();
   stats.events_filtered += events_filtered_columnar_;
-  if (reorder_ != nullptr) {
-    const exec::ReorderStats& reorder = reorder_->stats();
-    stats.events_reordered = reorder.events_reordered;
-    stats.events_late = reorder.events_late;
-    stats.max_reorder_buffered = reorder.max_buffered;
-  } else {
-    stats.events_reordered = 0;
-    stats.events_late = events_late_;
-    stats.max_reorder_buffered = 0;
-  }
   return stats;
 }
 
@@ -581,19 +452,18 @@ std::vector<std::pair<std::string, int64_t>> EngineCounters(
       {"partitions_evicted", stats.partitions_evicted},
       {"max_queue_depth", stats.max_queue_depth},
       {"batches_enqueued", stats.batches_enqueued},
-      {"events_reordered", stats.events_reordered},
-      {"events_late", stats.events_late},
-      {"max_reorder_buffered", stats.max_reorder_buffered},
   };
 }
 
 Result<std::unique_ptr<Engine>> CreateSerialEngine(
     std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options) {
   SES_RETURN_IF_ERROR(ValidateSink(options));
-  Matcher matcher(plan->shared_automaton(), plan->matcher_options(),
-                  plan->shared_prefilter());
-  return std::unique_ptr<Engine>(new InlineEngine<Matcher>(
-      std::move(plan), std::move(options), std::move(matcher)));
+  // Built as core::Matcher builds its executor, so the §4.5 filter and the
+  // counters are Matcher's; the plan keeps the automaton alive.
+  SesExecutor executor(&plan->automaton(), plan->matcher_options(),
+                       plan->shared_prefilter());
+  return std::unique_ptr<Engine>(new InlineEngine<SesExecutor>(
+      std::move(plan), std::move(options), std::move(executor)));
 }
 
 Result<std::unique_ptr<Engine>> CreatePartitionedEngine(

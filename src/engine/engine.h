@@ -1,6 +1,7 @@
 #ifndef SES_ENGINE_ENGINE_H_
 #define SES_ENGINE_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -11,8 +12,8 @@
 #include "common/result.h"
 #include "common/time.h"
 #include "core/match.h"
+#include "core/stream_stage.h"
 #include "event/columnar.h"
-#include "exec/reorder_buffer.h"
 #include "plan/compiled_plan.h"
 #include "storage/checkpoint.h"
 
@@ -21,8 +22,9 @@ namespace ses::engine {
 /// Runtime knobs of an engine instance, fixed at creation. The plan-level
 /// choice (the §4.5 pre-filter) lives in plan::PlanOptions instead — the
 /// same plan runs under any engine options. Fields that a given engine
-/// does not use are ignored: the serial engine reads only `sink`, the
-/// parallel engine reads everything.
+/// does not use are ignored: the serial and partitioned engines read
+/// `sink` and the two checkpoint fields, the parallel engine reads
+/// everything.
 struct EngineOptions {
   /// Streaming match consumer; required (CreateEngine rejects a null sink).
   /// Runs on the thread that drives the engine and must not re-enter it.
@@ -37,16 +39,6 @@ struct EngineOptions {
   /// How often (in ingested events) the parallel engine emits matches below
   /// the safety watermark. See exec::ParallelOptions::emit_interval_events.
   int64_t emit_interval_events = 4096;
-  /// Bounded-lateness ingest (every engine): events may arrive up to this
-  /// many ticks behind the newest timestamp seen and are re-sequenced by
-  /// an exec::ReorderBuffer stage before they reach the evaluator. 0 (the
-  /// default) requires in-order input: a backwards timestamp is an
-  /// InvalidArgument (or a counted drop, per `late_policy`). The stage
-  /// delays delivery — and with it watermark advancement, window expiry,
-  /// and incremental emission — by up to the bound.
-  Duration lateness_bound = 0;
-  /// What to do with events that violate `lateness_bound`.
-  exec::LatePolicy late_policy = exec::LatePolicy::kReject;
   /// Periodic checkpointing (every engine): after every
   /// `checkpoint_interval_events` pushed events the engine serializes its
   /// full runtime state with Checkpoint() and hands the writer to
@@ -94,13 +86,6 @@ struct EngineStats {
   int64_t partitions_evicted = 0;
   int64_t max_queue_depth = 0;
   int64_t batches_enqueued = 0;
-  /// Bounded-lateness ingest stage (any engine): events that arrived out
-  /// of order and were re-sequenced, events that violated the bound
-  /// (rejected or dropped per EngineOptions::late_policy), and the peak
-  /// number of events held back in the reorder buffer.
-  int64_t events_reordered = 0;
-  int64_t events_late = 0;
-  int64_t max_reorder_buffered = 0;
 };
 
 /// Name → value snapshot of every EngineStats counter, in declaration
@@ -118,13 +103,10 @@ std::vector<std::pair<std::string, int64_t>> EngineCounters(
 /// MatchSink, so harnesses, benchmarks and the CLI can treat "which engine"
 /// as a run-time string (see engine/registry.h).
 ///
-/// Contract: Push events in event-time order — strictly increasing
-/// timestamps when `EngineOptions::lateness_bound` is 0 (the default), or
-/// at most `lateness_bound` ticks behind the newest timestamp seen when it
-/// is positive (the base-class ingest stage re-sequences them before any
-/// evaluator sees them). A violating timestamp returns InvalidArgument
-/// under LatePolicy::kReject or is counted and dropped under kDrop; either
-/// way engine state is not corrupted and the stream may continue. Call
+/// Contract: the StreamStage one (docs/SEMANTICS.md §9), which the catalog
+/// shares. Push events with strictly increasing timestamps; a timestamp at
+/// or below the newest one admitted returns InvalidArgument, is not
+/// counted, reaches no evaluator, and the stream may continue. Call
 /// Flush() once at end-of-stream (pending matches are delivered to the
 /// sink); after Flush, Push returns FailedPrecondition until Reset()
 /// returns the engine to its initial state for a new stream. WHEN matches
@@ -133,11 +115,10 @@ std::vector<std::pair<std::string, int64_t>> EngineCounters(
 /// (canonical SES semantics, Definition 2 + skip-till-next-match). Engines
 /// are not thread-safe; drive each instance from one thread.
 ///
-/// Structure: the public entry points are non-virtual and implement the
-/// shared ingest stage (ordering enforcement, bounded-lateness reordering,
-/// the events_pushed/late/reordered counters); engines implement the
-/// protected *Ordered/*Impl hooks, which receive a strictly increasing
-/// stream by construction.
+/// Structure: the public entry points are non-virtual and run the stream
+/// stage (the order check, the Flush state, events_pushed) and the
+/// periodic checkpoint; engines implement the protected *Ordered/*Impl
+/// hooks, which receive a strictly increasing stream by construction.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -145,62 +126,54 @@ class Engine {
   /// Registry name of this engine ("serial", "parallel", ...).
   virtual std::string_view name() const = 0;
 
-  /// Offers the next event. Returns InvalidArgument when the timestamp
-  /// violates the lateness bound (see the class contract) and
-  /// FailedPrecondition after Flush().
+  /// Offers the next event. Returns InvalidArgument when the timestamp is
+  /// not after every admitted one and FailedPrecondition after Flush().
   Status Push(const Event& event);
 
-  /// Pushes a span of events; the span must continue the stream under the
-  /// same lateness contract as Push. In-order spans with
-  /// `lateness_bound == 0` are forwarded to the engine without copying.
+  /// Pushes a span of events under the same contract, forwarded to the
+  /// engine without copying. The in-order prefix is evaluated, and the
+  /// first backwards event fails the call.
   Status PushBatch(std::span<const Event> events);
 
   /// Columnar ingest: pushes every row of `batch` (same stream contract as
-  /// PushBatch) without materializing row-wise Events on the fast path.
-  /// The batch's schema must be the plan's schema. When the rows are in
-  /// order and no reorder stage is engaged, the base class verifies the
-  /// ordering directly on the timestamp column, evaluates the plan's
-  /// vectorized §4.5 pre-filter (plan::CompiledPlan::
-  /// shared_vector_prefilter) into a pass-bitmap, counts the dropped rows,
-  /// and hands batch + bitmap to the engine hook; rows the bitmap drops
-  /// are never materialized, routed, or offered to an automaton. Out-of-
-  /// order rows (or an engaged reorder stage) fall back to the row-wise
-  /// ingest logic, so the lateness contract is byte-for-byte the
-  /// PushBatch one. The delivered match set is identical either way
-  /// (docs/SEMANTICS.md §11).
+  /// PushBatch) without materializing row-wise Events. The batch's schema
+  /// must be the plan's schema. The base class checks the order on the
+  /// timestamp column, evaluates the plan's vectorized §4.5 pre-filter
+  /// (plan::CompiledPlan::shared_vector_prefilter) into a pass-bitmap,
+  /// counts the dropped rows, and hands batch + bitmap to the engine hook;
+  /// rows the bitmap drops are never materialized, routed, or offered to
+  /// an automaton. A backwards row fails the call after the rows before it
+  /// are evaluated, as in PushBatch. The delivered match set is identical
+  /// to PushBatch's (docs/SEMANTICS.md §11).
   Status PushColumnar(const ColumnarBatch& batch);
 
-  /// End-of-stream barrier: releases everything the reorder stage still
-  /// holds, then delivers every remaining match to the sink and snapshots
-  /// stats(). The engine stays usable for stats reads; Reset() before
-  /// pushing a new stream.
+  /// End-of-stream barrier: delivers every remaining match to the sink and
+  /// snapshots stats(). The engine stays usable for stats reads; Reset()
+  /// before pushing a new stream.
   Status Flush();
 
-  /// Drops all execution state (instances, partitions, watermarks,
-  /// reorder buffer, statistics). The compiled plan is retained — resets
-  /// are cheap.
+  /// Drops all execution state (instances, partitions, the stream's
+  /// watermark, statistics). The compiled plan is retained — resets are
+  /// cheap.
   void Reset();
 
-  /// Statistics snapshot; the ingest-stage counters (events_pushed,
-  /// events_reordered, events_late, max_reorder_buffered) are maintained
-  /// by the base class.
+  /// Statistics snapshot; events_pushed is the stream stage's count of
+  /// admitted events.
   EngineStats stats() const;
 
   /// Serializes the engine's complete runtime state into `writer` as two
-  /// sections: "engine" (the shared ingest stage — ordering watermark,
-  /// reorder-buffer tail, ingest counters, the engine's registry name) and
-  /// "state" (the evaluator: open automaton instances with their match
-  /// buffers, partitions, shard state, statistics). Call between events,
-  /// not from inside a sink. The engine keeps running; a Restore()d engine
-  /// continues the stream with a byte-identical match sequence and
-  /// statistics (docs/SEMANTICS.md §12).
+  /// sections: "engine" (the engine's registry name, the stream stage and
+  /// the columnar filter count) and "state" (the evaluator: open automaton
+  /// instances with their match buffers, partitions, shard state,
+  /// statistics). Call between events, not from inside a sink. The engine
+  /// keeps running; a Restore()d engine continues the stream with a
+  /// byte-identical match sequence and statistics (docs/SEMANTICS.md §12).
   Status Checkpoint(storage::CheckpointWriter* writer);
 
   /// Restores state written by Checkpoint() of an engine with the same
   /// registry name, plan, and configuration. Returns InvalidArgument when
-  /// the checkpoint was written by a different engine or lateness
-  /// configuration, Corruption for malformed payloads. On error the engine
-  /// is left Reset().
+  /// the checkpoint was written by a different engine, Corruption for
+  /// malformed payloads. On error the engine is left Reset().
   Status Restore(const storage::CheckpointReader& reader);
 
   /// The immutable plan this engine executes.
@@ -239,28 +212,16 @@ class Engine {
   EngineOptions options_;
 
  private:
-  /// Handles one bound-violating event on the lateness_bound == 0 path.
-  Status HandleLate(const Event& event);
-
   /// Fires a periodic checkpoint when the event counter has crossed the
   /// next interval boundary (no-op when disabled).
   Status MaybeCheckpoint();
 
-  /// The ordering/lateness stage of PushBatch, after the flushed check and
-  /// the events_pushed accounting (PushColumnar's out-of-order fallback
-  /// re-enters here with materialized rows).
-  Status IngestSpan(std::span<const Event> events);
+  /// Runs admitted, in-order rows through the vectorized pre-filter and
+  /// the engine's columnar hook.
+  Status EvaluateColumnar(const ColumnarBatch& batch);
 
-  /// Reorder stage; engaged only when options_.lateness_bound > 0.
-  std::unique_ptr<exec::ReorderBuffer> reorder_;
-  /// Scratch for events released by the reorder stage.
-  std::vector<Event> released_;
-  /// Newest admitted timestamp (lateness_bound == 0 path).
-  Timestamp last_timestamp_ = 0;
-  bool has_last_timestamp_ = false;
-  bool flushed_ = false;
-  int64_t events_pushed_ = 0;
-  int64_t events_late_ = 0;
+  /// The stream contract: Flush state, order check, admitted count.
+  StreamStage stream_;
   /// Event count at which the next periodic checkpoint fires (disabled
   /// when checkpoint_interval_events is 0).
   int64_t next_checkpoint_at_ = 0;
@@ -282,8 +243,9 @@ MatchSink CollectInto(std::vector<Match>* out);
 /// validate that `options.sink` is set; the partition-pure engines
 /// additionally require plan->has_partition_attribute().
 
-/// "serial": one global Matcher over the shared automaton. Matches reach
-/// the sink as their window expires (on Push) and at Flush.
+/// "serial": one global SesExecutor over the shared automaton, with the
+/// plan's §4.5 pre-filter. Matches reach the sink as their window expires
+/// (on Push) and at Flush.
 Result<std::unique_ptr<Engine>> CreateSerialEngine(
     std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options);
 

@@ -207,19 +207,12 @@ Result<ColumnarBatch> ReadCsvStringColumnar(const std::string& contents,
   return batch;
 }
 
-Result<std::vector<Event>> ReadCsvStringArrivalOrder(
-    const std::string& contents, const Schema& schema) {
-  SES_ASSIGN_OR_RETURN(ColumnarBatch batch,
-                       ReadCsvStringColumnar(contents, schema));
-  return batch.ToEvents();
-}
-
 Result<EventRelation> ReadCsvString(const std::string& contents,
                                     const Schema& schema) {
-  SES_ASSIGN_OR_RETURN(std::vector<Event> events,
-                       ReadCsvStringArrivalOrder(contents, schema));
+  SES_ASSIGN_OR_RETURN(ColumnarBatch batch,
+                       ReadCsvStringColumnar(contents, schema));
   EventRelation relation(schema);
-  for (Event& event : events) {
+  for (Event& event : batch.ToEvents()) {
     SES_RETURN_IF_ERROR(relation.Append(std::move(event)));
   }
   return relation;
@@ -232,15 +225,6 @@ Result<EventRelation> ReadCsvFile(const std::string& path,
   std::ostringstream buffer;
   buffer << file.rdbuf();
   return ReadCsvString(buffer.str(), schema);
-}
-
-Result<std::vector<Event>> ReadCsvFileArrivalOrder(const std::string& path,
-                                                   const Schema& schema) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) return Status::IoError("cannot open for reading: " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return ReadCsvStringArrivalOrder(buffer.str(), schema);
 }
 
 Result<ColumnarBatch> ReadCsvFileColumnar(const std::string& path,

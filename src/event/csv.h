@@ -34,28 +34,16 @@ Result<EventRelation> ReadCsvString(const std::string& contents,
 Result<EventRelation> ReadCsvFile(const std::string& path,
                                   const Schema& schema);
 
-/// Parses CSV rows in arrival order, without requiring timestamps to be in
-/// time order: the input for the bounded-lateness ingest stage
-/// (docs/RUNTIME.md §6.1), which re-sequences events up to its bound.
-/// Schema, type, and finiteness checks still apply per row. Event ids are
-/// assigned 1-based by timestamp rank (stable on ties), not arrival
-/// position, so a shuffled file names its rows exactly like its in-order
-/// ordering would — match listings diff byte-identically.
-Result<std::vector<Event>> ReadCsvStringArrivalOrder(
-    const std::string& contents, const Schema& schema);
-
-/// Reads arrival-ordered events from `path`.
-Result<std::vector<Event>> ReadCsvFileArrivalOrder(const std::string& path,
-                                                   const Schema& schema);
-
 /// Decodes CSV straight into a columnar batch: each field is parsed into
 /// its typed column (strings interned into the column dictionary) without
 /// ever materializing a row-wise Event or Value vector. This is the single
 /// decode path — the row-wise readers above are thin wrappers over it, so
-/// both produce identical events (same rank-assigned ids, same values).
-/// Rows keep arrival order; feed the batch to an engine with a lateness
-/// bound if the file may be shuffled. Parse errors name the offending
-/// 1-based data row and column ("CSV row 3 column 'dose': ...").
+/// both produce identical events (same ids, same values). Rows keep file
+/// order, and the batch does not check it: an engine's stream stage
+/// refuses the first backwards row. Event ids are assigned 1-based by
+/// timestamp rank (stable on ties), which for an in-order file is the row
+/// position. Parse errors name the offending 1-based data row and column
+/// ("CSV row 3 column 'dose': ...").
 Result<ColumnarBatch> ReadCsvStringColumnar(const std::string& contents,
                                             const Schema& schema);
 

@@ -112,6 +112,17 @@ Result<Pattern> Pattern::Create(std::vector<EventVariable> variables,
           variables[v].name.c_str()));
     }
   }
+  // The automaton's size, from the shape alone: refuse it before anything
+  // is built. Σ|Vi| ≤ kMaxVariables = 63, so the sum fits in 64 bits.
+  uint64_t states = 0;
+  for (const EventSet& set : sets) states += uint64_t{1} << set.size();
+  if (states > static_cast<uint64_t>(kMaxAutomatonStates)) {
+    return Status::InvalidArgument(strings::Format(
+        "the pattern's automaton needs %llu states (the sum of 2^|Vi| over "
+        "its event set patterns), more than the limit of %lld",
+        static_cast<unsigned long long>(states),
+        static_cast<long long>(kMaxAutomatonStates)));
+  }
 
   // Conditions: resolved references and comparable operand types.
   for (const Condition& c : conditions) {

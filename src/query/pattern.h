@@ -12,6 +12,14 @@
 
 namespace ses {
 
+/// Most automaton states a pattern may need. The powerset construction
+/// (§4) gives event set pattern Vi 2^|Vi| states, so a pattern needs
+/// Σi 2^|Vi|; Pattern::Create refuses more before anything is built. The
+/// widest single event set admitted has 15 variables, which compiles in
+/// ~0.1 s; each further variable doubles time and memory (EXPERIMENTS.md,
+/// "Automaton size limit").
+constexpr int64_t kMaxAutomatonStates = int64_t{1} << 16;
+
 /// A sequenced event set pattern P = (⟨V1,...,Vm⟩, Θ, τ) (Definition 1).
 ///
 /// A Pattern is immutable once created and is bound to the event schema it
@@ -28,9 +36,9 @@ class Pattern {
   ///
   /// `variables[v].set_index` must be consistent with membership in `sets`;
   /// validation enforces: at least one set, no empty set, ≤ kMaxVariables
-  /// variables, unique non-empty variable names, conditions referencing
-  /// declared variables and schema attributes with comparable types, and a
-  /// positive window.
+  /// variables, ≤ kMaxAutomatonStates automaton states, unique non-empty
+  /// variable names, conditions referencing declared variables and schema
+  /// attributes with comparable types, and a positive window.
   static Result<Pattern> Create(std::vector<EventVariable> variables,
                                 std::vector<EventSet> sets,
                                 std::vector<Condition> conditions,

@@ -15,7 +15,7 @@ namespace ses::storage {
 /// Versioned, checksummed container for engine runtime state ("sesckpt").
 /// A checkpoint captures everything a 24/7 stream processor must not lose
 /// across a restart: open automaton instances with their match buffers,
-/// per-shard watermarks, reorder-buffer tails, and accumulated statistics
+/// per-shard watermarks, the stream's watermark, and accumulated statistics
 /// (docs/RUNTIME.md checkpoint section, SEMANTICS.md section 12 for the
 /// exact-resume argument).
 ///
@@ -43,7 +43,7 @@ namespace ses::storage {
 /// state per plan under "plan/<id>").
 
 constexpr uint32_t kCheckpointMagic = 0x53455343;  // "SESC"
-constexpr uint32_t kCheckpointVersion = 3;
+constexpr uint32_t kCheckpointVersion = 4;
 
 /// Builds a checkpoint: named sections appended in order, each framed with
 /// a masked CRC-32C. Components append their serialized state under a

@@ -1,8 +1,6 @@
 #include "workload/generic_generator.h"
 
-#include <algorithm>
 #include <optional>
-#include <utility>
 
 #include "common/logging.h"
 #include "common/random.h"
@@ -48,32 +46,6 @@ EventRelation GenerateStream(const StreamOptions& options) {
         now, {Value(id), Value(type), Value(value), Value(std::string("u"))});
   }
   return relation;
-}
-
-std::vector<Event> ShuffleWithinBound(const std::vector<Event>& events,
-                                      Duration bound, uint64_t seed) {
-  if (bound <= 0 || events.size() < 2) return events;
-  Random random(seed);
-  // Jittered arrival: sort by timestamp + Uniform(0, bound] delay. Why the
-  // result respects the bound: consider event e and any event f arriving
-  // before it. arrival(f) <= arrival(e) and arrival(x) is within
-  // (ts(x), ts(x) + bound], so ts(f) < arrival(f) <= arrival(e) <=
-  // ts(e) + bound — every earlier arrival's timestamp is at most `bound`
-  // ahead of ts(e), i.e. e is never more than `bound` behind the running
-  // maximum. The sort is stable on arrival keys to keep ties deterministic.
-  std::vector<std::pair<Timestamp, size_t>> arrival(events.size());
-  for (size_t i = 0; i < events.size(); ++i) {
-    arrival[i] = {events[i].timestamp() +
-                      static_cast<Duration>(random.UniformInt(1, bound)),
-                  i};
-  }
-  std::stable_sort(
-      arrival.begin(), arrival.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<Event> shuffled;
-  shuffled.reserve(events.size());
-  for (const auto& [key, index] : arrival) shuffled.push_back(events[index]);
-  return shuffled;
 }
 
 }  // namespace ses::workload

@@ -38,17 +38,6 @@ struct StreamOptions {
 /// Generates the stream described by `options`.
 EventRelation GenerateStream(const StreamOptions& options);
 
-/// Returns `events` in a jittered-arrival order: each event's sort key is
-/// its timestamp plus Uniform(0, bound] of delay, modelling independent
-/// per-event network lag. The result is guaranteed to satisfy the
-/// bounded-lateness contract — at every position, no event is more than
-/// `bound` ticks behind the newest timestamp among the events before it —
-/// so an engine with `lateness_bound >= bound` must accept the shuffled
-/// stream and produce the same match set as the in-order one. `bound <= 0`
-/// returns the input order unchanged.
-std::vector<Event> ShuffleWithinBound(const std::vector<Event>& events,
-                                      Duration bound, uint64_t seed);
-
 }  // namespace ses::workload
 
 #endif  // SES_WORKLOAD_GENERIC_GENERATOR_H_

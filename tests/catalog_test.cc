@@ -4,10 +4,12 @@
 // plan alone over the same events — for N ∈ {1, 10, 100} plans with
 // overlapping alphabets, under skewed type mixes, for a DOUBLE literal on
 // an INT routing attribute, and across add/remove-while-streaming
-// (docs/SEMANTICS.md §10). Plus the stream contract (one ordered stream,
-// checked whichever plans an event reaches) and the registration
-// contract: duplicate ids, schema pinning, remove-then-push, empty
-// catalogs, disjoint alphabets, reuse via Reset.
+// (docs/SEMANTICS.md §10), and delivered by the same call that a
+// standalone engine delivers it on, whichever plans that call's events
+// reach. Plus the stream contract (one ordered stream, checked whichever
+// plans an event reaches, with the engine's codes and messages) and the
+// registration contract: duplicate ids, schema pinning, remove-then-push,
+// empty catalogs, disjoint alphabets, reuse via Reset.
 
 #include <gtest/gtest.h>
 
@@ -435,8 +437,18 @@ TEST(CatalogEngineTest, ResetReusesEnginesAndClearsCounters) {
   Signature first = SignatureOf(std::move(collector.by_plan["q"]));
   collector.by_plan.clear();
 
-  // Push after Flush must fail until Reset.
-  EXPECT_EQ(engine->Push(events[0]).code(), StatusCode::kFailedPrecondition);
+  // Push after Flush must fail until Reset, with the engine's message.
+  const Status after_flush = engine->Push(events[0]);
+  EXPECT_EQ(after_flush.code(), StatusCode::kFailedPrecondition);
+  std::vector<Match> ignored;
+  engine::EngineOptions standalone_options;
+  standalone_options.sink = engine::CollectInto(&ignored);
+  Result<std::unique_ptr<engine::Engine>> standalone =
+      engine::CreateEngine("serial", plan, std::move(standalone_options));
+  ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
+  ASSERT_TRUE((*standalone)->Flush().ok());
+  EXPECT_EQ(after_flush.ToString(),
+            (*standalone)->Push(events[0]).ToString());
 
   engine->Reset();
   EXPECT_EQ(engine->stats().events_pushed, 0);
@@ -554,6 +566,9 @@ TEST(CatalogEngineTest, BackwardsTimestampFailsOnEveryEntryPoint) {
   ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
   const Status want = (*standalone)->PushBatch(events);
   ASSERT_EQ(want.code(), StatusCode::kInvalidArgument) << want.ToString();
+  // Both entry points share one stream stage: the refused event is not
+  // counted, and the catalog answers with the engine's code and message.
+  EXPECT_EQ((*standalone)->stats().events_pushed, 2);
 
   auto catalog = std::make_shared<QueryCatalog>();
   ASSERT_TRUE(catalog->Add("aa", plan).ok());
@@ -580,6 +595,7 @@ TEST(CatalogEngineTest, BackwardsTimestampFailsOnEveryEntryPoint) {
                                     "timestamp seen is t=18000"),
               std::string::npos)
         << path << ": " << status.ToString();
+    EXPECT_EQ(status.ToString(), want.ToString()) << path;
     ASSERT_TRUE(engine->Flush().ok()) << path;
     EXPECT_TRUE(collector.by_plan["aa"].empty()) << path;
     EXPECT_EQ(engine->stats().events_pushed, 2) << path;
@@ -603,6 +619,71 @@ TEST(CatalogEngineTest, EmptyCatalogStillChecksTimestampOrder) {
                  : engine->PushBatch(events);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
         << (columnar ? "columnar" : "row") << ": " << status.ToString();
+  }
+}
+
+/// A finished match is delivered by the call whose events pass its window,
+/// even when the type index routes those events to no plan: A at 0, B of
+/// the same ID at 10 min, then 1 000 C events over 100 h. The standalone
+/// serial engine delivers the match at the first C past the hour; on
+/// every entry point the catalog delivers it by the same call, not at
+/// Flush.
+TEST(CatalogEngineTest, FinishedMatchIsDeliveredBeforeFlushOnEveryEntryPoint) {
+  auto plan = MustPlan(
+      "PATTERN {a} -> {x} WHERE a.L = 'A' AND x.L = 'B' AND a.ID = x.ID "
+      "WITHIN 1h");
+  auto event = [](EventId id, Timestamp ts, const char* label) {
+    return Event(id, ts,
+                 {Value(int64_t{7}), Value(label), Value(1.0), Value("mg")});
+  };
+  std::vector<Event> events = {event(1, 0, "A"),
+                               event(2, duration::Minutes(10), "B")};
+  for (int i = 1; i <= 1000; ++i) {
+    events.push_back(
+        event(2 + i, duration::Minutes(10) + duration::Minutes(6) * i, "C"));
+  }
+
+  // Matches the standalone engine has delivered after each event.
+  std::vector<Match> standalone_matches;
+  engine::EngineOptions standalone_options;
+  standalone_options.sink = engine::CollectInto(&standalone_matches);
+  Result<std::unique_ptr<engine::Engine>> standalone =
+      engine::CreateEngine("serial", plan, std::move(standalone_options));
+  ASSERT_TRUE(standalone.ok()) << standalone.status().ToString();
+  std::vector<size_t> standalone_delivered;
+  for (const Event& e : events) {
+    ASSERT_TRUE((*standalone)->Push(e).ok());
+    standalone_delivered.push_back(standalone_matches.size());
+  }
+  ASSERT_EQ(standalone_matches.size(), 1u);
+  ASSERT_TRUE((*standalone)->Flush().ok());
+  const Signature want = SignatureOf(std::move(standalone_matches));
+
+  auto catalog = std::make_shared<QueryCatalog>();
+  ASSERT_TRUE(catalog->Add("ab", plan).ok());
+  for (const std::string path : {"push", "batch", "columnar"}) {
+    DemuxCollector collector;
+    CatalogOptions options;
+    options.sink = collector.Sink();
+    auto engine = MustEngine(catalog, std::move(options));
+    if (path == "push") {
+      for (size_t i = 0; i < events.size(); ++i) {
+        ASSERT_TRUE(engine->Push(events[i]).ok()) << path;
+        EXPECT_EQ(collector.by_plan["ab"].size(), standalone_delivered[i])
+            << path << " after event " << i;
+      }
+    } else if (path == "batch") {
+      ASSERT_TRUE(engine->PushBatch(events).ok()) << path;
+    } else {
+      ASSERT_TRUE(engine
+                      ->PushColumnar(ColumnarBatch::FromEvents(
+                          ChemotherapySchema(), events))
+                      .ok())
+          << path;
+    }
+    EXPECT_EQ(collector.by_plan["ab"].size(), 1u) << path << " before Flush";
+    ASSERT_TRUE(engine->Flush().ok()) << path;
+    EXPECT_EQ(SignatureOf(std::move(collector.by_plan["ab"])), want) << path;
   }
 }
 

@@ -7,8 +7,7 @@
 // substitution keys, same bound events — to an uninterrupted run, and the
 // restored engine's statistics converge to the uninterrupted ones. This is
 // proven differentially here across all three engines, parallel shard
-// counts {1,2,4,8}, bounded-lateness ingest, and the multi-plan catalog
-// engine.
+// counts {1,2,4,8}, and the multi-plan catalog engine.
 //
 // The second obligation is that a damaged or mismatched checkpoint file is
 // always a clean error — truncation at every offset, any flipped byte, an
@@ -164,9 +163,6 @@ std::vector<Match> RunCrashRestore(
 /// because the checkpoint quiesce barrier flushes pending ingest slabs,
 /// advancing shard watermarks slightly early and thereby shifting idle
 /// partition eviction (and subsequent re-creation) timing.
-/// `max_reorder_buffered` is granularity-dependent for every engine (a
-/// whole-stream PushBatch holds more back at once than event-at-a-time
-/// pushes), so lateness comparisons exclude it too.
 std::vector<std::string> ParallelExclusions() {
   return {"max_queue_depth",  "max_buffered_matches",
           "matches_emitted_early", "batches_enqueued",
@@ -246,43 +242,6 @@ INSTANTIATE_TEST_SUITE_P(
       name += info.param.group ? "_group" : "_flat";
       return name;
     });
-
-// --- Bounded-lateness ingest: the reorder tail survives the crash ---
-
-TEST(CheckpointLateness, RestoresReorderBufferTail) {
-  std::shared_ptr<const plan::CompiledPlan> plan =
-      MustCompile(CompletePattern());
-  EventRelation stream = KeyedStream(/*seed=*/11, /*partitions=*/5,
-                                     /*events=*/300);
-  // Bounded shuffle: swap adjacent pairs so every event is at most one
-  // position (well within one gap) out of order.
-  std::vector<Event> shuffled(stream.events().begin(), stream.events().end());
-  for (size_t i = 0; i + 1 < shuffled.size(); i += 2) {
-    std::swap(shuffled[i], shuffled[i + 1]);
-  }
-  EngineOptions options;
-  options.lateness_bound = duration::Hours(1);
-
-  for (const char* name : {"serial", "partitioned", "parallel"}) {
-    EngineStats reference_stats;
-    std::vector<Match> reference = RunReference(
-        name, plan, shuffled, options, &reference_stats);
-    EXPECT_GT(reference_stats.events_reordered, 0);
-    std::vector<std::string> exclude;
-    if (std::string(name) == "parallel") exclude = ParallelExclusions();
-    // Peak reorder occupancy depends on push granularity (whole-batch vs
-    // the split pushes of the crash run), not on restore fidelity.
-    exclude.push_back("max_reorder_buffered");
-    for (size_t crash_at : {shuffled.size() / 4, shuffled.size() / 2}) {
-      EngineStats stats;
-      std::vector<Match> got = RunCrashRestore(name, plan, shuffled, crash_at,
-                                               options, &stats);
-      EXPECT_EQ(NormalizedKeys(reference), NormalizedKeys(got))
-          << name << " with lateness diverged at " << crash_at;
-      ExpectStatsMatch(reference_stats, stats, exclude);
-    }
-  }
-}
 
 // --- Periodic triggering through EngineOptions ---
 
@@ -554,22 +513,6 @@ TEST(CheckpointMismatch, DifferentShardCountIsCleanError) {
   EXPECT_TRUE(status.code() == StatusCode::kCorruption ||
               status.code() == StatusCode::kInvalidArgument)
       << status.ToString();
-}
-
-TEST(CheckpointMismatch, LatenessConfigurationMismatchIsInvalidArgument) {
-  std::shared_ptr<const plan::CompiledPlan> plan =
-      MustCompile(CompletePattern());
-  Result<CheckpointReader> reader =
-      CheckpointReader::Parse(SerializedCheckpoint("serial", plan));
-  ASSERT_TRUE(reader.ok());
-  EngineOptions options;
-  options.lateness_bound = duration::Hours(1);
-  options.sink = [](Match&&) {};
-  Result<std::unique_ptr<Engine>> engine =
-      CreateEngine("serial", plan, std::move(options));
-  ASSERT_TRUE(engine.ok());
-  Status status = (*engine)->Restore(*reader);
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
 
 // --- Damaged files: Corruption/InvalidArgument, never UB ---

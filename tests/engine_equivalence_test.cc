@@ -2,9 +2,12 @@
 // from one shared CompiledPlan, must produce the identical normalized match
 // set on the same stream — across randomized workloads, key skew, plan
 // option variants, and engine reuse via Reset. Also covers the registry
-// contract (names, unknown-engine and null-sink rejection), the
-// compile-once guarantee, the parallel engine's bounded match buffering,
-// and the canonical order of its incrementally emitted sink sequence.
+// contract (names, unknown-engine and null-sink rejection), the stream
+// contract on every engine and entry point (a backwards timestamp is
+// InvalidArgument and is not counted, a push after Flush is
+// FailedPrecondition), the compile-once guarantee, the parallel engine's
+// bounded match buffering, and the canonical order of its incrementally
+// emitted sink sequence.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +18,7 @@
 
 #include "core/automaton_builder.h"
 #include "engine/registry.h"
+#include "event/columnar.h"
 #include "plan/compiled_plan.h"
 #include "query/parser.h"
 #include "workload/generic_generator.h"
@@ -100,6 +104,22 @@ std::vector<std::string> AllEngineNames() {
   return names;
 }
 
+/// The three ingest entry points of engine::Engine.
+constexpr const char* kEntryPoints[] = {"push", "batch", "columnar"};
+
+/// Pushes `events` through `entry`: event by event (stopping at the first
+/// error), as one span, or as one columnar batch.
+Status PushVia(Engine& engine, const std::string& entry,
+               std::span<const Event> events) {
+  if (entry == "push") {
+    for (const Event& event : events) SES_RETURN_IF_ERROR(engine.Push(event));
+    return Status::OK();
+  }
+  if (entry == "batch") return engine.PushBatch(events);
+  return engine.PushColumnar(
+      ColumnarBatch::FromEvents(ChemotherapySchema(), events));
+}
+
 TEST(EngineRegistry, ListsAllBuiltinEngines) {
   EXPECT_EQ(AllEngineNames(),
             (std::vector<std::string>{"parallel", "partitioned", "serial"}));
@@ -171,47 +191,146 @@ TEST(EngineEquivalence, DifferentialOverRandomizedWorkloads) {
   }
 }
 
-TEST(EngineEquivalence, WithinBoundShufflesAgreeWithInOrderEvaluation) {
-  // The bounded-lateness reorder stage must make a stream shuffled within
-  // the bound indistinguishable from the in-order stream: every engine
-  // must reproduce in-order serial evaluation exactly.
-  Pattern pattern = CompletePattern();
-  Result<std::shared_ptr<const CompiledPlan>> plan = CompilePlan(pattern);
+TEST(EngineOrdering, BackwardsTimestampIsInvalidArgumentNotCorruption) {
+  // A backwards timestamp must fail loudly on every engine and entry point
+  // (the partitioned engine once accepted cross-partition disorder and
+  // emitted a wrong match set). The refused event is not counted and
+  // reaches no evaluator, so the rest of the stream runs as if it had
+  // never been sent.
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompilePlan(CompletePattern());
   ASSERT_TRUE(plan.ok());
+  EventRelation stream = KeyedStream(/*seed=*/11, /*partitions=*/4,
+                                     /*events=*/200);
+  std::span<const Event> events(stream.events());
+  std::span<const Event> rest = events.subspan(2);
+  for (const std::string& name : AllEngineNames()) {
+    for (const std::string entry : kEntryPoints) {
+      std::vector<Match> matches;
+      EngineOptions options;
+      options.sink = CollectInto(&matches);
+      Result<std::unique_ptr<Engine>> engine =
+          CreateEngine(name, *plan, std::move(options));
+      ASSERT_TRUE(engine.ok()) << name << ": " << engine.status().ToString();
+      ASSERT_TRUE(PushVia(**engine, entry, events.subspan(1, 1)).ok())
+          << name << " " << entry;
+      Status backwards = PushVia(**engine, entry, events.subspan(0, 1));
+      EXPECT_EQ(backwards.code(), StatusCode::kInvalidArgument)
+          << name << " " << entry << ": " << backwards.ToString();
+      // An equal timestamp is just as invalid as a smaller one.
+      Status equal = PushVia(**engine, entry, events.subspan(1, 1));
+      EXPECT_EQ(equal.code(), StatusCode::kInvalidArgument)
+          << name << " " << entry << ": " << equal.ToString();
+      EXPECT_EQ((*engine)->stats().events_pushed, 1) << name << " " << entry;
+      // The engine is not corrupted: the rest of the stream still works
+      // and the match set equals a clean run's.
+      ASSERT_TRUE(PushVia(**engine, entry, rest).ok()) << name << " " << entry;
+      ASSERT_TRUE((*engine)->Flush().ok()) << name << " " << entry;
+      EXPECT_EQ((*engine)->stats().events_pushed,
+                static_cast<int64_t>(rest.size()) + 1)
+          << name << " " << entry;
 
-  auto run_shuffled = [&](const std::string& name,
-                          std::span<const Event> events,
-                          EngineOptions options) {
+      std::vector<Match> clean;
+      EngineOptions clean_options;
+      clean_options.sink = CollectInto(&clean);
+      Result<std::unique_ptr<Engine>> reference =
+          CreateEngine(name, *plan, std::move(clean_options));
+      ASSERT_TRUE(reference.ok());
+      ASSERT_TRUE((*reference)->Push(events[1]).ok());
+      ASSERT_TRUE((*reference)->PushBatch(rest).ok());
+      ASSERT_TRUE((*reference)->Flush().ok());
+      EXPECT_EQ(NormalizedKeys(std::move(matches)),
+                NormalizedKeys(std::move(clean)))
+          << name << " " << entry;
+    }
+  }
+}
+
+TEST(EngineOrdering, BatchWithBackwardsTimestampFailsOnEveryEngine) {
+  // A span with a backwards event inside: its in-order prefix is admitted
+  // and evaluated, the backwards event fails the call, and nothing after
+  // the prefix is counted or evaluated.
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompilePlan(CompletePattern());
+  ASSERT_TRUE(plan.ok());
+  EventRelation stream = KeyedStream(/*seed=*/12, /*partitions=*/4,
+                                     /*events=*/50);
+  // Swap two events to plant a violation inside the span: the prefix ends
+  // with the later one, and the earlier one is refused.
+  std::vector<Event> corrupted(stream.events().begin(),
+                               stream.events().end());
+  std::swap(corrupted[20], corrupted[21]);
+  const std::span<const Event> prefix(corrupted.data(), 21);
+  for (const std::string& name : AllEngineNames()) {
+    std::vector<Match> expected;
+    EngineOptions prefix_options;
+    prefix_options.sink = CollectInto(&expected);
+    Result<std::unique_ptr<Engine>> reference =
+        CreateEngine(name, *plan, std::move(prefix_options));
+    ASSERT_TRUE(reference.ok()) << name;
+    ASSERT_TRUE((*reference)->PushBatch(prefix).ok()) << name;
+    ASSERT_TRUE((*reference)->Flush().ok()) << name;
+    for (const std::string entry : kEntryPoints) {
+      std::vector<Match> matches;
+      EngineOptions options;
+      options.sink = CollectInto(&matches);
+      Result<std::unique_ptr<Engine>> engine =
+          CreateEngine(name, *plan, std::move(options));
+      ASSERT_TRUE(engine.ok()) << name;
+      Status status = PushVia(**engine, entry, corrupted);
+      EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+          << name << " " << entry << ": " << status.ToString();
+      EXPECT_EQ((*engine)->stats().events_pushed,
+                static_cast<int64_t>(prefix.size()))
+          << name << " " << entry;
+      ASSERT_TRUE((*engine)->Flush().ok()) << name << " " << entry;
+      EXPECT_EQ(NormalizedKeys(std::move(matches)), NormalizedKeys(expected))
+          << name << " " << entry;
+    }
+  }
+}
+
+TEST(EngineOrdering, PushAfterFlushIsFailedPreconditionUntilReset) {
+  // engine.h documents that engines stay usable after Flush() but require
+  // Reset() before a new stream; the stream stage pins that uniformly.
+  Result<std::shared_ptr<const CompiledPlan>> plan =
+      CompilePlan(CompletePattern());
+  ASSERT_TRUE(plan.ok());
+  EventRelation stream = KeyedStream(/*seed=*/14, /*partitions=*/4,
+                                     /*events=*/150);
+  std::span<const Event> events(stream.events());
+  for (const std::string& name : AllEngineNames()) {
     std::vector<Match> matches;
+    EngineOptions options;
     options.sink = CollectInto(&matches);
     Result<std::unique_ptr<Engine>> engine =
         CreateEngine(name, *plan, std::move(options));
-    EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-    if (!engine.ok()) return NormalizedKeys({});
-    Status status = (*engine)->PushBatch(events);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    status = (*engine)->Flush();
-    EXPECT_TRUE(status.ok()) << status.ToString();
-    return NormalizedKeys(std::move(matches));
-  };
+    ASSERT_TRUE(engine.ok()) << name;
+    ASSERT_TRUE((*engine)->PushBatch(events).ok());
+    ASSERT_TRUE((*engine)->Flush().ok());
+    auto first = NormalizedKeys(std::move(matches));
 
-  for (uint64_t seed = 11; seed <= 12; ++seed) {
-    for (double skew : {0.0, 0.8}) {
-      EventRelation stream = KeyedStream(seed, 24, 1200, skew);
-      auto expected = NormalizedKeys(RunEngine("serial", *plan, stream));
-      for (Duration bound : {duration::Minutes(5), duration::Hours(1)}) {
-        std::vector<Event> shuffled = workload::ShuffleWithinBound(
-            stream.events(), bound, seed * 977 + bound);
-        for (const std::string& name : AllEngineNames()) {
-          EngineOptions options;
-          options.lateness_bound = bound;
-          options.num_shards = 4;
-          options.batch_size = 64;
-          EXPECT_EQ(run_shuffled(name, shuffled, options), expected)
-              << "engine " << name << " seed " << seed << " skew " << skew
-              << " bound " << bound;
-        }
-      }
+    for (const std::string entry : kEntryPoints) {
+      Status status = PushVia(**engine, entry, events);
+      EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition)
+          << name << " " << entry << ": " << status.ToString();
+    }
+    // stats() must still be readable after the flush barrier, and the
+    // refused pushes are not counted.
+    EXPECT_EQ((*engine)->stats().events_pushed,
+              static_cast<int64_t>(events.size()))
+        << name;
+
+    // Reset returns the engine to a fresh state: the rerun is identical,
+    // on every entry point.
+    for (const std::string entry : kEntryPoints) {
+      matches.clear();
+      (*engine)->Reset();
+      ASSERT_TRUE(PushVia(**engine, entry, events).ok()) << name << " "
+                                                         << entry;
+      ASSERT_TRUE((*engine)->Flush().ok()) << name << " " << entry;
+      EXPECT_EQ(NormalizedKeys(std::move(matches)), first)
+          << name << " " << entry;
     }
   }
 }

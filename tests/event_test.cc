@@ -204,21 +204,22 @@ TEST(Csv, HeaderIsValidated) {
   EXPECT_TRUE(ReadCsvString("T,ID,L,V\n", schema).ok());     // empty relation
 }
 
-TEST(Csv, ArrivalOrderReadAcceptsDisorderAndRanksIds) {
+TEST(Csv, ColumnarReadKeepsFileOrderAndRanksIds) {
   Schema schema = TestSchema();
-  // Time order 10 < 20 < 30, arriving 20, 10, 30.
-  Result<std::vector<Event>> events = ReadCsvStringArrivalOrder(
+  // Time order 10 < 20 < 30, in the file as 20, 10, 30.
+  Result<ColumnarBatch> batch = ReadCsvStringColumnar(
       "T,ID,L,V\n20,2,B,2.0\n10,1,A,1.0\n30,3,C,3.0\n", schema);
-  ASSERT_TRUE(events.ok()) << events.status().ToString();
-  ASSERT_EQ(events->size(), 3u);
-  // Arrival order is preserved...
-  EXPECT_EQ((*events)[0].timestamp(), 20);
-  EXPECT_EQ((*events)[1].timestamp(), 10);
-  EXPECT_EQ((*events)[2].timestamp(), 30);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  std::vector<Event> events = batch->ToEvents();
+  ASSERT_EQ(events.size(), 3u);
+  // File order is preserved (an engine's stream stage refuses the 10)...
+  EXPECT_EQ(events[0].timestamp(), 20);
+  EXPECT_EQ(events[1].timestamp(), 10);
+  EXPECT_EQ(events[2].timestamp(), 30);
   // ...but ids are timestamp ranks: what the in-order file would assign.
-  EXPECT_EQ((*events)[0].id(), 2);
-  EXPECT_EQ((*events)[1].id(), 1);
-  EXPECT_EQ((*events)[2].id(), 3);
+  EXPECT_EQ(events[0].id(), 2);
+  EXPECT_EQ(events[1].id(), 1);
+  EXPECT_EQ(events[2].id(), 3);
   // The ordered reader still rejects the same bytes.
   EXPECT_FALSE(
       ReadCsvString("T,ID,L,V\n20,2,B,2.0\n10,1,A,1.0\n", schema).ok());
@@ -261,13 +262,13 @@ TEST(Csv, ErrorsNameRowAndColumn) {
   Status bad_arity = ReadCsvString("T,ID,L,V\n1,2,A\n", schema).status();
   EXPECT_NE(bad_arity.message().find("CSV row 1"), std::string::npos)
       << bad_arity.message();
-  // The arrival-order reader shares the decode path, so it reports the
-  // same cell.
-  Status arrival =
-      ReadCsvStringArrivalOrder("T,ID,L,V\n5,x,A,1.0\n", schema).status();
-  EXPECT_NE(arrival.message().find("CSV row 1 column 'ID'"),
+  // The columnar reader is the shared decode path, so it reports the same
+  // cell.
+  Status columnar =
+      ReadCsvStringColumnar("T,ID,L,V\n5,x,A,1.0\n", schema).status();
+  EXPECT_NE(columnar.message().find("CSV row 1 column 'ID'"),
             std::string::npos)
-      << arrival.message();
+      << columnar.message();
 }
 
 TEST(Csv, ColumnarDecodeMatchesRowDecode) {

@@ -144,65 +144,6 @@ TEST(EngineFuzz, RandomizedParallelConfigsPreserveTheMatchSet) {
   }
 }
 
-TEST(EngineFuzz, RandomizedWithinBoundShufflesPreserveTheMatchSet) {
-  // Randomized differential grid over the bounded-lateness reorder stage:
-  // stream shape, lateness bound, engine, and shard count are drawn at
-  // random; the stream is shuffled within the bound (jittered arrival) and
-  // the normalized match set must equal in-order serial evaluation every
-  // time.
-  Result<Pattern> pattern = ParsePattern(
-      "PATTERN {a, b} -> {x} WHERE a.L = 'A' AND b.L = 'B' AND x.L = 'X' "
-      "AND a.ID = b.ID AND a.ID = x.ID AND b.ID = x.ID WITHIN 5h",
-      ChemotherapySchema());
-  ASSERT_TRUE(pattern.ok());
-  Result<std::shared_ptr<const plan::CompiledPlan>> compiled =
-      plan::CompilePlan(*pattern);
-  ASSERT_TRUE(compiled.ok());
-
-  auto run = [&](const char* name, engine::EngineOptions options,
-                 std::span<const Event> stream) {
-    std::vector<Match> matches;
-    options.sink = engine::CollectInto(&matches);
-    Result<std::unique_ptr<engine::Engine>> eng =
-        engine::CreateEngine(name, *compiled, std::move(options));
-    EXPECT_TRUE(eng.ok()) << eng.status().ToString();
-    EXPECT_TRUE((*eng)->PushBatch(stream).ok());
-    EXPECT_TRUE((*eng)->Flush().ok());
-    SortMatches(&matches);
-    std::vector<std::vector<std::pair<VariableId, EventId>>> keys;
-    for (const Match& match : matches) keys.push_back(match.SubstitutionKey());
-    return keys;
-  };
-
-  const char* kEngines[] = {"serial", "partitioned", "parallel"};
-  Random random(8086);
-  for (int trial = 0; trial < 16; ++trial) {
-    workload::StreamOptions so;
-    so.num_events = 300 + random.UniformInt(0, 300);
-    so.num_partitions = static_cast<int>(4 << random.UniformInt(0, 2));
-    so.type_weights = {{"A", 1}, {"B", 1}, {"X", 1}, {"N", 1}};
-    so.min_gap = duration::Minutes(1);
-    so.max_gap = duration::Minutes(10);
-    so.seed = random.Next();
-    EventRelation stream = workload::GenerateStream(so);
-    auto expected =
-        run("serial", {}, std::span<const Event>(stream.events()));
-
-    const Duration bound =
-        duration::Minutes(random.UniformInt(2, 120));
-    std::vector<Event> shuffled =
-        workload::ShuffleWithinBound(stream.events(), bound, random.Next());
-    engine::EngineOptions options;
-    options.lateness_bound = bound;
-    const char* name = kEngines[random.Index(std::size(kEngines))];
-    if (std::string_view(name) == "parallel") {
-      options.num_shards = static_cast<int>(random.UniformInt(1, 8));
-    }
-    EXPECT_EQ(run(name, options, std::span<const Event>(shuffled)), expected)
-        << "trial " << trial << " engine " << name << " bound " << bound;
-  }
-}
-
 TEST(CsvFuzz, RandomBytesNeverCrash) {
   Random random(777);
   Schema schema = ChemotherapySchema();

@@ -12,7 +12,10 @@
 // are torn down on the injected clock, corrupt frames get a typed Error
 // and a clean close without hurting other connections, Stop() returns
 // without waiting out a poll slice, and the Stats packet carries
-// field-for-field parity with the in-process engine.
+// field-for-field parity with the in-process engine. Also delivery and
+// admission: a finished match arrives before the client flushes, and a
+// plan over the automaton state limit gets a typed Error while the
+// server keeps serving.
 
 #include <gtest/gtest.h>
 
@@ -639,6 +642,105 @@ TEST(ServerFlush, BackwardsTimestampFailsTheStreamAtFlush) {
     EXPECT_TRUE((*client)->TakeMatches()["aa"].empty());
   }
   (*client)->Close();
+  server->Stop();
+}
+
+/// A finished match reaches the client before it sends Flush, even when no
+/// later event is routed to its plan: A and B of one key, then C events
+/// far past the window, which the type index routes to no plan. Stats is
+/// served after every slab pushed before it, so the MatchBatch written for
+/// those slabs has arrived by the time Stats answers.
+TEST(ServerDelivery, FinishedMatchArrivesBeforeFlush) {
+  std::unique_ptr<net::Server> server = StartServer({});
+  Result<std::unique_ptr<net::Client>> client = ConnectClient(server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)
+                  ->SubmitPlan("ab",
+                               "PATTERN {a} -> {x} WHERE a.L = 'A' AND "
+                               "x.L = 'B' AND a.ID = x.ID WITHIN 1h")
+                  .ok());
+  const Schema schema = TestSchema();
+  EventRelation relation(schema);
+  relation.AppendUnchecked(0, {Value(int64_t{7}), Value("A"), Value(0.0)});
+  relation.AppendUnchecked(duration::Minutes(10),
+                           {Value(int64_t{7}), Value("B"), Value(1.0)});
+  for (int i = 1; i <= 1000; ++i) {
+    relation.AppendUnchecked(duration::Minutes(10) + duration::Minutes(6) * i,
+                             {Value(int64_t{7}), Value("C"),
+                              Value(static_cast<double>(i))});
+  }
+  std::span<const Event> events(relation.events());
+  for (bool columnar : {false, true}) {
+    for (size_t offset = 0; offset < events.size(); offset += 64) {
+      std::span<const Event> slab = events.subspan(
+          offset, std::min<size_t>(64, events.size() - offset));
+      Result<bool> ok =
+          columnar ? (*client)->PushColumnar(
+                         ColumnarBatch::FromEvents(schema, slab))
+                   : (*client)->Push(slab);
+      ASSERT_TRUE(ok.ok() && *ok) << Describe(ok);
+    }
+    ASSERT_TRUE((*client)->Stats().ok());
+    EXPECT_EQ((*client)->TakeMatches()["ab"].size(), 1u)
+        << (columnar ? "columnar" : "row") << ": the match waited for Flush";
+    ASSERT_TRUE((*client)->Flush().ok());
+    EXPECT_TRUE((*client)->TakeMatches()["ab"].empty())
+        << (columnar ? "columnar" : "row");
+  }
+  (*client)->Close();
+  server->Stop();
+}
+
+/// `{v1, ..., vn} -> {b}` with one label per variable: Σ 2^|Vi| automaton
+/// states is 2^n + 2.
+std::string WideQuery(int n) {
+  std::string vars;
+  std::string conditions;
+  for (int i = 1; i <= n; ++i) {
+    const std::string index = std::to_string(i);
+    if (i > 1) vars += ", ";
+    vars += "v";
+    vars += index;
+    conditions += "v";
+    conditions += index;
+    conditions += ".L = 'W";
+    conditions += index;
+    conditions += "' AND ";
+  }
+  return "PATTERN {" + vars + "} -> {b} WHERE " + conditions +
+         "b.L = 'B' WITHIN 1h";
+}
+
+/// A plan whose automaton is over the state limit is refused from its
+/// shape with a typed Error before anything is built: the connection
+/// stays usable, and another connection's stream is unaffected.
+TEST(ServerAdmission, WidePlanIsRefusedAndTheServerKeepsServing) {
+  std::unique_ptr<net::Server> server = StartServer({});
+  Result<std::unique_ptr<net::Client>> first = ConnectClient(server->port());
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  Result<std::unique_ptr<net::Client>> second = ConnectClient(server->port());
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+
+  // 16 variables in one event set: 2^16 + 2 states, just over the limit.
+  const Status wide = (*first)->SubmitPlan("wide", WideQuery(16));
+  EXPECT_EQ(wide.code(), StatusCode::kInvalidArgument) << wide.ToString();
+  EXPECT_NE(wide.message().find("plan 'wide'"), std::string::npos)
+      << wide.ToString();
+  EXPECT_NE(wide.message().find("65538 states"), std::string::npos)
+      << wide.ToString();
+  EXPECT_TRUE((*first)->SubmitPlan("plan-0", ClientQuery(0)).ok());
+
+  ASSERT_TRUE((*second)->SubmitPlan("plan-1", ClientQuery(1)).ok());
+  const EventRelation stream = ClientStream(1, 400);
+  Result<bool> ok = (*second)->Push(std::span<const Event>(stream.events()));
+  ASSERT_TRUE(ok.ok() && *ok) << Describe(ok);
+  ASSERT_TRUE((*second)->Flush().ok());
+  std::map<std::string, std::vector<Match>> got = (*second)->TakeMatches();
+  EXPECT_FALSE(got["plan-1"].empty());
+  EXPECT_EQ(EncodeMatchSet(std::move(got["plan-1"]), TestSchema()),
+            StandaloneReference(ClientQuery(1), stream));
+  (*first)->Close();
+  (*second)->Close();
   server->Stop();
 }
 

@@ -306,5 +306,42 @@ TEST(Pattern, TooManyVariablesRejected) {
       Pattern::Create(vars, {set}, {}, 10, ChemotherapySchema()).ok());
 }
 
+/// Σ 2^|Vi| over event sets of the given sizes is the automaton's state
+/// count (§4); the pattern is checked from that shape alone.
+Result<Pattern> PatternWithSetSizes(const std::vector<int>& sizes) {
+  std::vector<EventVariable> vars;
+  std::vector<Pattern::EventSet> sets;
+  for (size_t s = 0; s < sizes.size(); ++s) {
+    sets.emplace_back();
+    for (int i = 0; i < sizes[s]; ++i) {
+      const VariableId id = static_cast<VariableId>(vars.size());
+      std::string name = "v";
+      name += std::to_string(id);
+      vars.push_back({name, false, false, static_cast<int>(s)});
+      sets.back().push_back(id);
+    }
+  }
+  return Pattern::Create(vars, sets, {}, 10, ChemotherapySchema());
+}
+
+TEST(Pattern, AutomatonStateLimit) {
+  // Largest accepted: 2^15 + 2^15 = 65 536 states, exactly the limit.
+  EXPECT_TRUE(PatternWithSetSizes({15, 15}).ok());
+  EXPECT_TRUE(PatternWithSetSizes({15, 1}).ok());
+  // Smallest refused: every set adds an even count, so the next is 65 538.
+  Result<Pattern> refused = PatternWithSetSizes({15, 15, 1});
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("65538 states"),
+            std::string::npos)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find("limit of 65536"),
+            std::string::npos)
+      << refused.status().ToString();
+  // One wide set: 2^16 + 2 states.
+  EXPECT_FALSE(PatternWithSetSizes({16, 1}).ok());
+  EXPECT_EQ(kMaxAutomatonStates, 65536);
+}
+
 }  // namespace
 }  // namespace ses

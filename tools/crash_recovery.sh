@@ -20,7 +20,7 @@
 #   SES_CLI          path to the ses_cli binary
 #                    (default ./build/examples/ses_cli)
 #   SES_EXTRA_FLAGS  extra CLI flags appended to every run, e.g.
-#                    "--lateness 5"
+#                    "--columnar on"
 #
 # Exit status: 0 when every restored run reproduced the reference output,
 # non-zero otherwise. Run from the repository root. Used by the

@@ -141,7 +141,7 @@ cat > "$workdir/demo.sescat" << 'EOF'
 [cd]
 PATTERN {c} -> {d} WHERE c.L = 'C' AND d.L = 'D' AND c.ID = d.ID WITHIN 264h
 EOF
-for flag in "--threads 2" "--engine serial" "--lateness 5"; do
+for flag in "--threads 2" "--engine serial"; do
   code=0
   # shellcheck disable=SC2086  # split "--flag value"
   timeout 20 "$CLI" --demo --catalog "$workdir/demo.sescat" $flag \
@@ -155,7 +155,7 @@ for flag in "--threads 2" "--engine serial" "--lateness 5"; do
   fi
 done
 for removed in shared-const no-type-index no-shared-prefilter \
-  "type-attribute L"; do
+  "type-attribute L" "lateness 5" "late-policy drop"; do
   code=0
   # shellcheck disable=SC2086  # split "--flag value"
   timeout 20 "$CLI" --demo --$removed > /dev/null \
