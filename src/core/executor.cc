@@ -251,16 +251,7 @@ void SesExecutor::Checkpoint(std::string* out) const {
       storage::PutEventRecord(out, binding.event, schema);
     }
   }
-  storage::PutSigned(out, stats_.events_seen);
-  storage::PutSigned(out, stats_.events_filtered);
-  storage::PutSigned(out, stats_.events_processed);
-  storage::PutSigned(out, stats_.instances_created);
-  storage::PutSigned(out, stats_.instances_expired);
-  storage::PutSigned(out, stats_.max_simultaneous_instances);
-  storage::PutSigned(out, stats_.transitions_evaluated);
-  storage::PutSigned(out, stats_.transitions_fired);
-  storage::PutSigned(out, stats_.conditions_evaluated);
-  storage::PutSigned(out, stats_.matches_emitted);
+  PutExecutorStats(out, stats_);
 }
 
 Status SesExecutor::Restore(const char** p, const char* limit) {
@@ -304,19 +295,52 @@ Status SesExecutor::Restore(const char** p, const char* limit) {
     instances_.push_back(
         AutomatonInstance{static_cast<StateId>(state), std::move(buffer)});
   }
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.events_seen));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.events_filtered));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.events_processed));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.instances_created));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.instances_expired));
+  return GetExecutorStats(p, limit, &stats_);
+}
+
+ExecutorStats& ExecutorStats::operator+=(const ExecutorStats& other) {
+  events_seen += other.events_seen;
+  events_filtered += other.events_filtered;
+  events_processed += other.events_processed;
+  instances_created += other.instances_created;
+  instances_expired += other.instances_expired;
+  max_simultaneous_instances =
+      std::max(max_simultaneous_instances, other.max_simultaneous_instances);
+  transitions_evaluated += other.transitions_evaluated;
+  transitions_fired += other.transitions_fired;
+  conditions_evaluated += other.conditions_evaluated;
+  matches_emitted += other.matches_emitted;
+  return *this;
+}
+
+void PutExecutorStats(std::string* out, const ExecutorStats& stats) {
+  storage::PutSigned(out, stats.events_seen);
+  storage::PutSigned(out, stats.events_filtered);
+  storage::PutSigned(out, stats.events_processed);
+  storage::PutSigned(out, stats.instances_created);
+  storage::PutSigned(out, stats.instances_expired);
+  storage::PutSigned(out, stats.max_simultaneous_instances);
+  storage::PutSigned(out, stats.transitions_evaluated);
+  storage::PutSigned(out, stats.transitions_fired);
+  storage::PutSigned(out, stats.conditions_evaluated);
+  storage::PutSigned(out, stats.matches_emitted);
+}
+
+Status GetExecutorStats(const char** p, const char* limit,
+                        ExecutorStats* stats) {
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats->events_seen));
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats->events_filtered));
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats->events_processed));
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats->instances_created));
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats->instances_expired));
   SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &stats_.max_simultaneous_instances));
+      storage::GetSigned(p, limit, &stats->max_simultaneous_instances));
   SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &stats_.transitions_evaluated));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.transitions_fired));
+      storage::GetSigned(p, limit, &stats->transitions_evaluated));
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats->transitions_fired));
   SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &stats_.conditions_evaluated));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.matches_emitted));
+      storage::GetSigned(p, limit, &stats->conditions_evaluated));
+  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats->matches_emitted));
   return Status::OK();
 }
 

@@ -39,7 +39,19 @@ struct ExecutorStats {
   int64_t transitions_fired = 0;
   int64_t conditions_evaluated = 0;
   int64_t matches_emitted = 0;
+
+  /// Adds every counter of `other`; the peak keeps the larger of the two
+  /// (peaks of separate executors do not add up).
+  ExecutorStats& operator+=(const ExecutorStats& other);
 };
+
+/// The one encoding of ExecutorStats, shared by executor checkpoints and
+/// the wire's Stats packet: the ten counters in declaration order, each
+/// with storage::PutSigned.
+void PutExecutorStats(std::string* out, const ExecutorStats& stats);
+/// Reads what PutExecutorStats wrote.
+Status GetExecutorStats(const char** p, const char* limit,
+                        ExecutorStats* stats);
 
 /// Executes a SES automaton over a stream of events: function SESExec of
 /// Algorithm 1, with ConsumeEvent of Algorithm 2 inlined as a private
@@ -71,9 +83,12 @@ class SesExecutor {
   SesExecutor(const SesAutomaton* automaton, MatcherOptions options,
               std::shared_ptr<const EventPreFilter> filter);
 
-  /// Feeds the next event (strictly increasing timestamps; enforced by
-  /// the caller: Matcher, or an entry point's StreamStage). Completed
-  /// matches are appended to `out`.
+  /// Feeds the next event. Completed matches are appended to `out`.
+  /// Precondition: strictly increasing timestamps, which the executor does
+  /// not check. Each entry point checks it once: Matcher::Push, an engine's
+  /// or the catalog's StreamStage, or ValidateTotalOrder in the relation
+  /// APIs; PartitionedMatcher, and with it every parallel shard, passes
+  /// events on unchecked.
   void Consume(const Event& event, std::vector<Match>* out);
 
   /// Advances the executor's clock to `now`, the stream's newest

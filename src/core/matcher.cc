@@ -2,7 +2,6 @@
 
 #include "common/strings.h"
 #include "core/automaton_builder.h"
-#include "storage/checkpoint.h"
 
 namespace ses {
 
@@ -46,23 +45,6 @@ void Matcher::Reset() {
   executor_->Reset();
   has_watermark_ = false;
   watermark_ = 0;
-}
-
-void Matcher::Checkpoint(std::string* out) const {
-  storage::PutBool(out, has_watermark_);
-  storage::PutSigned(out, watermark_);
-  executor_->Checkpoint(out);
-}
-
-Status Matcher::Restore(const char** p, const char* limit) {
-  Reset();
-  SES_RETURN_IF_ERROR(storage::GetBool(p, limit, &has_watermark_));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &watermark_));
-  if (Status s = executor_->Restore(p, limit); !s.ok()) {
-    Reset();
-    return s;
-  }
-  return Status::OK();
 }
 
 Result<std::vector<Match>> MatchRelation(const Pattern& pattern,

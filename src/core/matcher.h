@@ -47,9 +47,9 @@ class Matcher {
                    MatcherOptions options = {});
 
   /// Additionally shares a pre-built event pre-filter (see
-  /// plan::CompiledPlan): per-partition matchers skip re-scanning the
-  /// pattern's constant conditions on every partition creation. A null
-  /// filter behaves like the two-argument constructor.
+  /// plan::CompiledPlan), so a matcher built from a plan skips re-scanning
+  /// the pattern's constant conditions. A null filter behaves like the
+  /// two-argument constructor.
   Matcher(std::shared_ptr<const SesAutomaton> automaton,
           MatcherOptions options,
           std::shared_ptr<const EventPreFilter> filter);
@@ -65,14 +65,6 @@ class Matcher {
 
   /// Clears all execution state (instances, statistics, time watermark).
   void Reset();
-
-  /// Serializes the matcher's runtime state (time watermark + executor
-  /// instances and statistics) into `out`; see SesExecutor::Checkpoint.
-  void Checkpoint(std::string* out) const;
-
-  /// Restores state written by Checkpoint() into this matcher, which must
-  /// run the same automaton. On error the matcher is left Reset().
-  Status Restore(const char** p, const char* limit);
 
   const SesAutomaton& automaton() const { return *automaton_; }
   const Pattern& pattern() const { return automaton_->pattern(); }

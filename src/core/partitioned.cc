@@ -1,6 +1,8 @@
 #include "core/partitioned.h"
 
-#include "common/strings.h"
+#include <algorithm>
+#include <iterator>
+
 #include "storage/checkpoint.h"
 
 namespace ses {
@@ -70,50 +72,72 @@ Result<PartitionedMatcher> PartitionedMatcher::Create(
                             std::move(filter));
 }
 
-Status PartitionedMatcher::Push(const Event& event, std::vector<Match>* out) {
-  ++stats_.events_seen;
-  const Value& key = event.value(attribute_);
-  auto it = matchers_.find(key);
-  if (it == matchers_.end()) {
-    it = matchers_.emplace(key, Matcher(automaton_, options_, filter_)).first;
-    stats_.num_partitions = static_cast<int64_t>(matchers_.size());
+std::list<PartitionedMatcher::Partition>::iterator
+PartitionedMatcher::AddPartition(const Value& key, Timestamp newest) {
+  if (spare_.empty()) {
+    partitions_.push_back(Partition{
+        key, newest, SesExecutor(automaton_.get(), options_, filter_)});
+  } else {
+    // An evicted partition's node and executor (Reset, capacity kept).
+    partitions_.splice(partitions_.end(), spare_, spare_.begin());
+    partitions_.back().key = key;
+    partitions_.back().newest = newest;
   }
-  Matcher& matcher = it->second;
-  int64_t before = static_cast<int64_t>(matcher.num_active_instances());
-  size_t matches_before = out->size();
-  SES_RETURN_IF_ERROR(matcher.Push(event, out));
+  return std::prev(partitions_.end());
+}
+
+void PartitionedMatcher::Consume(const Event& event, std::vector<Match>* out) {
+  ++stats_.events_seen;
+  auto [slot, created] = by_key_.try_emplace(event.value(attribute_));
+  if (created) {
+    slot->second = AddPartition(slot->first, event.timestamp());
+    ++stats_.partitions_created;
+  } else {
+    partitions_.splice(partitions_.end(), partitions_, slot->second);
+    slot->second->newest = event.timestamp();
+  }
+  SesExecutor& executor = slot->second->executor;
+  const int64_t before = static_cast<int64_t>(executor.num_active_instances());
+  const size_t matches_before = out->size();
+  executor.Consume(event, out);
   active_instances_ +=
-      static_cast<int64_t>(matcher.num_active_instances()) - before;
+      static_cast<int64_t>(executor.num_active_instances()) - before;
   stats_.max_simultaneous_instances =
       std::max(stats_.max_simultaneous_instances, active_instances_);
   stats_.matches_emitted +=
       static_cast<int64_t>(out->size() - matches_before);
-  return Status::OK();
+}
+
+void PartitionedMatcher::EvictIdle(Timestamp now, std::vector<Match>* out) {
+  const Timestamp idle_before = now - automaton_->window();
+  const size_t matches_before = out->size();
+  while (!partitions_.empty() && partitions_.front().newest < idle_before) {
+    Partition& idle = partitions_.front();
+    active_instances_ -=
+        static_cast<int64_t>(idle.executor.num_active_instances());
+    idle.executor.Flush(out);
+    evicted_ += idle.executor.stats();
+    idle.executor.Reset();
+    by_key_.erase(idle.key);
+    spare_.splice(spare_.end(), partitions_, partitions_.begin());
+    ++stats_.partitions_evicted;
+  }
+  stats_.matches_emitted +=
+      static_cast<int64_t>(out->size() - matches_before);
 }
 
 void PartitionedMatcher::Flush(std::vector<Match>* out) {
-  size_t matches_before = out->size();
-  for (auto& [key, matcher] : matchers_) {
-    matcher.Flush(out);
-  }
+  const size_t matches_before = out->size();
+  for (Partition& partition : partitions_) partition.executor.Flush(out);
   active_instances_ = 0;
   stats_.matches_emitted +=
       static_cast<int64_t>(out->size() - matches_before);
 }
 
 ExecutorStats PartitionedMatcher::AggregatedExecutorStats() const {
-  ExecutorStats total;
-  for (const auto& [key, matcher] : matchers_) {
-    const ExecutorStats& s = matcher.stats();
-    total.events_seen += s.events_seen;
-    total.events_filtered += s.events_filtered;
-    total.events_processed += s.events_processed;
-    total.instances_created += s.instances_created;
-    total.instances_expired += s.instances_expired;
-    total.transitions_evaluated += s.transitions_evaluated;
-    total.transitions_fired += s.transitions_fired;
-    total.conditions_evaluated += s.conditions_evaluated;
-    total.matches_emitted += s.matches_emitted;
+  ExecutorStats total = evicted_;
+  for (const Partition& partition : partitions_) {
+    total += partition.executor.stats();
   }
   // Per-partition peaks do not sum to a meaningful global peak; the
   // partitioned matcher tracks the true global peak itself (stats()).
@@ -122,22 +146,28 @@ ExecutorStats PartitionedMatcher::AggregatedExecutorStats() const {
 }
 
 void PartitionedMatcher::Reset() {
-  // Dropping the per-key Matchers (rather than Reset()ing each) also
-  // releases their instance memory; partitions repopulate on contact. The
-  // shared automaton survives, so no recompilation happens.
-  matchers_.clear();
+  // Dropping the executors (rather than Reset()ing each) also releases
+  // their instance memory; partitions repopulate on contact. The shared
+  // automaton survives, so no recompilation happens.
+  by_key_.clear();
+  partitions_.clear();
+  spare_.clear();
+  evicted_ = ExecutorStats{};
   active_instances_ = 0;
   stats_ = PartitionedStats{};
 }
 
 void PartitionedMatcher::Checkpoint(std::string* out) const {
-  storage::PutCount(out, matchers_.size());
-  for (const auto& [key, matcher] : matchers_) {
-    storage::PutValue(out, key);
-    matcher.Checkpoint(out);
+  storage::PutCount(out, partitions_.size());
+  for (const Partition& partition : partitions_) {
+    storage::PutValue(out, partition.key);
+    storage::PutSigned(out, partition.newest);
+    partition.executor.Checkpoint(out);
   }
+  PutExecutorStats(out, evicted_);
   storage::PutSigned(out, active_instances_);
-  storage::PutSigned(out, stats_.num_partitions);
+  storage::PutSigned(out, stats_.partitions_created);
+  storage::PutSigned(out, stats_.partitions_evicted);
   storage::PutSigned(out, stats_.events_seen);
   storage::PutSigned(out, stats_.max_simultaneous_instances);
   storage::PutSigned(out, stats_.matches_emitted);
@@ -145,30 +175,44 @@ void PartitionedMatcher::Checkpoint(std::string* out) const {
 
 Status PartitionedMatcher::Restore(const char** p, const char* limit) {
   Reset();
-  uint64_t num_matchers = 0;
-  SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &num_matchers));
-  for (uint64_t i = 0; i < num_matchers; ++i) {
-    Value key;
-    SES_RETURN_IF_ERROR(storage::GetValue(p, limit, &key));
-    auto [it, inserted] =
-        matchers_.emplace(std::move(key), Matcher(automaton_, options_,
-                                                  filter_));
-    if (!inserted) {
-      Reset();
-      return Status::Corruption("checkpoint has a duplicate partition key");
+  Status s = [&]() -> Status {
+    uint64_t num_partitions = 0;
+    SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &num_partitions));
+    for (uint64_t i = 0; i < num_partitions; ++i) {
+      Value key;
+      SES_RETURN_IF_ERROR(storage::GetValue(p, limit, &key));
+      if (key.type() != pattern().schema().attribute(attribute_).type) {
+        return Status::Corruption(
+            "checkpoint partition key does not have the attribute's type");
+      }
+      Timestamp newest = 0;
+      SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &newest));
+      // The payload lists partitions in newest-event order, which is the
+      // eviction order; newest timestamps are unique per stream.
+      if (!partitions_.empty() && newest <= partitions_.back().newest) {
+        return Status::Corruption(
+            "checkpoint partitions are out of newest-event order");
+      }
+      auto [slot, created] = by_key_.try_emplace(key);
+      if (!created) {
+        return Status::Corruption("checkpoint has a duplicate partition key");
+      }
+      slot->second = AddPartition(key, newest);
+      SES_RETURN_IF_ERROR(slot->second->executor.Restore(p, limit));
     }
-    if (Status s = it->second.Restore(p, limit); !s.ok()) {
-      Reset();
-      return s;
-    }
-  }
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &active_instances_));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.num_partitions));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.events_seen));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &stats_.max_simultaneous_instances));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.matches_emitted));
-  return Status::OK();
+    SES_RETURN_IF_ERROR(GetExecutorStats(p, limit, &evicted_));
+    SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &active_instances_));
+    SES_RETURN_IF_ERROR(
+        storage::GetSigned(p, limit, &stats_.partitions_created));
+    SES_RETURN_IF_ERROR(
+        storage::GetSigned(p, limit, &stats_.partitions_evicted));
+    SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.events_seen));
+    SES_RETURN_IF_ERROR(
+        storage::GetSigned(p, limit, &stats_.max_simultaneous_instances));
+    return storage::GetSigned(p, limit, &stats_.matches_emitted);
+  }();
+  if (!s.ok()) Reset();
+  return s;
 }
 
 Result<std::vector<Match>> PartitionedMatchRelation(
@@ -183,7 +227,7 @@ Result<std::vector<Match>> PartitionedMatchRelation(
                                                   options));
   std::vector<Match> matches;
   for (const Event& event : relation) {
-    SES_RETURN_IF_ERROR(matcher.Push(event, &matches));
+    matcher.Consume(event, &matches);
   }
   matcher.Flush(&matches);
   if (stats != nullptr) *stats = matcher.stats();

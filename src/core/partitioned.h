@@ -1,8 +1,12 @@
 #ifndef SES_CORE_PARTITIONED_H_
 #define SES_CORE_PARTITIONED_H_
 
-#include <map>
+#include <cstddef>
+#include <functional>
+#include <list>
 #include <memory>
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -47,17 +51,39 @@ namespace ses {
 /// qualify (partition keys need exact equality).
 Result<int> FindPartitionAttribute(const Pattern& pattern);
 
+/// Hash of a partition-key value (INT64 or STRING; DOUBLE attributes are
+/// refused as keys): the parallel runtime's shard routing and
+/// PartitionedMatcher's key index.
+struct PartitionKeyHash {
+  size_t operator()(const Value& key) const {
+    if (key.is_int64()) return std::hash<int64_t>{}(key.int64());
+    return std::hash<std::string>{}(key.string());
+  }
+};
+
 /// Statistics across all partitions.
 struct PartitionedStats {
-  int64_t num_partitions = 0;
+  /// Partitions created: on a key's first event, and on its first event
+  /// after the key's partition was evicted.
+  int64_t partitions_created = 0;
+  /// Partitions flushed and dropped by EvictIdle.
+  int64_t partitions_evicted = 0;
   int64_t events_seen = 0;
   /// Max over time of the summed active instances of all partitions.
   int64_t max_simultaneous_instances = 0;
   int64_t matches_emitted = 0;
 };
 
-/// Runs one Matcher per partition-key value. The same streaming contract
-/// as Matcher: Push in strictly increasing timestamp order, then Flush.
+/// The per-key evaluator of both partition-pure engines: one SesExecutor
+/// per partition-key value, all sharing one compiled automaton and one
+/// pre-filter. The "partitioned" engine runs one PartitionedMatcher; the
+/// parallel runtime (exec/parallel_partitioned.h) runs one per shard over
+/// the keys routed to it.
+///
+/// Precondition: events arrive in strictly increasing timestamp order
+/// across all keys. As with SesExecutor, nothing here checks it; each
+/// entry point does, once: an engine's StreamStage, or ValidateTotalOrder
+/// in PartitionedMatchRelation and the parallel RunRelation.
 class PartitionedMatcher {
  public:
   /// `attribute` must be a valid partition attribute for `pattern`
@@ -80,19 +106,33 @@ class PartitionedMatcher {
   PartitionedMatcher(PartitionedMatcher&&) = default;
   PartitionedMatcher& operator=(PartitionedMatcher&&) = default;
 
-  /// Routes the event to its partition's matcher (creating it on first
-  /// contact). Completed matches are appended to `out`.
-  Status Push(const Event& event, std::vector<Match>* out);
+  /// Feeds the event to its key's executor, creating the partition on
+  /// first contact. Completed matches are appended to `out`.
+  void Consume(const Event& event, std::vector<Match>* out);
 
-  /// Flushes every partition.
+  /// Partition eviction (docs/SEMANTICS.md §6): flushes and drops every
+  /// partition whose newest event is older than `now − τe`, with τe = τ,
+  /// the pattern window. Each instance of such a partition started at or
+  /// before that event, and any later event of the key arrives after
+  /// `now`, so the instance has logically expired: the flush emits exactly
+  /// the matches the executor would emit at that expiry, and eviction
+  /// never changes the match set. The evicted executors' statistics are
+  /// kept in AggregatedExecutorStats. Partitions are kept in newest-event
+  /// order, so a call costs O(1 + partitions evicted). `now` must not
+  /// precede the last consumed event.
+  void EvictIdle(Timestamp now, std::vector<Match>* out);
+
+  /// Flushes every resident partition, in newest-event order. The
+  /// partitions stay resident (empty) until Reset.
   void Flush(std::vector<Match>* out);
 
   /// Clears all partitions and statistics so the matcher can consume a new
-  /// relation (mirrors Matcher::Reset). The compiled automaton is kept.
+  /// relation. The compiled automaton is kept.
   void Reset();
 
-  /// Serializes all runtime state — every partition's key and matcher
-  /// state, plus the aggregate counters — into `out`.
+  /// Serializes all runtime state — every resident partition's key, newest
+  /// timestamp and executor, in newest-event order, then the evicted
+  /// partitions' executor totals and the aggregate counters — into `out`.
   void Checkpoint(std::string* out) const;
 
   /// Restores state written by Checkpoint(); the matcher must run the same
@@ -101,18 +141,28 @@ class PartitionedMatcher {
 
   const PartitionedStats& stats() const { return stats_; }
 
-  /// Sum of the per-partition executor statistics (filtered events,
-  /// instance churn, transition/condition work). O(num_partitions); meant
-  /// for end-of-run reporting, not the per-event hot path.
+  /// Sum of the executor statistics of every partition, evicted ones
+  /// included (filtered events, instance churn, transition/condition
+  /// work). O(resident partitions); meant for end-of-run reporting, not
+  /// the per-event hot path.
   ExecutorStats AggregatedExecutorStats() const;
 
+  /// Resident partitions: created and not evicted since.
   int64_t num_partitions() const {
-    return static_cast<int64_t>(matchers_.size());
+    return static_cast<int64_t>(partitions_.size());
   }
   const SesAutomaton& automaton() const { return *automaton_; }
   const Pattern& pattern() const { return automaton_->pattern(); }
 
  private:
+  /// One resident key: its executor and the timestamp of its newest event
+  /// (the eviction clock).
+  struct Partition {
+    Value key;
+    Timestamp newest = 0;
+    SesExecutor executor;
+  };
+
   PartitionedMatcher(std::shared_ptr<const SesAutomaton> automaton,
                      int attribute, MatcherOptions options,
                      std::shared_ptr<const EventPreFilter> filter)
@@ -121,15 +171,33 @@ class PartitionedMatcher {
         attribute_(attribute),
         options_(options) {}
 
-  /// Compiled once in Create and shared by every partition's Matcher — the
-  /// powerset construction must NOT re-run per partition key.
+  /// Appends a fresh partition for `key` at the newest end.
+  std::list<Partition>::iterator AddPartition(const Value& key,
+                                              Timestamp newest);
+
+  /// Compiled once in Create and shared by every partition's executor —
+  /// the powerset construction must NOT re-run per partition key.
   std::shared_ptr<const SesAutomaton> automaton_;
   /// Shared by every partition's executor (may be null: each executor then
   /// builds its own).
   std::shared_ptr<const EventPreFilter> filter_;
   int attribute_;
   MatcherOptions options_;
-  std::map<Value, Matcher, ValueLess> matchers_;
+  /// Resident partitions in newest-event order, oldest first: a step moves
+  /// its partition to the back, so the idle ones sit at the front. Stream
+  /// timestamps strictly increase, so no two partitions share a newest
+  /// timestamp.
+  std::list<Partition> partitions_;
+  std::unordered_map<Value, std::list<Partition>::iterator, PartitionKeyHash>
+      by_key_;
+  /// Evicted partitions, Reset and kept for the next new key: on streams
+  /// whose keys go idle and return, eviction then costs no allocation.
+  /// A new key takes a spare before anything is allocated, so resident
+  /// plus spare partitions never exceed the most partitions ever resident
+  /// at once.
+  std::list<Partition> spare_;
+  /// Executor statistics of the evicted partitions, summed.
+  ExecutorStats evicted_;
   int64_t active_instances_ = 0;
   PartitionedStats stats_;
 };

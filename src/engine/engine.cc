@@ -4,6 +4,7 @@
 #include <bit>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 #include "core/executor.h"
@@ -33,22 +34,11 @@ Status RequirePartitionAttribute(const plan::CompiledPlan& plan,
       "(see core/partitioned.h)");
 }
 
-/// Registry names, the event step and the matcher-specific part of the
-/// stats snapshot of the two inline engines below.
+/// Registry names and the matcher-specific part of the stats snapshot of
+/// the two inline engines below.
 std::string_view InlineEngineName(const SesExecutor&) { return "serial"; }
 std::string_view InlineEngineName(const PartitionedMatcher&) {
   return "partitioned";
-}
-
-/// The bare executor checks no order: the engine's stream stage has.
-Status Step(SesExecutor& executor, const Event& event,
-            std::vector<Match>* out) {
-  executor.Consume(event, out);
-  return Status::OK();
-}
-Status Step(PartitionedMatcher& matcher, const Event& event,
-            std::vector<Match>* out) {
-  return matcher.Push(event, out);
 }
 
 void FillMatcherStats(const SesExecutor& matcher, EngineStats* stats) {
@@ -61,6 +51,7 @@ void FillMatcherStats(const SesExecutor& matcher, EngineStats* stats) {
 
 void FillMatcherStats(const PartitionedMatcher& matcher, EngineStats* stats) {
   stats->num_partitions = matcher.num_partitions();
+  stats->partitions_evicted = matcher.stats().partitions_evicted;
   // Summed across partitions, unlike the aggregated executors' maximum.
   stats->max_simultaneous_instances =
       matcher.stats().max_simultaneous_instances;
@@ -71,9 +62,9 @@ void FillMatcherStats(const PartitionedMatcher& matcher, EngineStats* stats) {
 }
 
 /// "serial" (MatcherT = SesExecutor, one global automaton) and
-/// "partitioned" (MatcherT = PartitionedMatcher, one Matcher per key): the
-/// matcher runs on the pushing thread, and its matches drain to the sink
-/// on every Push.
+/// "partitioned" (MatcherT = PartitionedMatcher, one executor per key):
+/// the matcher runs on the pushing thread, and its matches drain to the
+/// sink on every Push. Neither checks the order: the stream stage has.
 template <typename MatcherT>
 class InlineEngine : public Engine {
  public:
@@ -85,16 +76,18 @@ class InlineEngine : public Engine {
   std::string_view name() const override { return InlineEngineName(matcher_); }
 
  protected:
-  Status PushOrdered(const Event& event) override {
-    SES_RETURN_IF_ERROR(Step(matcher_, event, &buffer_));
+  void PushOrdered(const Event& event) override {
+    matcher_.Consume(event, &buffer_);
+    if constexpr (std::is_same_v<MatcherT, PartitionedMatcher>) {
+      // Per event, not per call, so no counter depends on batch sizes.
+      matcher_.EvictIdle(event.timestamp(), &buffer_);
+    }
     Drain(/*early=*/true);
-    return Status::OK();
   }
 
-  Status FlushImpl() override {
+  void FlushImpl() override {
     matcher_.Flush(&buffer_);
     Drain(/*early=*/false);
-    return Status::OK();
   }
 
   void ResetImpl() override {
@@ -109,12 +102,11 @@ class InlineEngine : public Engine {
     return stats;
   }
 
-  Status CheckpointImpl(std::string* out) override {
+  void CheckpointImpl(std::string* out) override {
     matcher_.Checkpoint(out);
     storage::PutSigned(out, stats_.matches_emitted);
     storage::PutSigned(out, stats_.matches_emitted_early);
     storage::PutSigned(out, stats_.max_buffered_matches);
-    return Status::OK();
   }
 
   Status RestoreImpl(const char** p, const char* limit) override {
@@ -180,38 +172,40 @@ class ParallelEngine : public Engine {
   std::string_view name() const override { return "parallel"; }
 
  protected:
-  Status PushOrdered(const Event& event) override {
+  void PushOrdered(const Event& event) override {
     if (ingest_filter_ != nullptr && !ingest_filter_->ShouldProcess(event)) {
       ++stats_.events_filtered;
-      return Status::OK();
+      return;
     }
-    return matcher_->Push(event);
+    matcher_->Push(event);
   }
 
-  Status PushBatchOrdered(std::span<const Event> events) override {
-    if (ingest_filter_ == nullptr) return matcher_->PushBatch(events);
+  void PushBatchOrdered(std::span<const Event> events) override {
+    if (ingest_filter_ == nullptr) {
+      matcher_->PushBatch(events);
+      return;
+    }
     scratch_.clear();
     for (const Event& event : events) {
       if (ingest_filter_->ShouldProcess(event)) scratch_.push_back(event);
     }
     stats_.events_filtered +=
         static_cast<int64_t>(events.size() - scratch_.size());
-    if (scratch_.empty()) return Status::OK();
-    return matcher_->PushBatch(scratch_);
+    if (!scratch_.empty()) matcher_->PushBatch(scratch_);
   }
 
-  Status PushColumnarOrdered(const ColumnarBatch& batch,
-                             const uint64_t* pass) override {
+  void PushColumnarOrdered(const ColumnarBatch& batch,
+                           const uint64_t* pass) override {
     // The base class already applied the vectorized pre-filter (the bitmap
     // IS this engine's ingest filter — same plan, same conditions), so the
     // sharded runtime routes straight off the columns without the row-wise
     // re-check.
-    return matcher_->PushColumnar(batch, pass);
+    matcher_->PushColumnar(batch, pass);
   }
 
-  Status FlushImpl() override {
+  void FlushImpl() override {
     in_flush_ = true;
-    Status status = matcher_->Flush(nullptr);
+    matcher_->Flush(nullptr);
     in_flush_ = false;
     const exec::ParallelStats& parallel_stats = matcher_->stats();
     stats_.max_buffered_matches = parallel_stats.max_buffered_matches;
@@ -219,7 +213,6 @@ class ParallelEngine : public Engine {
     stats_.partitions_evicted = parallel_stats.partitions_evicted;
     stats_.max_queue_depth = parallel_stats.max_queue_depth;
     stats_.batches_enqueued = parallel_stats.batches_enqueued;
-    return status;
   }
 
   void ResetImpl() override {
@@ -229,12 +222,11 @@ class ParallelEngine : public Engine {
 
   EngineStats StatsImpl() const override { return stats_; }
 
-  Status CheckpointImpl(std::string* out) override {
-    SES_RETURN_IF_ERROR(matcher_->Checkpoint(out));
+  void CheckpointImpl(std::string* out) override {
+    matcher_->Checkpoint(out);
     storage::PutSigned(out, stats_.events_filtered);
     storage::PutSigned(out, stats_.matches_emitted);
     storage::PutSigned(out, stats_.matches_emitted_early);
-    return Status::OK();
   }
 
   Status RestoreImpl(const char** p, const char* limit) override {
@@ -292,7 +284,7 @@ Status Engine::Checkpoint(storage::CheckpointWriter* writer) {
   storage::PutSigned(&base, events_filtered_columnar_);
   writer->AddSection("engine", base);
   std::string state;
-  SES_RETURN_IF_ERROR(CheckpointImpl(&state));
+  CheckpointImpl(&state);
   writer->AddSection("state", state);
   return Status::OK();
 }
@@ -348,16 +340,14 @@ Status Engine::Restore(const storage::CheckpointReader& reader) {
 Status Engine::Push(const Event& event) {
   SES_RETURN_IF_ERROR(stream_.CheckOpen());
   SES_RETURN_IF_ERROR(stream_.Admit(event.timestamp()));
-  SES_RETURN_IF_ERROR(PushOrdered(event));
+  PushOrdered(event);
   return MaybeCheckpoint();
 }
 
 Status Engine::PushBatch(std::span<const Event> events) {
   SES_RETURN_IF_ERROR(stream_.CheckOpen());
   const size_t admitted = stream_.AdmitPrefix(events);
-  if (admitted > 0) {
-    SES_RETURN_IF_ERROR(PushBatchOrdered(events.first(admitted)));
-  }
+  if (admitted > 0) PushBatchOrdered(events.first(admitted));
   if (admitted < events.size()) {
     return stream_.OutOfOrder(events[admitted].timestamp());
   }
@@ -370,17 +360,15 @@ Status Engine::PushColumnar(const ColumnarBatch& batch) {
   const size_t admitted = stream_.AdmitPrefix(timestamps);
   if (admitted < batch.size()) {
     // A backwards row: evaluate the rows before it, then refuse it.
-    if (admitted > 0) {
-      SES_RETURN_IF_ERROR(EvaluateColumnar(batch.Slice(0, admitted)));
-    }
+    if (admitted > 0) EvaluateColumnar(batch.Slice(0, admitted));
     return stream_.OutOfOrder(timestamps[admitted]);
   }
   if (batch.empty()) return Status::OK();
-  SES_RETURN_IF_ERROR(EvaluateColumnar(batch));
+  EvaluateColumnar(batch);
   return MaybeCheckpoint();
 }
 
-Status Engine::EvaluateColumnar(const ColumnarBatch& batch) {
+void Engine::EvaluateColumnar(const ColumnarBatch& batch) {
   const uint64_t* pass = nullptr;
   if (const auto& filter = plan_->shared_vector_prefilter();
       filter != nullptr && filter->active()) {
@@ -391,11 +379,11 @@ Status Engine::EvaluateColumnar(const ColumnarBatch& batch) {
     events_filtered_columnar_ +=
         static_cast<int64_t>(batch.size() - passing);
   }
-  return PushColumnarOrdered(batch, pass);
+  PushColumnarOrdered(batch, pass);
 }
 
-Status Engine::PushColumnarOrdered(const ColumnarBatch& batch,
-                                   const uint64_t* pass) {
+void Engine::PushColumnarOrdered(const ColumnarBatch& batch,
+                                 const uint64_t* pass) {
   columnar_rows_.clear();
   for (size_t row = 0; row < batch.size(); ++row) {
     if (pass != nullptr && ((pass[row >> 6] >> (row & 63)) & 1) == 0) {
@@ -403,13 +391,13 @@ Status Engine::PushColumnarOrdered(const ColumnarBatch& batch,
     }
     columnar_rows_.push_back(batch.RowEvent(row));
   }
-  if (columnar_rows_.empty()) return Status::OK();
-  return PushBatchOrdered(columnar_rows_);
+  if (!columnar_rows_.empty()) PushBatchOrdered(columnar_rows_);
 }
 
 Status Engine::Flush() {
   stream_.MarkFlushed();
-  return FlushImpl();
+  FlushImpl();
+  return Status::OK();
 }
 
 void Engine::Reset() {
@@ -426,11 +414,8 @@ EngineStats Engine::stats() const {
   return stats;
 }
 
-Status Engine::PushBatchOrdered(std::span<const Event> events) {
-  for (const Event& event : events) {
-    SES_RETURN_IF_ERROR(PushOrdered(event));
-  }
-  return Status::OK();
+void Engine::PushBatchOrdered(std::span<const Event> events) {
+  for (const Event& event : events) PushOrdered(event);
 }
 
 MatchSink CollectInto(std::vector<Match>* out) {

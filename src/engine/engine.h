@@ -67,8 +67,8 @@ struct EngineStats {
   /// Peak number of completed-but-undelivered matches resident in the
   /// engine — the buffer that incremental emission bounds.
   int64_t max_buffered_matches = 0;
-  /// Resident partitions (partition-pure engines; cumulative created for
-  /// the parallel engine, whose resident set fluctuates with eviction).
+  /// Resident partitions (partitioned engine; cumulative created for the
+  /// parallel engine, whose resident set lives on the worker shards).
   int64_t num_partitions = 0;
   /// Events dropped by the §4.5 pre-filter before reaching any automaton
   /// (executor-side for the serial engines, ingest-side for parallel).
@@ -81,9 +81,10 @@ struct EngineStats {
   /// Peak simultaneously active instances (summed across partitions for
   /// the partitioned engine).
   int64_t max_simultaneous_instances = 0;
-  /// Parallel engine only: partitions reclaimed by idle eviction, peak
-  /// shard queue depth, and batches enqueued to worker shards.
+  /// Partitions reclaimed by idle eviction (partition-pure engines).
   int64_t partitions_evicted = 0;
+  /// Parallel engine only: peak shard queue depth and batches enqueued to
+  /// worker shards.
   int64_t max_queue_depth = 0;
   int64_t batches_enqueued = 0;
 };
@@ -184,26 +185,28 @@ class Engine {
          EngineOptions options);
 
   /// Evaluator hooks. The base class guarantees the events arriving here
-  /// form one strictly increasing timestamp sequence per stream.
-  virtual Status PushOrdered(const Event& event) = 0;
+  /// form one strictly increasing timestamp sequence per stream — the one
+  /// order check of every engine path — so the evaluators behind them
+  /// check nothing and cannot fail.
+  virtual void PushOrdered(const Event& event) = 0;
   /// Default loops over PushOrdered; the parallel engine overrides it with
   /// genuinely batched ingest.
-  virtual Status PushBatchOrdered(std::span<const Event> events);
+  virtual void PushBatchOrdered(std::span<const Event> events);
   /// Columnar hook: `pass` is the §4.5 pass-bitmap (bit r of word r/64 =
   /// row r must be processed), or nullptr when every row passes (filter
   /// disabled or inactive). The base class has already verified ordering
   /// and counted the filtered rows. The default materializes the passing
   /// rows and forwards to PushBatchOrdered; the parallel engine overrides
   /// it to route straight off the columns.
-  virtual Status PushColumnarOrdered(const ColumnarBatch& batch,
-                                     const uint64_t* pass);
-  virtual Status FlushImpl() = 0;
+  virtual void PushColumnarOrdered(const ColumnarBatch& batch,
+                                   const uint64_t* pass);
+  virtual void FlushImpl() = 0;
   virtual void ResetImpl() = 0;
   virtual EngineStats StatsImpl() const = 0;
 
   /// Serializes the evaluator's state (the "state" section payload) with
   /// the checkpoint payload primitives. May quiesce worker threads.
-  virtual Status CheckpointImpl(std::string* out) = 0;
+  virtual void CheckpointImpl(std::string* out) = 0;
   /// Restores what CheckpointImpl wrote. Runs on a freshly Reset()
   /// evaluator; must consume the payload exactly.
   virtual Status RestoreImpl(const char** p, const char* limit) = 0;
@@ -218,7 +221,7 @@ class Engine {
 
   /// Runs admitted, in-order rows through the vectorized pre-filter and
   /// the engine's columnar hook.
-  Status EvaluateColumnar(const ColumnarBatch& batch);
+  void EvaluateColumnar(const ColumnarBatch& batch);
 
   /// The stream contract: Flush state, order check, admitted count.
   StreamStage stream_;
@@ -250,7 +253,8 @@ Result<std::unique_ptr<Engine>> CreateSerialEngine(
     std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options);
 
 /// "partitioned": serial partition-pure execution (core::PartitionedMatcher,
-/// one Matcher per key, all sharing the plan's automaton and pre-filter).
+/// one executor per key, all sharing the plan's automaton and pre-filter;
+/// idle keys are evicted after every event, docs/SEMANTICS.md §6).
 Result<std::unique_ptr<Engine>> CreatePartitionedEngine(
     std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options);
 

@@ -27,12 +27,12 @@ struct EventBatch {
 
   Kind kind = Kind::kEvents;
   std::vector<Event> events;
-  /// Shards never see the full stream, so the ingest thread forwards a
-  /// watermark with every batch; the receiving shard uses it to detect
-  /// idle partitions. For kEvents batches this is the batch's own newest
-  /// timestamp — never ahead of events a later batch of the same slab
-  /// still carries, which is what makes the eviction sweep safe. Control
-  /// batches carry the global high-water mark.
+  /// Shards never see the full stream, so the ingest thread stamps every
+  /// kEvents batch with a watermark; the receiving shard uses it to detect
+  /// idle partitions. It is the batch's own newest timestamp — never ahead
+  /// of events a later batch of the same slab still carries, which is what
+  /// makes the eviction sweep safe. Control batches leave it unset:
+  /// workers read it only on kEvents.
   Timestamp watermark = 0;
 };
 

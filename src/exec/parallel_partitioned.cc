@@ -5,13 +5,11 @@
 #include <condition_variable>
 #include <functional>
 #include <limits>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
 
-#include "common/strings.h"
 #include "exec/batch_queue.h"
 #include "metrics/metrics.h"
 #include "storage/checkpoint.h"
@@ -19,12 +17,6 @@
 namespace ses::exec {
 
 namespace {
-
-size_t HashKey(const Value& key) {
-  // DOUBLE keys are rejected at Create, so only the exact types remain.
-  if (key.is_int64()) return std::hash<int64_t>{}(key.int64());
-  return std::hash<std::string>{}(key.string());
-}
 
 /// Sentinel for "this worker has not processed any event yet".
 constexpr Timestamp kNoWatermark = std::numeric_limits<Timestamp>::min();
@@ -55,28 +47,23 @@ std::vector<Match> MergeSortedRuns(std::vector<std::vector<Match>> runs) {
 }  // namespace
 
 struct ParallelPartitionedMatcher::Impl {
-  /// One resident partition: a per-key Matcher over the shared automaton
-  /// plus the timestamp of the key's newest event (drives eviction).
-  struct Partition {
-    Matcher matcher;
-    Timestamp last_seen = 0;
-  };
-
   /// Worker-owned state is only touched by the shard's thread; the ingest
   /// thread reads or mutates it exclusively between a barrier
   /// acknowledgement (happens-before via `mu`) and the next queue Push
   /// (happens-before via the queue mutex).
   struct Shard {
-    explicit Shard(size_t queue_capacity) : queue(queue_capacity) {}
+    Shard(size_t queue_capacity, PartitionedMatcher matcher)
+        : queue(queue_capacity), matcher(std::move(matcher)) {}
 
     BatchQueue queue;
     std::thread worker;
 
     // Worker-owned.
-    std::map<Value, Partition, ValueLess> partitions;
+    /// The shard's keys: create, step, evict, flush and checkpoint.
+    PartitionedMatcher matcher;
     std::vector<Match> matches;
-    ShardStats stats;
-    Status status = Status::OK();
+    /// Wall-clock nanoseconds spent processing batches.
+    int64_t busy_nanos = 0;
 
     /// Incremental emission (sink mode): per-batch sorted runs of expired
     /// matches, sealed by the worker, drained by the ingest thread.
@@ -95,9 +82,6 @@ struct ParallelPartitionedMatcher::Impl {
   };
 
   std::shared_ptr<const SesAutomaton> automaton;
-  /// Shared by every partition's executor (may be null: each builds its
-  /// own).
-  std::shared_ptr<const EventPreFilter> filter;
   int attribute = 0;
   ParallelOptions options;
   /// True when a sink is installed: workers seal per-batch runs and the
@@ -111,8 +95,6 @@ struct ParallelPartitionedMatcher::Impl {
   /// can only ever contribute matches newer than the global watermark.
   std::vector<bool> fed;
 
-  bool has_watermark = false;
-  Timestamp watermark = 0;
   int64_t barrier_epoch = 0;
 
   int64_t events_ingested = 0;
@@ -125,7 +107,6 @@ struct ParallelPartitionedMatcher::Impl {
   /// compacted to at most one run after every emission round.
   std::vector<std::vector<Match>> merge_runs;
   int64_t next_emit_at = 0;
-  int64_t matches_emitted_early = 0;
   /// Matches resident in sealed shard runs + the ingest merger. Workers
   /// increment on sealing, the ingest thread decrements on emission.
   AtomicCounter buffered_matches;
@@ -162,7 +143,7 @@ struct ParallelPartitionedMatcher::Impl {
         case EventBatch::Kind::kEvents: {
           Stopwatch busy_watch;
           ProcessBatch(shard, batch);
-          shard.stats.busy_nanos += busy_watch.ElapsedNanos();
+          shard.busy_nanos += busy_watch.ElapsedNanos();
           break;
         }
         case EventBatch::Kind::kFlush:
@@ -177,15 +158,14 @@ struct ParallelPartitionedMatcher::Impl {
           Acknowledge(shard);
           break;
         case EventBatch::Kind::kReset:
-          shard.partitions.clear();
+          shard.matcher.Reset();
           shard.matches.clear();
           {
             std::lock_guard<std::mutex> lock(shard.runs_mu);
             shard.sealed_runs.clear();
           }
           shard.published.store(kNoWatermark, std::memory_order_release);
-          shard.stats = ShardStats{};
-          shard.status = Status::OK();
+          shard.busy_nanos = 0;
           Acknowledge(shard);
           break;
         case EventBatch::Kind::kStop:
@@ -194,33 +174,13 @@ struct ParallelPartitionedMatcher::Impl {
     }
   }
 
-  void ProcessBatch(Shard& shard, EventBatch& batch) {
-    ++shard.stats.batches_processed;
-    size_t matches_before = shard.matches.size();
-    for (Event& event : batch.events) {
-      ++shard.stats.events_processed;
-      if (!shard.status.ok()) continue;  // drain after an error
-      const Value& key = event.value(static_cast<int>(attribute));
-      auto it = shard.partitions.find(key);
-      if (it == shard.partitions.end()) {
-        it = shard.partitions
-                 .emplace(key, Partition{Matcher(automaton, options.matcher,
-                                                 filter),
-                                         0})
-                 .first;
-        ++shard.stats.partitions_created;
-        shard.stats.max_resident_partitions =
-            std::max(shard.stats.max_resident_partitions,
-                     static_cast<int64_t>(shard.partitions.size()));
-      }
-      Partition& partition = it->second;
-      partition.last_seen = event.timestamp();
-      Status status = partition.matcher.Push(event, &shard.matches);
-      if (!status.ok()) shard.status = std::move(status);
+  void ProcessBatch(Shard& shard, const EventBatch& batch) {
+    for (const Event& event : batch.events) {
+      shard.matcher.Consume(event, &shard.matches);
     }
-    EvictIdle(shard, batch.watermark);
-    shard.stats.matches_emitted +=
-        static_cast<int64_t>(shard.matches.size() - matches_before);
+    // The batch's newest timestamp is the shard's clock: no later batch of
+    // this shard holds an older event.
+    shard.matcher.EvictIdle(batch.watermark, &shard.matches);
     if (incremental) {
       // Seal this batch's expired matches as one sorted run, then publish
       // the progress watermark (release pairs with the ingest thread's
@@ -238,33 +198,8 @@ struct ParallelPartitionedMatcher::Impl {
     }
   }
 
-  /// Flushes and reclaims partitions whose newest event is older than
-  /// `watermark − τe`, with τe = τ. Every automaton instance of such a
-  /// partition has min_timestamp ≤ last_seen, and any future event of the
-  /// key arrives at t > watermark, so t − min_timestamp > τ: the instance
-  /// has logically expired, and Flush emits exactly the matches the serial
-  /// matcher would emit at that expiry.
-  void EvictIdle(Shard& shard, Timestamp shard_watermark) {
-    const Duration idle_after = automaton->window();
-    for (auto it = shard.partitions.begin(); it != shard.partitions.end();) {
-      if (it->second.last_seen < shard_watermark - idle_after) {
-        it->second.matcher.Flush(&shard.matches);
-        it = shard.partitions.erase(it);
-        ++shard.stats.partitions_evicted;
-      } else {
-        ++it;
-      }
-    }
-  }
-
   void FlushShard(Shard& shard) {
-    size_t matches_before = shard.matches.size();
-    for (auto& [key, partition] : shard.partitions) {
-      partition.matcher.Flush(&shard.matches);
-    }
-    shard.partitions.clear();
-    shard.stats.matches_emitted +=
-        static_cast<int64_t>(shard.matches.size() - matches_before);
+    shard.matcher.Flush(&shard.matches);
     // Pre-sort this shard's run while the other shards do the same, so the
     // ingest thread's merge is a cheap k-way merge of sorted runs instead
     // of a full sort of the union.
@@ -279,46 +214,31 @@ struct ParallelPartitionedMatcher::Impl {
 
   // ---- Ingest side -------------------------------------------------------
 
-  /// Watermark check + routing, shared by Push and PushBatch. On success
-  /// the event sits in the pending buffer of `*shard_index`, which is
-  /// HashKey(key) % num_shards.
-  Status Admit(const Event& event, size_t* shard_index) {
-    if (has_watermark && event.timestamp() <= watermark) {
-      return Status::FailedPrecondition(strings::Format(
-          "events must have strictly increasing timestamps "
-          "(got %lld after %lld)",
-          static_cast<long long>(event.timestamp()),
-          static_cast<long long>(watermark)));
-    }
-    has_watermark = true;
-    watermark = event.timestamp();
+  /// Routes the event into the pending buffer of its shard,
+  /// PartitionKeyHash(key) % num_shards, and returns that shard's index.
+  size_t Route(const Event& event) {
     ++events_ingested;
-    size_t index =
-        HashKey(event.value(static_cast<int>(attribute))) % shards.size();
+    size_t index = PartitionKeyHash{}(event.value(attribute)) % shards.size();
     pending[index].push_back(event);
     fed[index] = true;
-    *shard_index = index;
-    return Status::OK();
+    return index;
   }
 
-  Status Ingest(const Event& event) {
-    size_t shard_index = 0;
-    SES_RETURN_IF_ERROR(Admit(event, &shard_index));
+  void Ingest(const Event& event) {
+    size_t shard_index = Route(event);
     if (pending[shard_index].size() >= options.batch_size) {
       FlushPendingSlab(shard_index, /*all=*/false);
     }
     MaybeEmitIncremental();
-    return Status::OK();
   }
 
-  Status IngestBatch(std::span<const Event> events) {
+  void IngestBatch(std::span<const Event> events) {
     // One routing pass groups the span into per-shard slabs (the pending
     // buffers), then each shard receives all its full batches in a single
     // queue synchronization.
     size_t slab_threshold = options.batch_size * 8;
     for (const Event& event : events) {
-      size_t shard_index = 0;
-      SES_RETURN_IF_ERROR(Admit(event, &shard_index));
+      size_t shard_index = Route(event);
       // Bound pending growth on very large spans: ship a slab as soon as
       // one shard has several batches' worth buffered.
       if (pending[shard_index].size() >= slab_threshold) {
@@ -332,17 +252,17 @@ struct ParallelPartitionedMatcher::Impl {
       FlushPendingSlab(i, /*all=*/false);
     }
     MaybeEmitIncremental();
-    return Status::OK();
   }
 
-  Status IngestColumnar(const ColumnarBatch& batch,
-                        const uint64_t* pass_bitmap) {
+  void IngestColumnar(const ColumnarBatch& batch,
+                      const uint64_t* pass_bitmap) {
     const size_t n = batch.size();
     const size_t slab_threshold = options.batch_size * 8;
     const bool string_key =
         batch.schema().attribute(attribute).type == ValueType::kString;
     // Hash each distinct STRING key once per batch instead of once per
-    // row; INT64 keys hash straight off the flat column.
+    // row; INT64 keys hash straight off the flat column. Both hash as
+    // PartitionKeyHash does, so a key routes the same on every path.
     const ColumnarBatch::StringColumn* string_keys = nullptr;
     const int64_t* int_keys = nullptr;
     std::vector<size_t> code_hash;
@@ -360,15 +280,6 @@ struct ParallelPartitionedMatcher::Impl {
           ((pass_bitmap[row >> 6] >> (row & 63)) & 1) == 0) {
         continue;
       }
-      const Timestamp ts = batch.timestamp(row);
-      if (has_watermark && ts <= watermark) {
-        return Status::FailedPrecondition(strings::Format(
-            "events must have strictly increasing timestamps "
-            "(got %lld after %lld)",
-            static_cast<long long>(ts), static_cast<long long>(watermark)));
-      }
-      has_watermark = true;
-      watermark = ts;
       ++events_ingested;
       const size_t hash = string_key
                               ? code_hash[string_keys->codes[row]]
@@ -385,7 +296,6 @@ struct ParallelPartitionedMatcher::Impl {
       FlushPendingSlab(i, /*all=*/false);
     }
     MaybeEmitIncremental();
-    return Status::OK();
   }
 
   /// Every emit_interval_events ingested events (sink mode only): collect
@@ -446,7 +356,6 @@ struct ParallelPartitionedMatcher::Impl {
     for (auto it = merged.begin(); it != split; ++it) {
       options.sink(std::move(*it));
     }
-    matches_emitted_early += emitted;
     buffered_matches.Increment(-emitted);
     if (split != merged.end()) {
       merged.erase(merged.begin(), split);
@@ -503,7 +412,7 @@ struct ParallelPartitionedMatcher::Impl {
     }
     ++barrier_epoch;
     for (auto& shard : shards) {
-      shard->queue.Push(EventBatch{kind, {}, watermark});
+      shard->queue.Push(EventBatch{kind, {}, {}});
     }
     for (auto& shard : shards) {
       std::unique_lock<std::mutex> lock(shard->mu);
@@ -511,11 +420,9 @@ struct ParallelPartitionedMatcher::Impl {
     }
   }
 
-  Status Flush(std::vector<Match>* out) {
+  void Flush(std::vector<Match>* out) {
     Barrier(EventBatch::Kind::kFlush);
 
-    Stopwatch merge_watch;
-    Status first_error = Status::OK();
     // Deterministic merge: every run arrives pre-sorted in canonical
     // MatchOrderLess order (the workers sort during the barrier, in
     // parallel), so a merge tree yields the full canonical order — the
@@ -529,9 +436,6 @@ struct ParallelPartitionedMatcher::Impl {
     std::vector<std::vector<Match>> runs = std::move(merge_runs);
     merge_runs.clear();
     for (auto& shard : shards) {
-      if (first_error.ok() && !shard->status.ok()) {
-        first_error = shard->status;
-      }
       {
         std::lock_guard<std::mutex> lock(shard->runs_mu);
         for (auto& run : shard->sealed_runs) {
@@ -559,28 +463,24 @@ struct ParallelPartitionedMatcher::Impl {
     last_stats.events_ingested = events_ingested;
     last_stats.batches_enqueued = batches_enqueued;
     last_stats.max_queue_depth = max_queue_depth;
-    last_stats.matches_emitted_early = matches_emitted_early;
     last_stats.max_buffered_matches = max_buffered.max();
-    last_stats.merge_seconds = merge_watch.ElapsedSeconds();
     for (auto& shard : shards) {
-      last_stats.partitions_created += shard->stats.partitions_created;
-      last_stats.partitions_evicted += shard->stats.partitions_evicted;
-      last_stats.matches_emitted += shard->stats.matches_emitted;
-      last_stats.shards.push_back(shard->stats);
+      const PartitionedStats& keys = shard->matcher.stats();
+      last_stats.partitions_created += keys.partitions_created;
+      last_stats.partitions_evicted += keys.partitions_evicted;
+      last_stats.shards.push_back(ShardStats{keys.partitions_created,
+                                             keys.partitions_evicted,
+                                             shard->busy_nanos});
     }
-    return first_error;
   }
 
   void ResetAll() {
     Barrier(EventBatch::Kind::kReset);
-    has_watermark = false;
-    watermark = 0;
     events_ingested = 0;
     batches_enqueued = 0;
     max_queue_depth = 0;
     merge_runs.clear();
     next_emit_at = 0;
-    matches_emitted_early = 0;
     buffered_matches.Reset();
     max_buffered.Reset();
     std::fill(fed.begin(), fed.end(), false);
@@ -593,11 +493,8 @@ struct ParallelPartitionedMatcher::Impl {
   /// runs are drained into the ingest-side merger first — behavior-
   /// preserving, it only moves work the next emission round would have
   /// done anyway — so every match has exactly one home in the payload.
-  Status CheckpointAll(std::string* out) {
+  void CheckpointAll(std::string* out) {
     Barrier(EventBatch::Kind::kSync);
-    for (auto& shard : shards) {
-      if (!shard->status.ok()) return shard->status;
-    }
     for (auto& shard : shards) {
       std::lock_guard<std::mutex> lock(shard->runs_mu);
       for (auto& run : shard->sealed_runs) {
@@ -606,13 +503,10 @@ struct ParallelPartitionedMatcher::Impl {
       shard->sealed_runs.clear();
     }
     const Schema& schema = automaton->pattern().schema();
-    storage::PutBool(out, has_watermark);
-    storage::PutSigned(out, watermark);
     storage::PutSigned(out, events_ingested);
     storage::PutSigned(out, batches_enqueued);
     storage::PutSigned(out, max_queue_depth);
     storage::PutSigned(out, next_emit_at);
-    storage::PutSigned(out, matches_emitted_early);
     storage::PutSigned(out, buffered_matches.value());
     storage::PutSigned(out, max_buffered.max());
     storage::PutCount(out, fed.size());
@@ -626,25 +520,13 @@ struct ParallelPartitionedMatcher::Impl {
     for (auto& shard : shards) {
       storage::PutSigned(
           out, shard->published.load(std::memory_order_acquire));
-      storage::PutCount(out, shard->partitions.size());
-      for (const auto& [key, partition] : shard->partitions) {
-        storage::PutValue(out, key);
-        storage::PutSigned(out, partition.last_seen);
-        partition.matcher.Checkpoint(out);
-      }
+      shard->matcher.Checkpoint(out);
       storage::PutCount(out, shard->matches.size());
       for (const Match& match : shard->matches) {
         CheckpointMatch(match, schema, out);
       }
-      storage::PutSigned(out, shard->stats.events_processed);
-      storage::PutSigned(out, shard->stats.batches_processed);
-      storage::PutSigned(out, shard->stats.partitions_created);
-      storage::PutSigned(out, shard->stats.partitions_evicted);
-      storage::PutSigned(out, shard->stats.max_resident_partitions);
-      storage::PutSigned(out, shard->stats.matches_emitted);
-      storage::PutSigned(out, shard->stats.busy_nanos);
+      storage::PutSigned(out, shard->busy_nanos);
     }
-    return Status::OK();
   }
 
   /// Rebuilds the runtime from a CheckpointAll payload. Worker-owned state
@@ -654,14 +536,10 @@ struct ParallelPartitionedMatcher::Impl {
     ResetAll();
     Status s = [&]() -> Status {
       const Schema& schema = automaton->pattern().schema();
-      SES_RETURN_IF_ERROR(storage::GetBool(p, limit, &has_watermark));
-      SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &watermark));
       SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &events_ingested));
       SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &batches_enqueued));
       SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &max_queue_depth));
       SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &next_emit_at));
-      SES_RETURN_IF_ERROR(
-          storage::GetSigned(p, limit, &matches_emitted_early));
       int64_t buffered = 0;
       int64_t max_buffered_seen = 0;
       SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &buffered));
@@ -703,23 +581,7 @@ struct ParallelPartitionedMatcher::Impl {
         int64_t published = 0;
         SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &published));
         shard->published.store(published, std::memory_order_release);
-        uint64_t num_partitions = 0;
-        SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &num_partitions));
-        for (uint64_t i = 0; i < num_partitions; ++i) {
-          Value key;
-          SES_RETURN_IF_ERROR(storage::GetValue(p, limit, &key));
-          int64_t last_seen = 0;
-          SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &last_seen));
-          auto [it, inserted] = shard->partitions.emplace(
-              std::move(key),
-              Partition{Matcher(automaton, options.matcher, filter), 0});
-          if (!inserted) {
-            return Status::Corruption(
-                "checkpoint shard holds a duplicate partition key");
-          }
-          it->second.last_seen = last_seen;
-          SES_RETURN_IF_ERROR(it->second.matcher.Restore(p, limit));
-        }
+        SES_RETURN_IF_ERROR(shard->matcher.Restore(p, limit));
         uint64_t num_matches = 0;
         SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &num_matches));
         shard->matches.reserve(num_matches);
@@ -729,19 +591,7 @@ struct ParallelPartitionedMatcher::Impl {
           shard->matches.push_back(std::move(match));
         }
         SES_RETURN_IF_ERROR(
-            storage::GetSigned(p, limit, &shard->stats.events_processed));
-        SES_RETURN_IF_ERROR(
-            storage::GetSigned(p, limit, &shard->stats.batches_processed));
-        SES_RETURN_IF_ERROR(
-            storage::GetSigned(p, limit, &shard->stats.partitions_created));
-        SES_RETURN_IF_ERROR(
-            storage::GetSigned(p, limit, &shard->stats.partitions_evicted));
-        SES_RETURN_IF_ERROR(storage::GetSigned(
-            p, limit, &shard->stats.max_resident_partitions));
-        SES_RETURN_IF_ERROR(
-            storage::GetSigned(p, limit, &shard->stats.matches_emitted));
-        SES_RETURN_IF_ERROR(
-            storage::GetSigned(p, limit, &shard->stats.busy_nanos));
+            storage::GetSigned(p, limit, &shard->busy_nanos));
       }
       return Status::OK();
     }();
@@ -759,28 +609,24 @@ Result<ParallelPartitionedMatcher> ParallelPartitionedMatcher::Create(
 Result<ParallelPartitionedMatcher> ParallelPartitionedMatcher::Create(
     std::shared_ptr<const SesAutomaton> automaton, int attribute,
     ParallelOptions options, std::shared_ptr<const EventPreFilter> filter) {
-  const Pattern& pattern = automaton->pattern();
-  if (attribute < 0 || attribute >= pattern.schema().num_attributes()) {
-    return Status::InvalidArgument("partition attribute index out of range");
-  }
-  if (pattern.schema().attribute(attribute).type == ValueType::kDouble) {
-    return Status::InvalidArgument(
-        "DOUBLE attributes cannot be used as partition keys");
-  }
-  auto impl = std::make_unique<Impl>();
-  impl->automaton = std::move(automaton);
-  impl->filter = std::move(filter);
-  impl->attribute = attribute;
   options.num_shards = std::max(options.num_shards, 1);
   options.batch_size = std::max<size_t>(options.batch_size, 1);
-  options.emit_interval_events = std::max<int64_t>(options.emit_interval_events, 1);
+  options.emit_interval_events =
+      std::max<int64_t>(options.emit_interval_events, 1);
+  auto impl = std::make_unique<Impl>();
+  impl->shards.reserve(static_cast<size_t>(options.num_shards));
+  for (int i = 0; i < options.num_shards; ++i) {
+    // Validates `attribute` (range, not DOUBLE) on the first shard.
+    SES_ASSIGN_OR_RETURN(PartitionedMatcher matcher,
+                         PartitionedMatcher::Create(automaton, attribute,
+                                                    options.matcher, filter));
+    impl->shards.push_back(std::make_unique<Impl::Shard>(
+        options.queue_capacity, std::move(matcher)));
+  }
+  impl->automaton = std::move(automaton);
+  impl->attribute = attribute;
   impl->options = std::move(options);
   impl->incremental = impl->options.sink != nullptr;
-  impl->shards.reserve(static_cast<size_t>(impl->options.num_shards));
-  for (int i = 0; i < impl->options.num_shards; ++i) {
-    impl->shards.push_back(
-        std::make_unique<Impl::Shard>(impl->options.queue_capacity));
-  }
   impl->pending.resize(impl->shards.size());
   impl->fed.assign(impl->shards.size(), false);
   impl->Start();
@@ -797,17 +643,17 @@ ParallelPartitionedMatcher::ParallelPartitionedMatcher(
 ParallelPartitionedMatcher& ParallelPartitionedMatcher::operator=(
     ParallelPartitionedMatcher&&) noexcept = default;
 
-Status ParallelPartitionedMatcher::Push(const Event& event) {
-  return impl_->Ingest(event);
+void ParallelPartitionedMatcher::Push(const Event& event) {
+  impl_->Ingest(event);
 }
 
-Status ParallelPartitionedMatcher::PushBatch(std::span<const Event> events) {
-  return impl_->IngestBatch(events);
+void ParallelPartitionedMatcher::PushBatch(std::span<const Event> events) {
+  impl_->IngestBatch(events);
 }
 
-Status ParallelPartitionedMatcher::PushColumnar(const ColumnarBatch& batch,
-                                                const uint64_t* pass_bitmap) {
-  return impl_->IngestColumnar(batch, pass_bitmap);
+void ParallelPartitionedMatcher::PushColumnar(const ColumnarBatch& batch,
+                                              const uint64_t* pass_bitmap) {
+  impl_->IngestColumnar(batch, pass_bitmap);
 }
 
 Status ParallelPartitionedMatcher::RunRelation(const EventRelation& relation) {
@@ -820,20 +666,20 @@ Status ParallelPartitionedMatcher::RunRelation(const EventRelation& relation) {
       std::max<size_t>(impl_->options.batch_size * impl_->shards.size() * 4,
                        impl_->options.batch_size);
   for (size_t pos = 0; pos < events.size(); pos += chunk) {
-    SES_RETURN_IF_ERROR(impl_->IngestBatch(
-        events.subspan(pos, std::min(chunk, events.size() - pos))));
+    impl_->IngestBatch(
+        events.subspan(pos, std::min(chunk, events.size() - pos)));
   }
   return Status::OK();
 }
 
-Status ParallelPartitionedMatcher::Flush(std::vector<Match>* out) {
-  return impl_->Flush(out);
+void ParallelPartitionedMatcher::Flush(std::vector<Match>* out) {
+  impl_->Flush(out);
 }
 
 void ParallelPartitionedMatcher::Reset() { impl_->ResetAll(); }
 
-Status ParallelPartitionedMatcher::Checkpoint(std::string* out) {
-  return impl_->CheckpointAll(out);
+void ParallelPartitionedMatcher::Checkpoint(std::string* out) {
+  impl_->CheckpointAll(out);
 }
 
 Status ParallelPartitionedMatcher::Restore(const char** p, const char* limit) {
@@ -863,7 +709,7 @@ Result<std::vector<Match>> ParallelPartitionedMatchRelation(
       ParallelPartitionedMatcher::Create(pattern, attribute, options));
   SES_RETURN_IF_ERROR(matcher.RunRelation(relation));
   std::vector<Match> matches;
-  SES_RETURN_IF_ERROR(matcher.Flush(&matches));
+  matcher.Flush(&matches);
   if (stats != nullptr) *stats = matcher.stats();
   return matches;
 }

@@ -20,10 +20,12 @@ namespace ses::exec {
 /// (FindPartitionAttribute), events of different key values never interact.
 /// This runtime exploits that by routing each partition key to worker shard
 /// hash(key) % N, fixed for the key's lifetime. Each shard owns an event
-/// queue, its own map of per-key Matchers (all sharing ONE compiled
-/// automaton — the exponential powerset construction runs exactly once per
-/// pattern), and a private match buffer.
-/// The ingest thread batches events per shard to amortize queue locking.
+/// queue, one PartitionedMatcher over its keys (all shards share ONE
+/// compiled automaton — the exponential powerset construction runs exactly
+/// once per pattern), and a private match buffer. The runtime adds only
+/// routing, batching and the match merge: every per-key step, eviction,
+/// flush and checkpoint is PartitionedMatcher's. The ingest thread batches
+/// events per shard to amortize queue locking.
 ///
 /// Match delivery has two modes. Without a sink, matches are reported at
 /// the Flush() barrier: every shard flushes its partitions, the ingest
@@ -39,15 +41,12 @@ namespace ses::exec {
 /// bounded on long streams instead of growing until Flush. The emitted sequence over the whole stream is exactly the
 /// canonical sorted order either way.
 ///
-/// Partition eviction: streaming over high-cardinality keys (the "millions
-/// of users" regime) must not keep every partition resident forever. A
-/// partition whose newest event is older than `watermark − τe` is flushed
-/// (accepting instances emit their matches) and reclaimed. τe is the
-/// pattern window τ, the earliest eviction that is provably safe: every
-/// instance of an evicted partition has already logically expired — any
-/// future event of that key would arrive more than τ after the instance's
-/// earliest binding — so eviction preserves Definition 2 semantics exactly
-/// (see DESIGN.md §8).
+/// Partition eviction: streaming over high-cardinality keys must not keep
+/// every partition resident forever. After each batch, a shard runs
+/// PartitionedMatcher::EvictIdle with the batch's newest timestamp: a
+/// partition whose newest event is older than that minus τe = τ is flushed
+/// (accepting instances emit their matches) and reclaimed, which preserves
+/// Definition 2 semantics exactly (see DESIGN.md §8).
 struct ParallelOptions {
   /// Number of worker shards (threads). Clamped to at least 1.
   int num_shards = 4;
@@ -56,7 +55,7 @@ struct ParallelOptions {
   /// Queue capacity per shard, in batches; bounds the memory a slow shard
   /// can accumulate (the ingest thread blocks when a queue is full).
   size_t queue_capacity = 64;
-  /// Options forwarded to every per-partition Matcher.
+  /// Options forwarded to every per-partition executor.
   MatcherOptions matcher;
   /// Streaming match consumer. When set, Flush(out) delivers every match to
   /// the sink (out may be null), and matches are emitted incrementally
@@ -73,12 +72,8 @@ struct ParallelOptions {
 /// Counters owned by one shard worker. Only the worker writes them; the
 /// ingest thread reads them after the Flush/Reset acknowledgement barrier.
 struct ShardStats {
-  int64_t events_processed = 0;
-  int64_t batches_processed = 0;
   int64_t partitions_created = 0;
   int64_t partitions_evicted = 0;
-  int64_t max_resident_partitions = 0;
-  int64_t matches_emitted = 0;
   /// Wall-clock nanoseconds this worker spent processing batches.
   int64_t busy_nanos = 0;
 };
@@ -90,15 +85,9 @@ struct ParallelStats {
   int64_t partitions_created = 0;
   int64_t partitions_evicted = 0;
   int64_t max_queue_depth = 0;
-  int64_t matches_emitted = 0;
-  /// Matches delivered to the sink before the Flush barrier (incremental
-  /// watermark-bounded emission; 0 without a sink).
-  int64_t matches_emitted_early = 0;
   /// Peak number of completed matches resident in sealed shard runs plus
   /// the ingest-side merger — the buffer that incremental emission bounds.
   int64_t max_buffered_matches = 0;
-  /// Wall-clock seconds spent merging and sorting shard outputs.
-  double merge_seconds = 0.0;
   std::vector<ShardStats> shards;
 };
 
@@ -106,14 +95,17 @@ struct ParallelStats {
 ///
 ///   SES_ASSIGN_OR_RETURN(auto matcher,
 ///                        ParallelPartitionedMatcher::Create(p, attr, opts));
-///   for (const Event& e : incoming) SES_RETURN_IF_ERROR(matcher.Push(e));
+///   for (const Event& e : incoming) matcher.Push(e);
 ///   std::vector<Match> matches;
-///   SES_RETURN_IF_ERROR(matcher.Flush(&matches));   // barrier + merge
-///   matcher.Reset();                                // optional reuse
+///   matcher.Flush(&matches);   // barrier + merge
+///   matcher.Reset();           // optional reuse
 ///
-/// Push is asynchronous: matches surface only at Flush (the deterministic
-/// merge needs all shards quiesced). Push must see strictly increasing
-/// timestamps, exactly like Matcher::Push.
+/// Push is asynchronous: without a sink, matches surface only at Flush (the
+/// deterministic merge needs all shards quiesced). Precondition, as for
+/// PartitionedMatcher: events arrive in strictly increasing timestamp
+/// order, also across calls. Nothing here checks it; RunRelation does, with
+/// ValidateTotalOrder, and the parallel engine's StreamStage does for the
+/// engine's entry points.
 class ParallelPartitionedMatcher {
  public:
   /// `attribute` must satisfy FindPartitionAttribute semantics for
@@ -137,18 +129,16 @@ class ParallelPartitionedMatcher {
   ParallelPartitionedMatcher(ParallelPartitionedMatcher&&) noexcept;
   ParallelPartitionedMatcher& operator=(ParallelPartitionedMatcher&&) noexcept;
 
-  /// Routes the event to its key's shard. Returns FailedPrecondition on
-  /// non-increasing timestamps and any error a shard has reported.
-  Status Push(const Event& event);
+  /// Routes the event to its key's shard.
+  void Push(const Event& event);
 
   /// Batched ingest: routes a whole span of events in one pass, grouping
   /// them by destination shard and handing each shard its slab of
   /// batch_size-bounded batches with a single queue synchronization
-  /// (BatchQueue::PushAll), instead of one lock + notify per batch. The
-  /// span must continue the stream: strictly increasing timestamps, also
-  /// across calls. Semantically identical to pushing each event — only
-  /// the ingest-side synchronization cost changes.
-  Status PushBatch(std::span<const Event> events);
+  /// (BatchQueue::PushAll), instead of one lock + notify per batch.
+  /// Semantically identical to pushing each event — only the ingest-side
+  /// synchronization cost changes.
+  void PushBatch(std::span<const Event> events);
 
   /// Columnar ingest: routes the passing rows of a columnar batch in one
   /// pass, hashing partition keys straight off the key column (per
@@ -156,10 +146,10 @@ class ParallelPartitionedMatcher {
   /// only for the rows that are actually shipped to a worker.
   /// `pass_bitmap` is a §4.5 pass-bitmap over the rows (bit r of word
   /// r/64; see core/filter.h) or nullptr to route every row. Routing,
-  /// watermark checks, slab cutting, and emission cadence are identical
-  /// to PushBatch over the same surviving rows — only the per-row
-  /// Value/Event touch count changes.
-  Status PushColumnar(const ColumnarBatch& batch, const uint64_t* pass_bitmap);
+  /// slab cutting, and emission cadence are identical to PushBatch over
+  /// the same surviving rows — only the per-row Value/Event touch count
+  /// changes.
+  void PushColumnar(const ColumnarBatch& batch, const uint64_t* pass_bitmap);
 
   /// Relation-level splitter: validates the relation's total order once,
   /// then feeds it through PushBatch in bounded chunks so workers start
@@ -172,20 +162,20 @@ class ParallelPartitionedMatcher {
   /// `out` — or into the sink when one is installed (`out` may then be
   /// null; it receives nothing) — and snapshots stats(). The matcher stays
   /// usable afterwards; call Reset() before feeding a new relation.
-  Status Flush(std::vector<Match>* out);
+  void Flush(std::vector<Match>* out);
 
-  /// Drops all shard state (partitions, buffered matches, statistics) and
-  /// the ingest watermark so the matcher can consume a new relation.
+  /// Drops all shard state (partitions, buffered matches, statistics) so
+  /// the matcher can consume a new relation.
   void Reset();
 
   /// Quiesces every shard (sync barrier: all pending events are processed,
   /// no state is flushed) and serializes the complete runtime state — the
-  /// ingest watermark and counters, every shard's resident partitions and
-  /// buffered matches, and the incremental-emission merger — into `out`
-  /// with the checkpoint payload primitives. The matcher keeps running
-  /// afterwards; a restored matcher continues the stream with a
-  /// byte-identical match sequence (docs/SEMANTICS.md §12).
-  Status Checkpoint(std::string* out);
+  /// ingest counters, every shard's PartitionedMatcher and buffered
+  /// matches, and the incremental-emission merger — into `out` with the
+  /// checkpoint payload primitives. The matcher keeps running afterwards;
+  /// a restored matcher continues the stream with a byte-identical match
+  /// sequence (docs/SEMANTICS.md §12).
+  void Checkpoint(std::string* out);
 
   /// Restores state written by Checkpoint() of a matcher with the same
   /// shard count and compiled pattern. Must be called before any events are

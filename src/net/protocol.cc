@@ -55,35 +55,6 @@ Status ExpectConsumed(const char* p, const char* limit,
   return Status::OK();
 }
 
-void PutExecutorStats(std::string* dst, const ExecutorStats& s) {
-  storage::PutSigned(dst, s.events_seen);
-  storage::PutSigned(dst, s.events_filtered);
-  storage::PutSigned(dst, s.events_processed);
-  storage::PutSigned(dst, s.instances_created);
-  storage::PutSigned(dst, s.instances_expired);
-  storage::PutSigned(dst, s.max_simultaneous_instances);
-  storage::PutSigned(dst, s.transitions_evaluated);
-  storage::PutSigned(dst, s.transitions_fired);
-  storage::PutSigned(dst, s.conditions_evaluated);
-  storage::PutSigned(dst, s.matches_emitted);
-}
-
-Status GetExecutorStats(const char** p, const char* limit, ExecutorStats* s) {
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->events_seen));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->events_filtered));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->events_processed));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->instances_created));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->instances_expired));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &s->max_simultaneous_instances));
-  SES_RETURN_IF_ERROR(
-      storage::GetSigned(p, limit, &s->transitions_evaluated));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->transitions_fired));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->conditions_evaluated));
-  SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &s->matches_emitted));
-  return Status::OK();
-}
-
 }  // namespace
 
 bool IsKnownPacketType(uint8_t type) {

@@ -494,6 +494,35 @@ TEST(CheckpointMismatch, WrongEngineIsInvalidArgument) {
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
 
+TEST(CheckpointMismatch, PartitionKeyOfTheWrongTypeIsCorruption) {
+  // A well-framed partitioned checkpoint whose one partition key is a
+  // DOUBLE, which the ID attribute cannot hold: restore refuses it before
+  // the key reaches the partition index (every parallel shard restores
+  // through the same PartitionedMatcher).
+  std::shared_ptr<const plan::CompiledPlan> plan =
+      MustCompile(CompletePattern());
+  Result<CheckpointReader> original =
+      CheckpointReader::Parse(SerializedCheckpoint("partitioned", plan));
+  ASSERT_TRUE(original.ok());
+  std::string state;
+  storage::PutCount(&state, 1);
+  storage::PutValue(&state, Value(1.5));
+  storage::PutSigned(&state, duration::Hours(1));  // its newest timestamp
+  CheckpointWriter writer;
+  writer.AddSection("engine", *original->Section("engine"));
+  writer.AddSection("state", state);
+  Result<CheckpointReader> reader =
+      CheckpointReader::Parse(std::move(writer).Finish());
+  ASSERT_TRUE(reader.ok());
+  EngineOptions options;
+  options.sink = [](Match&&) {};
+  Result<std::unique_ptr<Engine>> engine =
+      CreateEngine("partitioned", plan, std::move(options));
+  ASSERT_TRUE(engine.ok());
+  Status status = (*engine)->Restore(*reader);
+  EXPECT_EQ(status.code(), StatusCode::kCorruption) << status.ToString();
+}
+
 TEST(CheckpointMismatch, DifferentShardCountIsCleanError) {
   std::shared_ptr<const plan::CompiledPlan> plan =
       MustCompile(CompletePattern());

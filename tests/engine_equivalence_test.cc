@@ -5,9 +5,9 @@
 // contract (names, unknown-engine and null-sink rejection), the stream
 // contract on every engine and entry point (a backwards timestamp is
 // InvalidArgument and is not counted, a push after Flush is
-// FailedPrecondition), the compile-once guarantee, the parallel engine's
-// bounded match buffering, and the canonical order of its incrementally
-// emitted sink sequence.
+// FailedPrecondition), the compile-once guarantee, idle-key eviction in
+// the partitioned engine, the parallel engine's bounded match buffering,
+// and the canonical order of its incrementally emitted sink sequence.
 
 #include <gtest/gtest.h>
 
@@ -428,6 +428,96 @@ TEST(CompiledPlan, DetectsAndValidatesPartitionAttribute) {
     options.sink = CollectInto(&matches);
     EXPECT_FALSE(CreateEngine(name, *chain_plan, std::move(options)).ok())
         << name << " accepted a non-partitionable plan";
+  }
+}
+
+/// {a} -> {x} keyed on ID with a one-hour window: the plan of both
+/// eviction tests below.
+std::shared_ptr<const CompiledPlan> OneHourPairPlan() {
+  Result<std::shared_ptr<const CompiledPlan>> plan = CompilePlan(MustParse(
+      "PATTERN {a} -> {x} WHERE a.L = 'A' AND x.L = 'B' AND a.ID = x.ID "
+      "WITHIN 1h"));
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  return *plan;
+}
+
+void AppendEvent(EventRelation* relation, Timestamp t, int64_t id,
+                 const std::string& type) {
+  relation->AppendUnchecked(
+      t, {Value(id), Value(type), Value(0.0), Value(std::string("u"))});
+}
+
+/// The serial engine and the engine that evaluates each key alone.
+constexpr const char* kInlineEngines[] = {"serial", "partitioned"};
+
+TEST(EngineEviction, IdleKeysFinishedMatchArrivesBeforeFlush) {
+  // Key 7 completes a match at 10 min and never sends again; key 8 keeps
+  // the stream going. The serial engine delivers the match once the
+  // window has passed; the partitioned engine must too, by evicting key 7,
+  // not hold it until Flush.
+  std::shared_ptr<const CompiledPlan> plan = OneHourPairPlan();
+  EventRelation stream(ChemotherapySchema());
+  AppendEvent(&stream, 0, 7, "A");
+  AppendEvent(&stream, duration::Minutes(10), 7, "B");
+  for (int64_t i = 1; i <= 1000; ++i) {
+    AppendEvent(&stream, duration::Minutes(10 + 6 * i), 8, "C");
+  }
+  for (const std::string name : kInlineEngines) {
+    std::vector<Match> matches;
+    EngineOptions options;
+    options.sink = CollectInto(&matches);
+    Result<std::unique_ptr<Engine>> engine =
+        CreateEngine(name, plan, std::move(options));
+    ASSERT_TRUE(engine.ok()) << name << ": " << engine.status().ToString();
+    ASSERT_TRUE(
+        (*engine)->PushBatch(std::span<const Event>(stream.events())).ok());
+    EXPECT_EQ(matches.size(), 1u) << name << " held the match until Flush";
+    EngineStats before_flush = (*engine)->stats();
+    EXPECT_LE(before_flush.num_partitions, 1) << name;
+    ASSERT_TRUE((*engine)->Flush().ok());
+    EXPECT_EQ(matches.size(), 1u) << name;
+    EngineStats stats = (*engine)->stats();
+    EXPECT_EQ(stats.matches_emitted_early, 1) << name;
+    EXPECT_LE(stats.max_buffered_matches, 1) << name;
+  }
+}
+
+TEST(EngineEviction, ResidentPartitionsStayWithinOneWindow) {
+  // 20 000 keys seen once each, one event a minute, pushed 256 at a time:
+  // only the keys of the last hour may stay resident, and the partitioned
+  // engine's instance peak must match a one-hour window, not the stream.
+  std::shared_ptr<const CompiledPlan> plan = OneHourPairPlan();
+  constexpr int64_t kKeys = 20000;
+  EventRelation stream(ChemotherapySchema());
+  for (int64_t key = 0; key < kKeys; ++key) {
+    AppendEvent(&stream, duration::Minutes(key), key, "A");
+  }
+  std::span<const Event> events(stream.events());
+  for (const std::string name : kInlineEngines) {
+    std::vector<Match> matches;
+    EngineOptions options;
+    options.sink = CollectInto(&matches);
+    Result<std::unique_ptr<Engine>> engine =
+        CreateEngine(name, plan, std::move(options));
+    ASSERT_TRUE(engine.ok()) << name << ": " << engine.status().ToString();
+    for (size_t pos = 0; pos < events.size(); pos += 256) {
+      ASSERT_TRUE((*engine)
+                      ->PushBatch(events.subspan(
+                          pos, std::min<size_t>(256, events.size() - pos)))
+                      .ok());
+    }
+    EngineStats stats = (*engine)->stats();
+    // The keys of minutes [now - 60, now].
+    EXPECT_LE(stats.num_partitions, 61) << name;
+    // Those 61 and, for the partitioned engine, the key an event created
+    // before the eviction that follows it.
+    EXPECT_LE(stats.max_simultaneous_instances, 62) << name;
+    if (name == "partitioned") {
+      EXPECT_EQ(stats.partitions_evicted, kKeys - stats.num_partitions);
+    }
+    ASSERT_TRUE((*engine)->Flush().ok());
+    EXPECT_TRUE(matches.empty()) << name;
+    EXPECT_EQ((*engine)->stats().max_buffered_matches, 0) << name;
   }
 }
 

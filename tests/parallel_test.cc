@@ -214,18 +214,14 @@ TEST(ParallelPartitioned, ResetAllowsReuseOnASecondRelation) {
 
   EventRelation stream = KeyedStream(/*seed=*/5, 16, 400);
   std::vector<Match> first;
-  for (const Event& e : stream) ASSERT_TRUE(matcher->Push(e).ok());
-  ASSERT_TRUE(matcher->Flush(&first).ok());
+  for (const Event& e : stream) matcher->Push(e);
+  matcher->Flush(&first);
   EXPECT_FALSE(first.empty());
-
-  // Without Reset, replaying the same relation violates the watermark.
-  EXPECT_EQ(matcher->Push(stream.event(0)).code(),
-            StatusCode::kFailedPrecondition);
 
   matcher->Reset();
   std::vector<Match> second;
-  for (const Event& e : stream) ASSERT_TRUE(matcher->Push(e).ok());
-  ASSERT_TRUE(matcher->Flush(&second).ok());
+  for (const Event& e : stream) matcher->Push(e);
+  matcher->Flush(&second);
   EXPECT_EQ(NormalizedKeys(first), NormalizedKeys(second));
 }
 
@@ -263,10 +259,9 @@ TEST(BatchedIngest, SkewEquivalenceAcrossThreadCounts) {
           ParallelPartitionedMatcher::Create(pattern, /*attribute=*/0,
                                              options);
       ASSERT_TRUE(matcher.ok());
-      ASSERT_TRUE(
-          matcher->PushBatch(std::span<const Event>(stream.events())).ok());
+      matcher->PushBatch(std::span<const Event>(stream.events()));
       std::vector<Match> matches;
-      ASSERT_TRUE(matcher->Flush(&matches).ok());
+      matcher->Flush(&matches);
       // Byte-identical emitted order, independent of shard count and of
       // how unevenly the hot keys load the shards.
       EXPECT_EQ(EmittedKeys(matches), expected)
@@ -318,10 +313,9 @@ TEST(BatchedIngest, ChurnStressEquivalenceAcrossThreads) {
     Result<ParallelPartitionedMatcher> matcher =
         ParallelPartitionedMatcher::Create(pattern, /*attribute=*/0, options);
     ASSERT_TRUE(matcher.ok());
-    ASSERT_TRUE(
-        matcher->PushBatch(std::span<const Event>(stream.events())).ok());
+    matcher->PushBatch(std::span<const Event>(stream.events()));
     std::vector<Match> matches;
-    ASSERT_TRUE(matcher->Flush(&matches).ok());
+    matcher->Flush(&matches);
     // Byte-identical output no matter how many keys churned through
     // creation and eviction along the way.
     EXPECT_EQ(EmittedKeys(matches), expected) << "threads " << threads;
@@ -338,18 +332,17 @@ TEST(BatchedIngest, PushBatchMatchesPerEventPush) {
   Result<ParallelPartitionedMatcher> per_event =
       ParallelPartitionedMatcher::Create(pattern, 0, options);
   ASSERT_TRUE(per_event.ok());
-  for (const Event& e : stream) ASSERT_TRUE(per_event->Push(e).ok());
+  for (const Event& e : stream) per_event->Push(e);
   std::vector<Match> expected;
-  ASSERT_TRUE(per_event->Flush(&expected).ok());
+  per_event->Flush(&expected);
 
   // Whole relation in one span, and again in mixed spans + single pushes.
   Result<ParallelPartitionedMatcher> batched =
       ParallelPartitionedMatcher::Create(pattern, 0, options);
   ASSERT_TRUE(batched.ok());
-  ASSERT_TRUE(
-      batched->PushBatch(std::span<const Event>(stream.events())).ok());
+  batched->PushBatch(std::span<const Event>(stream.events()));
   std::vector<Match> got;
-  ASSERT_TRUE(batched->Flush(&got).ok());
+  batched->Flush(&got);
   EXPECT_EQ(EmittedKeys(got), EmittedKeys(expected));
 
   Result<ParallelPartitionedMatcher> mixed =
@@ -357,13 +350,11 @@ TEST(BatchedIngest, PushBatchMatchesPerEventPush) {
   ASSERT_TRUE(mixed.ok());
   std::span<const Event> all(stream.events());
   size_t third = all.size() / 3;
-  ASSERT_TRUE(mixed->PushBatch(all.subspan(0, third)).ok());
-  for (const Event& e : all.subspan(third, third)) {
-    ASSERT_TRUE(mixed->Push(e).ok());
-  }
-  ASSERT_TRUE(mixed->PushBatch(all.subspan(2 * third)).ok());
+  mixed->PushBatch(all.subspan(0, third));
+  for (const Event& e : all.subspan(third, third)) mixed->Push(e);
+  mixed->PushBatch(all.subspan(2 * third));
   std::vector<Match> mixed_matches;
-  ASSERT_TRUE(mixed->Flush(&mixed_matches).ok());
+  mixed->Flush(&mixed_matches);
   EXPECT_EQ(EmittedKeys(mixed_matches), EmittedKeys(expected));
 }
 
@@ -378,7 +369,7 @@ TEST(BatchedIngest, RunRelationValidatesAndFeedsTheWholeRelation) {
   ASSERT_TRUE(matcher.ok());
   ASSERT_TRUE(matcher->RunRelation(stream).ok());
   std::vector<Match> got;
-  ASSERT_TRUE(matcher->Flush(&got).ok());
+  matcher->Flush(&got);
   EXPECT_EQ(matcher->stats().events_ingested,
             static_cast<int64_t>(stream.size()));
 
@@ -386,26 +377,20 @@ TEST(BatchedIngest, RunRelationValidatesAndFeedsTheWholeRelation) {
   ASSERT_TRUE(serial.ok());
   SortMatches(&*serial);
   EXPECT_EQ(EmittedKeys(got), EmittedKeys(*serial));
-}
 
-TEST(BatchedIngest, PushBatchRejectsNonIncreasingTimestamps) {
-  Pattern pattern = CompletePattern();
-  EventRelation stream(ChemotherapySchema());
-  auto add = [&stream](Timestamp t) {
-    stream.AppendUnchecked(
-        t, {Value(int64_t{1}), Value(std::string("A")), Value(0.0),
-            Value(std::string("u"))});
-  };
-  add(10);
-  add(20);
-  ParallelOptions options;
-  options.num_shards = 2;
-  Result<ParallelPartitionedMatcher> matcher =
-      ParallelPartitionedMatcher::Create(pattern, 0, options);
-  ASSERT_TRUE(matcher.ok());
-  ASSERT_TRUE(matcher->PushBatch(std::span<const Event>(stream.events())).ok());
-  // Replaying the same span violates the cross-call watermark.
-  EXPECT_EQ(matcher->PushBatch(std::span<const Event>(stream.events())).code(),
+  // The relation APIs are the partition-pure evaluators' entry points and
+  // check the order once, up front: a tie is refused before any event is
+  // routed.
+  EventRelation tied(ChemotherapySchema());
+  for (int64_t id : {1, 2}) {
+    tied.AppendUnchecked(duration::Hours(1),
+                         {Value(id), Value(std::string("A")), Value(0.0),
+                          Value(std::string("u"))});
+  }
+  matcher->Reset();
+  EXPECT_EQ(matcher->RunRelation(tied).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(PartitionedMatchRelation(pattern, tied).status().code(),
             StatusCode::kFailedPrecondition);
 }
 

@@ -87,7 +87,7 @@ TEST(PartitionedMatcher, EquivalentToGlobalMatcherOnCompletePatterns) {
     ASSERT_TRUE(global.ok());
     ASSERT_TRUE(partitioned.ok()) << partitioned.status().ToString();
     EXPECT_TRUE(SameMatchSet(*global, *partitioned)) << "seed " << seed;
-    EXPECT_EQ(stats.num_partitions, 5);
+    EXPECT_EQ(stats.partitions_created, 5);
   }
 }
 
@@ -180,12 +180,10 @@ TEST(PartitionedMatcher, StreamingStatsTrackPartitionsAndInstances) {
   add("B", 3, 1);
   add("B", 4, 2);
   std::vector<Match> out;
-  for (const Event& e : relation) {
-    ASSERT_TRUE(matcher->Push(e, &out).ok());
-  }
+  for (const Event& e : relation) matcher->Consume(e, &out);
   matcher->Flush(&out);
   EXPECT_EQ(out.size(), 2u);
-  EXPECT_EQ(matcher->stats().num_partitions, 2);
+  EXPECT_EQ(matcher->stats().partitions_created, 2);
   EXPECT_EQ(matcher->stats().events_seen, 4);
   EXPECT_EQ(matcher->stats().matches_emitted, 2);
   EXPECT_GE(matcher->stats().max_simultaneous_instances, 2);
@@ -202,9 +200,7 @@ TEST(PartitionedMatcher, SharesOneCompiledAutomatonAcrossPartitions) {
   EventRelation stream = PartitionedStream(/*seed=*/2, /*partitions=*/64,
                                            /*events=*/400);
   std::vector<Match> out;
-  for (const Event& e : stream) {
-    ASSERT_TRUE(matcher->Push(e, &out).ok());
-  }
+  for (const Event& e : stream) matcher->Consume(e, &out);
   matcher->Flush(&out);
   EXPECT_GT(matcher->num_partitions(), 32);
   // The exponential powerset construction ran once in Create, not once per
@@ -222,24 +218,15 @@ TEST(PartitionedMatcher, ResetAllowsReuseOnASecondRelation) {
   EventRelation stream = PartitionedStream(/*seed=*/4, 5, 200);
 
   std::vector<Match> first;
-  for (const Event& e : stream) {
-    ASSERT_TRUE(matcher->Push(e, &first).ok());
-  }
+  for (const Event& e : stream) matcher->Consume(e, &first);
   matcher->Flush(&first);
-
-  // Replaying without Reset trips the per-partition watermark.
-  std::vector<Match> ignored;
-  EXPECT_EQ(matcher->Push(stream.event(0), &ignored).code(),
-            StatusCode::kFailedPrecondition);
 
   matcher->Reset();
   EXPECT_EQ(matcher->num_partitions(), 0);
   EXPECT_EQ(matcher->stats().events_seen, 0);
 
   std::vector<Match> second;
-  for (const Event& e : stream) {
-    ASSERT_TRUE(matcher->Push(e, &second).ok());
-  }
+  for (const Event& e : stream) matcher->Consume(e, &second);
   matcher->Flush(&second);
   EXPECT_TRUE(SameMatchSet(first, second));
   EXPECT_EQ(matcher->stats().events_seen,
