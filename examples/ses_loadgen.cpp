@@ -155,10 +155,9 @@ Result<EventRelation> GenerateStream(const Schema& schema, int index,
     for (int a = 0; a < schema.num_attributes(); ++a) {
       switch (schema.attribute(a).type) {
         case ValueType::kInt64:
-          values.push_back(Value(a == key_attr
-                                     ? static_cast<int64_t>((i / 2) %
-                                                            args.keys)
-                                     : static_cast<int64_t>(i)));
+          values.emplace_back(a == key_attr
+                                  ? static_cast<int64_t>((i / 2) % args.keys)
+                                  : static_cast<int64_t>(i));
           break;
         case ValueType::kDouble:
           values.push_back(Value(static_cast<double>(i)));

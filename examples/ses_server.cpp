@@ -7,8 +7,8 @@
 //   # serve the demo schema on an ephemeral port (printed on stdout)
 //   ses_server --schema "ID INT, L STRING, V DOUBLE, U STRING"
 //
-//   # fixed port, checkpointing enabled
-//   ses_server --schema "..." --port 7341 --checkpoint-dir /var/lib/ses
+//   # fixed port
+//   ses_server --schema "..." --port 7341
 //
 // The server runs until SIGINT/SIGTERM, then closes every connection
 // cleanly (clients see the socket close; admitted slabs finish evaluating
@@ -38,7 +38,6 @@ struct ServerArgs {
   int64_t port = 0;
   int64_t queue_capacity = 64;
   int64_t idle_timeout_ms = 60'000;
-  std::string checkpoint_dir;
   bool quiet = false;
 };
 
@@ -53,8 +52,6 @@ void PrintUsage(const char* argv0) {
       "                       PushEvents answers Busy (default 64)\n"
       "  --idle-timeout-ms N  close connections idle this long (default\n"
       "                       60000; 0 disables)\n"
-      "  --checkpoint-dir D   enable the Checkpoint request, writing\n"
-      "                       SES_CKPT_<n>.sesckpt files under D\n"
       "  --quiet              suppress the startup banner (port line stays)\n",
       argv0);
 }
@@ -90,8 +87,6 @@ ses::Result<ServerArgs> ParseArgs(int argc, char** argv) {
       SES_ASSIGN_OR_RETURN(args.queue_capacity, next_int(1, kInt64Max));
     } else if (flag == "--idle-timeout-ms") {
       SES_ASSIGN_OR_RETURN(args.idle_timeout_ms, next_int(0, kInt64Max));
-    } else if (flag == "--checkpoint-dir") {
-      SES_ASSIGN_OR_RETURN(args.checkpoint_dir, next());
     } else if (flag == "--quiet") {
       args.quiet = true;
     } else if (flag == "--help") {
@@ -113,7 +108,6 @@ Status Run(const ServerArgs& args) {
   options.port = static_cast<uint16_t>(args.port);
   options.queue_capacity = static_cast<size_t>(args.queue_capacity);
   options.idle_timeout_ms = args.idle_timeout_ms;
-  options.checkpoint_dir = args.checkpoint_dir;
 
   SES_ASSIGN_OR_RETURN(std::unique_ptr<net::Server> server,
                        net::Server::Start(std::move(options)));
@@ -123,12 +117,9 @@ Status Run(const ServerArgs& args) {
   std::fflush(stdout);
   if (!args.quiet) {
     std::fprintf(stderr,
-                 "ses_server: queue-capacity=%lld idle-timeout=%lldms"
-                 " checkpoints=%s\n",
+                 "ses_server: queue-capacity=%lld idle-timeout=%lldms\n",
                  static_cast<long long>(args.queue_capacity),
-                 static_cast<long long>(args.idle_timeout_ms),
-                 args.checkpoint_dir.empty() ? "<off>"
-                                             : args.checkpoint_dir.c_str());
+                 static_cast<long long>(args.idle_timeout_ms));
   }
 
   std::signal(SIGINT, HandleSignal);

@@ -98,9 +98,10 @@ class SesExecutor {
   /// §4.5-filtered ones included: a filtered event cannot fire a
   /// transition, but it still advances time, and delivery must not wait
   /// for the next unfiltered event. A caller that feeds this executor
-  /// only some of the stream's events (the catalog's type index) calls it
-  /// for the rest. O(1) unless something actually expires; `now` must not
-  /// precede the last consumed event.
+  /// only some of the stream's events (the catalog's type index, the
+  /// serial engine's stream stage after its §4.5 filter) calls it for the
+  /// rest. O(1) unless something actually expires; `now` must not precede
+  /// the last consumed event.
   void AdvanceTo(Timestamp now, std::vector<Match>* out);
 
   /// Ends the stream: every instance in the accepting state yields a

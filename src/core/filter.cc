@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string_view>
 
 namespace ses {
@@ -20,6 +21,26 @@ EventPreFilter::EventPreFilter(const Pattern& pattern) {
       break;
     }
   }
+  // The per-column plan: each distinct test once, partitioned by
+  // evaluation strategy. Conditions on one STRING attribute share a
+  // dictionary, so their per-code verdicts fold together and the code
+  // column is walked once per attribute.
+  const Schema& schema = pattern.schema();
+  std::set<ConstantConditionKey> seen;
+  std::map<int, std::vector<int>> by_string_attribute;
+  for (int i = 0; i < static_cast<int>(constant_conditions_.size()); ++i) {
+    const Condition& condition = constant_conditions_[i];
+    if (!seen.insert(ConstantConditionKey::Of(condition)).second) continue;
+    if (!condition.lhs().is_timestamp() &&
+        schema.attribute(condition.lhs().attribute).type ==
+            ValueType::kString) {
+      by_string_attribute[condition.lhs().attribute].push_back(i);
+    } else {
+      flat_conditions_.push_back(i);
+    }
+  }
+  string_groups_.assign(by_string_attribute.begin(),
+                        by_string_attribute.end());
 }
 
 bool EventPreFilter::ShouldProcess(const Event& event) const {
@@ -136,36 +157,8 @@ void EvaluateConstantColumnar(const Condition& condition,
   }
 }
 
-VectorizedPreFilter::VectorizedPreFilter(const Pattern& pattern) {
-  const EventPreFilter scalar(pattern);
-  active_ = scalar.active();
-  std::map<ConstantConditionKey, int> table;
-  for (const Condition& condition : scalar.constant_conditions()) {
-    auto [it, inserted] = table.emplace(ConstantConditionKey::Of(condition),
-                                        static_cast<int>(conditions_.size()));
-    if (inserted) conditions_.push_back(condition);
-  }
-  // Partition by evaluation strategy: conditions on one STRING attribute
-  // share a dictionary, so their per-code verdicts fold together and the
-  // code column is walked once per attribute.
-  const Schema& schema = pattern.schema();
-  std::map<int, std::vector<int>> by_string_attribute;
-  for (int i = 0; i < static_cast<int>(conditions_.size()); ++i) {
-    const Condition& condition = conditions_[i];
-    if (!condition.lhs().is_timestamp() &&
-        schema.attribute(condition.lhs().attribute).type ==
-            ValueType::kString) {
-      by_string_attribute[condition.lhs().attribute].push_back(i);
-    } else {
-      flat_conditions_.push_back(i);
-    }
-  }
-  string_groups_.assign(by_string_attribute.begin(),
-                        by_string_attribute.end());
-}
-
-void VectorizedPreFilter::EvaluateAny(const ColumnarBatch& batch,
-                                      std::vector<uint64_t>* pass) const {
+void EventPreFilter::ShouldProcessColumnar(
+    const ColumnarBatch& batch, std::vector<uint64_t>* pass) const {
   const size_t n = batch.size();
   const size_t words = (n + 63) / 64;
   pass->assign(words, 0);
@@ -179,7 +172,8 @@ void VectorizedPreFilter::EvaluateAny(const ColumnarBatch& batch,
     return;
   }
   for (int index : flat_conditions_) {
-    EvaluateConstantColumnar(conditions_[index], batch, pass->data());
+    EvaluateConstantColumnar(constant_conditions_[index], batch,
+                             pass->data());
   }
   std::vector<char> verdict;
   for (const auto& [attribute, members] : string_groups_) {
@@ -187,7 +181,7 @@ void VectorizedPreFilter::EvaluateAny(const ColumnarBatch& batch,
         batch.string_column(attribute);
     verdict.assign(column.dict.size(), 0);
     for (int index : members) {
-      const Condition& condition = conditions_[index];
+      const Condition& condition = constant_conditions_[index];
       for (size_t code = 0; code < column.dict.size(); ++code) {
         verdict[code] |= ApplyComparison(
             condition.op(), CompareTyped(std::string_view(column.dict[code]),

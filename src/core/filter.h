@@ -22,6 +22,10 @@ namespace ses {
 /// have fired a transition of an unconstrained variable. When a variable
 /// without constant conditions exists, the filter reports itself inactive
 /// and passes every event through, preserving correctness.
+///
+/// One object answers both per event (ShouldProcess) and per column
+/// (ShouldProcessColumnar); a compiled plan holds one and every engine's
+/// stream stage applies it (engine/engine.h).
 class EventPreFilter {
  public:
   explicit EventPreFilter(const Pattern& pattern);
@@ -34,10 +38,20 @@ class EventPreFilter {
   /// condition, or the filter is inactive).
   bool ShouldProcess(const Event& event) const;
 
-  /// The constant conditions ShouldProcess tests, for evaluators that share
-  /// the per-event evaluation across patterns (src/catalog/ dedupes these
-  /// into one bitmap table per event batch pass). An ACTIVE filter's
-  /// ShouldProcess is equivalent to "any of these holds".
+  /// ShouldProcess over every row of `batch` at once: computes the
+  /// pass-bitmap into `pass` (resized to (batch.size() + 63) / 64 words;
+  /// bit r of word r/64 is set iff row r must be processed). Tail bits
+  /// beyond batch.size() are zero; an inactive filter sets every row bit.
+  /// The conditions are deduplicated by ConstantConditionKey and evaluated
+  /// per column, those on one STRING attribute once per dictionary code.
+  void ShouldProcessColumnar(const ColumnarBatch& batch,
+                             std::vector<uint64_t>* pass) const;
+
+  /// The constant conditions ShouldProcess tests, as the pattern lists
+  /// them, for evaluators that share the per-event evaluation across
+  /// patterns (src/catalog/ dedupes these into one bitmap table per event
+  /// batch pass). An ACTIVE filter's ShouldProcess is equivalent to "any of
+  /// these holds".
   const std::vector<Condition>& constant_conditions() const {
     return constant_conditions_;
   }
@@ -45,6 +59,14 @@ class EventPreFilter {
  private:
   std::vector<Condition> constant_conditions_;
   bool active_ = false;
+  /// The distinct conditions on STRING attributes, grouped by attribute
+  /// (indices into constant_conditions_): their per-dictionary-code
+  /// verdicts OR into one combined verdict, so the row pass over the code
+  /// column runs once per attribute instead of once per condition.
+  std::vector<std::pair<int, std::vector<int>>> string_groups_;
+  /// Indices of the remaining distinct conditions (INT64 / DOUBLE /
+  /// timestamp), evaluated per flat column.
+  std::vector<int> flat_conditions_;
 };
 
 /// Dedup identity of a constant condition as a per-event test: the lhs
@@ -76,43 +98,6 @@ struct ConstantConditionKey {
 /// re-implementation.
 void EvaluateConstantColumnar(const Condition& condition,
                               const ColumnarBatch& batch, uint64_t* words);
-
-/// Batch form of EventPreFilter: the same §4.5 activation rule and the
-/// same constant conditions, deduplicated by ConstantConditionKey and
-/// evaluated per column instead of per event. For every batch it produces
-/// a pass-bitmap — bit r set iff EventPreFilter::ShouldProcess would
-/// return true for row r — which the engines consume to drop filtered
-/// rows before they are materialized, routed, or offered to automata.
-class VectorizedPreFilter {
- public:
-  explicit VectorizedPreFilter(const Pattern& pattern);
-
-  /// False if the optimization is disabled because the pattern has a
-  /// variable without constant conditions. An inactive filter passes every
-  /// row (EvaluateAny sets all bits).
-  bool active() const { return active_; }
-
-  /// The deduplicated constant conditions EvaluateAny tests.
-  const std::vector<Condition>& conditions() const { return conditions_; }
-
-  /// Computes the pass-bitmap for `batch` into `pass` (resized to
-  /// (batch.size() + 63) / 64 words; bit r of word r/64 = row r passes).
-  /// Tail bits beyond batch.size() are zero.
-  void EvaluateAny(const ColumnarBatch& batch,
-                   std::vector<uint64_t>* pass) const;
-
- private:
-  std::vector<Condition> conditions_;
-  bool active_ = false;
-  /// Conditions on STRING attributes, grouped by attribute (indices into
-  /// conditions_): their per-dictionary-code verdicts OR into one combined
-  /// verdict, so the row pass over the code column runs once per attribute
-  /// instead of once per condition.
-  std::vector<std::pair<int, std::vector<int>>> string_groups_;
-  /// Indices of the remaining conditions (INT64 / DOUBLE / timestamp),
-  /// evaluated per flat column.
-  std::vector<int> flat_conditions_;
-};
 
 }  // namespace ses
 

@@ -54,12 +54,12 @@ Result<int> FindPartitionAttribute(const Pattern& pattern) {
 Result<PartitionedMatcher> PartitionedMatcher::Create(const Pattern& pattern,
                                                       int attribute,
                                                       MatcherOptions options) {
-  return Create(CompileAutomaton(pattern), attribute, options, nullptr);
+  return Create(CompileAutomaton(pattern), attribute, options);
 }
 
 Result<PartitionedMatcher> PartitionedMatcher::Create(
     std::shared_ptr<const SesAutomaton> automaton, int attribute,
-    MatcherOptions options, std::shared_ptr<const EventPreFilter> filter) {
+    MatcherOptions options) {
   const Pattern& pattern = automaton->pattern();
   if (attribute < 0 || attribute >= pattern.schema().num_attributes()) {
     return Status::InvalidArgument("partition attribute index out of range");
@@ -68,8 +68,7 @@ Result<PartitionedMatcher> PartitionedMatcher::Create(
     return Status::InvalidArgument(
         "DOUBLE attributes cannot be used as partition keys");
   }
-  return PartitionedMatcher(std::move(automaton), attribute, options,
-                            std::move(filter));
+  return PartitionedMatcher(std::move(automaton), attribute, options);
 }
 
 std::list<PartitionedMatcher::Partition>::iterator

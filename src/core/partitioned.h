@@ -75,10 +75,13 @@ struct PartitionedStats {
 };
 
 /// The per-key evaluator of both partition-pure engines: one SesExecutor
-/// per partition-key value, all sharing one compiled automaton and one
-/// pre-filter. The "partitioned" engine runs one PartitionedMatcher; the
-/// parallel runtime (exec/parallel_partitioned.h) runs one per shard over
-/// the keys routed to it.
+/// per partition-key value, all sharing one compiled automaton and, when
+/// options.enable_prefilter is set, one pre-filter. The "partitioned"
+/// engine runs one PartitionedMatcher; the parallel runtime
+/// (exec/parallel_partitioned.h) runs one per shard over the keys routed to
+/// it. The engines build it with the filter off: their stream stage has
+/// filtered already, so a dropped event reaches no partition and only
+/// EvictIdle sees its timestamp.
 ///
 /// Precondition: events arrive in strictly increasing timestamp order
 /// across all keys. As with SesExecutor, nothing here checks it; each
@@ -93,15 +96,13 @@ class PartitionedMatcher {
                                            int attribute,
                                            MatcherOptions options = {});
 
-  /// Shares a pre-compiled automaton and (optionally) a pre-built event
-  /// pre-filter — the plan-driven construction path (see
-  /// plan::CompiledPlan): the powerset construction and the filter's
-  /// condition scan both run once per plan, not once per evaluator or per
-  /// partition. `attribute` is validated the same way as above.
+  /// Shares a pre-compiled automaton — the plan-driven construction path
+  /// (see plan::CompiledPlan): the powerset construction runs once per
+  /// plan, not once per evaluator or per partition. `attribute` is
+  /// validated the same way as above.
   static Result<PartitionedMatcher> Create(
       std::shared_ptr<const SesAutomaton> automaton, int attribute,
-      MatcherOptions options = {},
-      std::shared_ptr<const EventPreFilter> filter = nullptr);
+      MatcherOptions options = {});
 
   PartitionedMatcher(PartitionedMatcher&&) = default;
   PartitionedMatcher& operator=(PartitionedMatcher&&) = default;
@@ -164,10 +165,12 @@ class PartitionedMatcher {
   };
 
   PartitionedMatcher(std::shared_ptr<const SesAutomaton> automaton,
-                     int attribute, MatcherOptions options,
-                     std::shared_ptr<const EventPreFilter> filter)
+                     int attribute, MatcherOptions options)
       : automaton_(std::move(automaton)),
-        filter_(std::move(filter)),
+        filter_(options.enable_prefilter
+                    ? std::make_shared<const EventPreFilter>(
+                          automaton_->pattern())
+                    : nullptr),
         attribute_(attribute),
         options_(options) {}
 
@@ -178,8 +181,8 @@ class PartitionedMatcher {
   /// Compiled once in Create and shared by every partition's executor —
   /// the powerset construction must NOT re-run per partition key.
   std::shared_ptr<const SesAutomaton> automaton_;
-  /// Shared by every partition's executor (may be null: each executor then
-  /// builds its own).
+  /// Built once and shared by every partition's executor; null when the
+  /// filter is off.
   std::shared_ptr<const EventPreFilter> filter_;
   int attribute_;
   MatcherOptions options_;

@@ -34,16 +34,30 @@ Status RequirePartitionAttribute(const plan::CompiledPlan& plan,
       "(see core/partitioned.h)");
 }
 
-/// Registry names and the matcher-specific part of the stats snapshot of
-/// the two inline engines below.
+/// True when bit `i` of a §4.5 pass-bitmap is set; a null bitmap passes
+/// every event.
+bool Passes(const uint64_t* pass, size_t i) {
+  return pass == nullptr || ((pass[i >> 6] >> (i & 63)) & 1) != 0;
+}
+
+/// Registry names, the clock hook and the matcher-specific part of the
+/// stats snapshot of the two inline engines below.
 std::string_view InlineEngineName(const SesExecutor&) { return "serial"; }
 std::string_view InlineEngineName(const PartitionedMatcher&) {
   return "partitioned";
 }
 
+void AdvanceClock(SesExecutor& matcher, Timestamp now,
+                  std::vector<Match>* out) {
+  matcher.AdvanceTo(now, out);
+}
+void AdvanceClock(PartitionedMatcher& matcher, Timestamp now,
+                  std::vector<Match>* out) {
+  matcher.EvictIdle(now, out);
+}
+
 void FillMatcherStats(const SesExecutor& matcher, EngineStats* stats) {
   const ExecutorStats& executor = matcher.stats();
-  stats->events_filtered = executor.events_filtered;
   stats->instances_created = executor.instances_created;
   stats->instances_pruned = executor.instances_expired;
   stats->max_simultaneous_instances = executor.max_simultaneous_instances;
@@ -56,7 +70,6 @@ void FillMatcherStats(const PartitionedMatcher& matcher, EngineStats* stats) {
   stats->max_simultaneous_instances =
       matcher.stats().max_simultaneous_instances;
   const ExecutorStats aggregated = matcher.AggregatedExecutorStats();
-  stats->events_filtered = aggregated.events_filtered;
   stats->instances_created = aggregated.instances_created;
   stats->instances_pruned = aggregated.instances_expired;
 }
@@ -64,7 +77,8 @@ void FillMatcherStats(const PartitionedMatcher& matcher, EngineStats* stats) {
 /// "serial" (MatcherT = SesExecutor, one global automaton) and
 /// "partitioned" (MatcherT = PartitionedMatcher, one executor per key):
 /// the matcher runs on the pushing thread, and its matches drain to the
-/// sink on every Push. Neither checks the order: the stream stage has.
+/// sink after every event. Neither checks the order nor filters: the
+/// stream stage has.
 template <typename MatcherT>
 class InlineEngine : public Engine {
  public:
@@ -82,6 +96,11 @@ class InlineEngine : public Engine {
       // Per event, not per call, so no counter depends on batch sizes.
       matcher_.EvictIdle(event.timestamp(), &buffer_);
     }
+    Drain(/*early=*/true);
+  }
+
+  void AdvanceOrdered(Timestamp now) override {
+    AdvanceClock(matcher_, now, &buffer_);
     Drain(/*early=*/true);
   }
 
@@ -136,9 +155,10 @@ class InlineEngine : public Engine {
   EngineStats stats_;
 };
 
-/// "parallel": the sharded runtime with the sink wired through. The plan's
-/// pre-filter additionally runs at ingest, so filtered events are never
-/// routed, copied into batches, or queued.
+/// "parallel": the sharded runtime with the sink wired through. Only the
+/// events the stage's filter passes are routed, copied into batches, or
+/// queued; a dropped event advances no shard (its clock hook is the
+/// default no-op), so delivery stays watermark-bounded (SEMANTICS §8).
 class ParallelEngine : public Engine {
  public:
   static Result<std::unique_ptr<Engine>> Make(
@@ -150,7 +170,7 @@ class ParallelEngine : public Engine {
     parallel.batch_size = engine->options_.batch_size;
     parallel.queue_capacity = engine->options_.queue_capacity;
     parallel.emit_interval_events = engine->options_.emit_interval_events;
-    parallel.matcher = engine->plan_->matcher_options();
+    parallel.matcher = MatcherOptions{.enable_prefilter = false};
     // The engine is heap-allocated and owns the matcher, so its address
     // outlives every sink invocation (sinks run inside Push/Flush).
     ParallelEngine* raw = engine.get();
@@ -159,47 +179,31 @@ class ParallelEngine : public Engine {
         exec::ParallelPartitionedMatcher matcher,
         exec::ParallelPartitionedMatcher::Create(
             engine->plan_->shared_automaton(),
-            engine->plan_->partition_attribute(), std::move(parallel),
-            engine->plan_->shared_prefilter()));
+            engine->plan_->partition_attribute(), std::move(parallel)));
     engine->matcher_.emplace(std::move(matcher));
-    if (const auto& filter = engine->plan_->shared_prefilter();
-        filter != nullptr && filter->active()) {
-      engine->ingest_filter_ = filter.get();
-    }
     return std::unique_ptr<Engine>(std::move(engine));
   }
 
   std::string_view name() const override { return "parallel"; }
 
  protected:
-  void PushOrdered(const Event& event) override {
-    if (ingest_filter_ != nullptr && !ingest_filter_->ShouldProcess(event)) {
-      ++stats_.events_filtered;
-      return;
-    }
-    matcher_->Push(event);
-  }
+  void PushOrdered(const Event& event) override { matcher_->Push(event); }
 
-  void PushBatchOrdered(std::span<const Event> events) override {
-    if (ingest_filter_ == nullptr) {
+  void PushBatchOrdered(std::span<const Event> events,
+                        const uint64_t* pass) override {
+    if (pass == nullptr) {
       matcher_->PushBatch(events);
       return;
     }
     scratch_.clear();
-    for (const Event& event : events) {
-      if (ingest_filter_->ShouldProcess(event)) scratch_.push_back(event);
+    for (size_t i = 0; i < events.size(); ++i) {
+      if (Passes(pass, i)) scratch_.push_back(events[i]);
     }
-    stats_.events_filtered +=
-        static_cast<int64_t>(events.size() - scratch_.size());
     if (!scratch_.empty()) matcher_->PushBatch(scratch_);
   }
 
   void PushColumnarOrdered(const ColumnarBatch& batch,
                            const uint64_t* pass) override {
-    // The base class already applied the vectorized pre-filter (the bitmap
-    // IS this engine's ingest filter — same plan, same conditions), so the
-    // sharded runtime routes straight off the columns without the row-wise
-    // re-check.
     matcher_->PushColumnar(batch, pass);
   }
 
@@ -224,14 +228,12 @@ class ParallelEngine : public Engine {
 
   void CheckpointImpl(std::string* out) override {
     matcher_->Checkpoint(out);
-    storage::PutSigned(out, stats_.events_filtered);
     storage::PutSigned(out, stats_.matches_emitted);
     storage::PutSigned(out, stats_.matches_emitted_early);
   }
 
   Status RestoreImpl(const char** p, const char* limit) override {
     SES_RETURN_IF_ERROR(matcher_->Restore(p, limit));
-    SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.events_filtered));
     SES_RETURN_IF_ERROR(storage::GetSigned(p, limit, &stats_.matches_emitted));
     SES_RETURN_IF_ERROR(
         storage::GetSigned(p, limit, &stats_.matches_emitted_early));
@@ -250,7 +252,7 @@ class ParallelEngine : public Engine {
   }
 
   std::optional<exec::ParallelPartitionedMatcher> matcher_;
-  const EventPreFilter* ingest_filter_ = nullptr;
+  /// The passing events of one PushBatchOrdered call.
   std::vector<Event> scratch_;
   bool in_flush_ = false;
   EngineStats stats_;
@@ -261,6 +263,10 @@ class ParallelEngine : public Engine {
 Engine::Engine(std::shared_ptr<const plan::CompiledPlan> plan,
                EngineOptions options)
     : plan_(std::move(plan)), options_(std::move(options)) {
+  if (const auto& filter = plan_->shared_prefilter();
+      filter != nullptr && filter->active()) {
+    filter_ = filter.get();
+  }
   next_checkpoint_at_ = options_.checkpoint_interval_events;
 }
 
@@ -281,7 +287,7 @@ Status Engine::Checkpoint(storage::CheckpointWriter* writer) {
   std::string base;
   storage::PutString(&base, name());
   stream_.Checkpoint(&base);
-  storage::PutSigned(&base, events_filtered_columnar_);
+  storage::PutSigned(&base, events_filtered_);
   writer->AddSection("engine", base);
   std::string state;
   CheckpointImpl(&state);
@@ -307,8 +313,7 @@ Status Engine::Restore(const storage::CheckpointReader& reader) {
                                      std::string(name()) + "'");
     }
     SES_RETURN_IF_ERROR(stream_.Restore(&p, limit));
-    SES_RETURN_IF_ERROR(
-        storage::GetSigned(&p, limit, &events_filtered_columnar_));
+    SES_RETURN_IF_ERROR(storage::GetSigned(&p, limit, &events_filtered_));
     if (p != limit) {
       return Status::Corruption(
           "checkpoint 'engine' section has trailing bytes");
@@ -340,14 +345,20 @@ Status Engine::Restore(const storage::CheckpointReader& reader) {
 Status Engine::Push(const Event& event) {
   SES_RETURN_IF_ERROR(stream_.CheckOpen());
   SES_RETURN_IF_ERROR(stream_.Admit(event.timestamp()));
-  PushOrdered(event);
+  // One event is stepped, never batched: the default walk, whatever the
+  // engine's batched hook does.
+  const std::span<const Event> one(&event, 1);
+  Engine::PushBatchOrdered(one, FilterRows(one));
   return MaybeCheckpoint();
 }
 
 Status Engine::PushBatch(std::span<const Event> events) {
   SES_RETURN_IF_ERROR(stream_.CheckOpen());
   const size_t admitted = stream_.AdmitPrefix(events);
-  if (admitted > 0) PushBatchOrdered(events.first(admitted));
+  if (admitted > 0) {
+    const std::span<const Event> prefix = events.first(admitted);
+    PushBatchOrdered(prefix, FilterRows(prefix));
+  }
   if (admitted < events.size()) {
     return stream_.OutOfOrder(events[admitted].timestamp());
   }
@@ -369,29 +380,54 @@ Status Engine::PushColumnar(const ColumnarBatch& batch) {
 }
 
 void Engine::EvaluateColumnar(const ColumnarBatch& batch) {
-  const uint64_t* pass = nullptr;
-  if (const auto& filter = plan_->shared_vector_prefilter();
-      filter != nullptr && filter->active()) {
-    filter->EvaluateAny(batch, &pass_words_);
-    pass = pass_words_.data();
-    size_t passing = 0;
-    for (uint64_t word : pass_words_) passing += std::popcount(word);
-    events_filtered_columnar_ +=
-        static_cast<int64_t>(batch.size() - passing);
+  PushColumnarOrdered(batch, FilterColumns(batch));
+}
+
+const uint64_t* Engine::FilterRows(std::span<const Event> events) {
+  if (filter_ == nullptr) return nullptr;
+  pass_words_.assign((events.size() + 63) / 64, 0);
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (filter_->ShouldProcess(events[i])) {
+      pass_words_[i >> 6] |= uint64_t{1} << (i & 63);
+    } else {
+      ++events_filtered_;
+    }
   }
-  PushColumnarOrdered(batch, pass);
+  return pass_words_.data();
+}
+
+const uint64_t* Engine::FilterColumns(const ColumnarBatch& batch) {
+  if (filter_ == nullptr) return nullptr;
+  filter_->ShouldProcessColumnar(batch, &pass_words_);
+  size_t passing = 0;
+  for (uint64_t word : pass_words_) passing += std::popcount(word);
+  events_filtered_ += static_cast<int64_t>(batch.size() - passing);
+  return pass_words_.data();
+}
+
+void Engine::AdvanceOrdered(Timestamp) {}
+
+void Engine::PushBatchOrdered(std::span<const Event> events,
+                              const uint64_t* pass) {
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (Passes(pass, i)) {
+      PushOrdered(events[i]);
+    } else {
+      AdvanceOrdered(events[i].timestamp());
+    }
+  }
 }
 
 void Engine::PushColumnarOrdered(const ColumnarBatch& batch,
                                  const uint64_t* pass) {
-  columnar_rows_.clear();
+  const std::vector<Timestamp>& timestamps = batch.timestamps();
   for (size_t row = 0; row < batch.size(); ++row) {
-    if (pass != nullptr && ((pass[row >> 6] >> (row & 63)) & 1) == 0) {
-      continue;
+    if (Passes(pass, row)) {
+      PushOrdered(batch.RowEvent(row));
+    } else {
+      AdvanceOrdered(timestamps[row]);
     }
-    columnar_rows_.push_back(batch.RowEvent(row));
   }
-  if (!columnar_rows_.empty()) PushBatchOrdered(columnar_rows_);
 }
 
 Status Engine::Flush() {
@@ -402,7 +438,7 @@ Status Engine::Flush() {
 
 void Engine::Reset() {
   stream_.Reset();
-  events_filtered_columnar_ = 0;
+  events_filtered_ = 0;
   next_checkpoint_at_ = options_.checkpoint_interval_events;
   ResetImpl();
 }
@@ -410,12 +446,8 @@ void Engine::Reset() {
 EngineStats Engine::stats() const {
   EngineStats stats = StatsImpl();
   stats.events_pushed = stream_.events_pushed();
-  stats.events_filtered += events_filtered_columnar_;
+  stats.events_filtered = events_filtered_;
   return stats;
-}
-
-void Engine::PushBatchOrdered(std::span<const Event> events) {
-  for (const Event& event : events) PushOrdered(event);
 }
 
 MatchSink CollectInto(std::vector<Match>* out) {
@@ -443,10 +475,10 @@ std::vector<std::pair<std::string, int64_t>> EngineCounters(
 Result<std::unique_ptr<Engine>> CreateSerialEngine(
     std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options) {
   SES_RETURN_IF_ERROR(ValidateSink(options));
-  // Built as core::Matcher builds its executor, so the §4.5 filter and the
-  // counters are Matcher's; the plan keeps the automaton alive.
-  SesExecutor executor(&plan->automaton(), plan->matcher_options(),
-                       plan->shared_prefilter());
+  // Filter-free: the stream stage applies the plan's §4.5 filter. The plan
+  // keeps the automaton alive.
+  SesExecutor executor(&plan->automaton(),
+                       MatcherOptions{.enable_prefilter = false});
   return std::unique_ptr<Engine>(new InlineEngine<SesExecutor>(
       std::move(plan), std::move(options), std::move(executor)));
 }
@@ -459,8 +491,7 @@ Result<std::unique_ptr<Engine>> CreatePartitionedEngine(
       PartitionedMatcher matcher,
       PartitionedMatcher::Create(plan->shared_automaton(),
                                  plan->partition_attribute(),
-                                 plan->matcher_options(),
-                                 plan->shared_prefilter()));
+                                 MatcherOptions{.enable_prefilter = false}));
   return std::unique_ptr<Engine>(new InlineEngine<PartitionedMatcher>(
       std::move(plan), std::move(options), std::move(matcher)));
 }

@@ -70,8 +70,9 @@ struct EngineStats {
   /// Resident partitions (partitioned engine; cumulative created for the
   /// parallel engine, whose resident set lives on the worker shards).
   int64_t num_partitions = 0;
-  /// Events dropped by the §4.5 pre-filter before reaching any automaton
-  /// (executor-side for the serial engines, ingest-side for parallel).
+  /// Events the plan's §4.5 pre-filter dropped in the stream stage, before
+  /// any evaluator saw them: the same count on every engine and on both
+  /// ingest layouts.
   int64_t events_filtered = 0;
   /// Automaton instances created / reclaimed across all executors (the
   /// paper's Experiments 1–2 currency; zero for the parallel engine, whose
@@ -117,9 +118,10 @@ std::vector<std::pair<std::string, int64_t>> EngineCounters(
 /// are not thread-safe; drive each instance from one thread.
 ///
 /// Structure: the public entry points are non-virtual and run the stream
-/// stage (the order check, the Flush state, events_pushed) and the
-/// periodic checkpoint; engines implement the protected *Ordered/*Impl
-/// hooks, which receive a strictly increasing stream by construction.
+/// stage (the order check, the Flush state, events_pushed, the plan's §4.5
+/// pre-filter) and the periodic checkpoint; engines implement the protected
+/// *Ordered/*Impl hooks, which receive a strictly increasing stream by
+/// construction, with the filter's verdict on each event.
 class Engine {
  public:
   virtual ~Engine() = default;
@@ -139,13 +141,13 @@ class Engine {
   /// Columnar ingest: pushes every row of `batch` (same stream contract as
   /// PushBatch) without materializing row-wise Events. The batch's schema
   /// must be the plan's schema. The base class checks the order on the
-  /// timestamp column, evaluates the plan's vectorized §4.5 pre-filter
-  /// (plan::CompiledPlan::shared_vector_prefilter) into a pass-bitmap,
-  /// counts the dropped rows, and hands batch + bitmap to the engine hook;
-  /// rows the bitmap drops are never materialized, routed, or offered to
-  /// an automaton. A backwards row fails the call after the rows before it
-  /// are evaluated, as in PushBatch. The delivered match set is identical
-  /// to PushBatch's (docs/SEMANTICS.md §11).
+  /// timestamp column and evaluates the plan's §4.5 pre-filter per column
+  /// (EventPreFilter::ShouldProcessColumnar); rows it drops are never
+  /// materialized, routed, or offered to an automaton, and only advance the
+  /// evaluator's clock, as on the row path. A backwards row fails the call
+  /// after the rows before it are evaluated, as in PushBatch. The delivered
+  /// match set, its delivery points and the stats are identical to
+  /// PushBatch's (docs/SEMANTICS.md §11).
   Status PushColumnar(const ColumnarBatch& batch);
 
   /// End-of-stream barrier: delivers every remaining match to the sink and
@@ -164,7 +166,7 @@ class Engine {
 
   /// Serializes the engine's complete runtime state into `writer` as two
   /// sections: "engine" (the engine's registry name, the stream stage and
-  /// the columnar filter count) and "state" (the evaluator: open automaton
+  /// the filter's drop count) and "state" (the evaluator: open automaton
   /// instances with their match buffers, partitions, shard state,
   /// statistics). Call between events, not from inside a sink. The engine
   /// keeps running; a Restore()d engine continues the stream with a
@@ -186,18 +188,27 @@ class Engine {
 
   /// Evaluator hooks. The base class guarantees the events arriving here
   /// form one strictly increasing timestamp sequence per stream — the one
-  /// order check of every engine path — so the evaluators behind them
-  /// check nothing and cannot fail.
+  /// order check of every engine path — and has applied the plan's §4.5
+  /// filter once to each of them, so the evaluators behind them check
+  /// nothing, filter nothing and cannot fail.
+  ///
+  /// Steps one event the filter passed.
   virtual void PushOrdered(const Event& event) = 0;
-  /// Default loops over PushOrdered; the parallel engine overrides it with
-  /// genuinely batched ingest.
-  virtual void PushBatchOrdered(std::span<const Event> events);
-  /// Columnar hook: `pass` is the §4.5 pass-bitmap (bit r of word r/64 =
-  /// row r must be processed), or nullptr when every row passes (filter
-  /// disabled or inactive). The base class has already verified ordering
-  /// and counted the filtered rows. The default materializes the passing
-  /// rows and forwards to PushBatchOrdered; the parallel engine overrides
-  /// it to route straight off the columns.
+  /// The clock hook: the filter dropped an event at `now`. The evaluator
+  /// cannot bind it but may expire what `now` has outrun. Called once per
+  /// dropped event, so no counter depends on how events are batched into
+  /// calls. The default does nothing.
+  virtual void AdvanceOrdered(Timestamp now);
+  /// `pass` is the §4.5 pass-bitmap over `events` (bit i of word i/64 =
+  /// event i passed), or nullptr when every event passes (filter disabled
+  /// or inactive). The default walks the events in stream order: a passing
+  /// one goes to PushOrdered, a dropped one to AdvanceOrdered. The
+  /// parallel engine overrides it with genuinely batched ingest.
+  virtual void PushBatchOrdered(std::span<const Event> events,
+                                const uint64_t* pass);
+  /// Columnar hook, `pass` as above over the rows. The default walks the
+  /// rows like PushBatchOrdered and materializes only the passing ones;
+  /// the parallel engine overrides it to route straight off the columns.
   virtual void PushColumnarOrdered(const ColumnarBatch& batch,
                                    const uint64_t* pass);
   virtual void FlushImpl() = 0;
@@ -219,23 +230,28 @@ class Engine {
   /// next interval boundary (no-op when disabled).
   Status MaybeCheckpoint();
 
-  /// Runs admitted, in-order rows through the vectorized pre-filter and
-  /// the engine's columnar hook.
+  /// The stage's §4.5 filter, one call site per layout: evaluates the
+  /// plan's filter over admitted events (rows) or columns into
+  /// pass_words_, counts the drops, and returns the bitmap for the hooks —
+  /// nullptr, with no per-event work, when the plan has no active filter.
+  const uint64_t* FilterRows(std::span<const Event> events);
+  const uint64_t* FilterColumns(const ColumnarBatch& batch);
+
+  /// Runs admitted, in-order rows through the filter and the engine's
+  /// columnar hook.
   void EvaluateColumnar(const ColumnarBatch& batch);
 
   /// The stream contract: Flush state, order check, admitted count.
   StreamStage stream_;
+  /// The plan's filter when it is active, else null.
+  const EventPreFilter* filter_ = nullptr;
   /// Event count at which the next periodic checkpoint fires (disabled
   /// when checkpoint_interval_events is 0).
   int64_t next_checkpoint_at_ = 0;
-  /// Rows the columnar pre-filter dropped before the engine hook; added to
-  /// StatsImpl().events_filtered in stats() so row and columnar ingest
-  /// report the same totals (the executor-side filter never sees these).
-  int64_t events_filtered_columnar_ = 0;
-  /// Pass-bitmap scratch for PushColumnar, reused across batches.
+  /// Admitted events the filter dropped (EngineStats::events_filtered).
+  int64_t events_filtered_ = 0;
+  /// Pass-bitmap scratch of FilterRows/FilterColumns, reused across calls.
   std::vector<uint64_t> pass_words_;
-  /// Row materialization scratch of the default PushColumnarOrdered.
-  std::vector<Event> columnar_rows_;
 };
 
 /// A sink that appends every match to `*out` (not owned; must outlive the
@@ -246,22 +262,22 @@ MatchSink CollectInto(std::vector<Match>* out);
 /// validate that `options.sink` is set; the partition-pure engines
 /// additionally require plan->has_partition_attribute().
 
-/// "serial": one global SesExecutor over the shared automaton, with the
-/// plan's §4.5 pre-filter. Matches reach the sink as their window expires
-/// (on Push) and at Flush.
+/// "serial": one global SesExecutor over the shared automaton, with no
+/// filter of its own; a dropped event advances its clock (AdvanceTo).
+/// Matches reach the sink as their window expires (on Push) and at Flush.
 Result<std::unique_ptr<Engine>> CreateSerialEngine(
     std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options);
 
 /// "partitioned": serial partition-pure execution (core::PartitionedMatcher,
-/// one executor per key, all sharing the plan's automaton and pre-filter;
-/// idle keys are evicted after every event, docs/SEMANTICS.md §6).
+/// one filter-free executor per key, all sharing the plan's automaton; idle
+/// keys are evicted after every event, dropped ones included, and a dropped
+/// event touches no partition, docs/SEMANTICS.md §6).
 Result<std::unique_ptr<Engine>> CreatePartitionedEngine(
     std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options);
 
 /// "parallel": the sharded runtime (exec::ParallelPartitionedMatcher) with
-/// the sink wired through for incremental watermark-bounded emission; the
-/// plan's pre-filter is additionally applied at ingest, so filtered events
-/// are never routed or queued.
+/// the sink wired through for incremental watermark-bounded emission; only
+/// the events the stage's filter passes are routed and queued.
 Result<std::unique_ptr<Engine>> CreateParallelEngine(
     std::shared_ptr<const plan::CompiledPlan> plan, EngineOptions options);
 

@@ -41,8 +41,6 @@ std::vector<EngineInfo> ListEngines() {
   return infos;
 }
 
-bool HasEngine(std::string_view name) { return FindEngine(name) != nullptr; }
-
 Result<std::unique_ptr<Engine>> CreateEngine(
     std::string_view name, std::shared_ptr<const plan::CompiledPlan> plan,
     EngineOptions options) {

@@ -16,19 +16,14 @@ struct EngineInfo {
 };
 
 // The fixed name → factory table behind every "which engine" decision: the
-// CLI's --engine flag, the server, the catalog, the engine-comparison bench
-// and the cross-engine equivalence tests all resolve evaluation strategies
-// through these functions. The table holds the three built-in engines
-// ("parallel", "partitioned", "serial") and never changes at run time.
+// CLI's --engine flag, the benches and the cross-engine equivalence tests
+// resolve evaluation strategies through these functions. (The catalog, and
+// with it the server, runs bare executors and no engine.) The table holds
+// the three built-in engines ("parallel", "partitioned", "serial") and
+// never changes at run time.
 
 /// The built-in engines, sorted by name.
 std::vector<EngineInfo> ListEngines();
-
-/// True when `name` is a built-in engine. Lets composite evaluators (the
-/// multi-pattern catalog, which instantiates one engine per plan) validate
-/// the engine choice at construction instead of failing on the first plan
-/// registration.
-bool HasEngine(std::string_view name);
 
 /// Instantiates the named engine from `plan`. NotFound for an unknown name
 /// (the message lists the built-in ones); otherwise whatever the engine's

@@ -602,13 +602,12 @@ struct ParallelPartitionedMatcher::Impl {
 
 Result<ParallelPartitionedMatcher> ParallelPartitionedMatcher::Create(
     const Pattern& pattern, int attribute, ParallelOptions options) {
-  return Create(CompileAutomaton(pattern), attribute, std::move(options),
-                nullptr);
+  return Create(CompileAutomaton(pattern), attribute, std::move(options));
 }
 
 Result<ParallelPartitionedMatcher> ParallelPartitionedMatcher::Create(
     std::shared_ptr<const SesAutomaton> automaton, int attribute,
-    ParallelOptions options, std::shared_ptr<const EventPreFilter> filter) {
+    ParallelOptions options) {
   options.num_shards = std::max(options.num_shards, 1);
   options.batch_size = std::max<size_t>(options.batch_size, 1);
   options.emit_interval_events =
@@ -619,7 +618,7 @@ Result<ParallelPartitionedMatcher> ParallelPartitionedMatcher::Create(
     // Validates `attribute` (range, not DOUBLE) on the first shard.
     SES_ASSIGN_OR_RETURN(PartitionedMatcher matcher,
                          PartitionedMatcher::Create(automaton, attribute,
-                                                    options.matcher, filter));
+                                                    options.matcher));
     impl->shards.push_back(std::make_unique<Impl::Shard>(
         options.queue_capacity, std::move(matcher)));
   }

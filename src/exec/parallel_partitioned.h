@@ -115,15 +115,12 @@ class ParallelPartitionedMatcher {
                                                    int attribute,
                                                    ParallelOptions options = {});
 
-  /// Shares a pre-compiled automaton and (optionally) a pre-built event
-  /// pre-filter — the plan-driven construction path (see
-  /// plan::CompiledPlan). The powerset construction and the filter's
-  /// condition scan run once per plan, shared by every partition of every
-  /// shard.
+  /// Shares a pre-compiled automaton — the plan-driven construction path
+  /// (see plan::CompiledPlan). The powerset construction runs once per
+  /// plan, shared by every partition of every shard.
   static Result<ParallelPartitionedMatcher> Create(
       std::shared_ptr<const SesAutomaton> automaton, int attribute,
-      ParallelOptions options = {},
-      std::shared_ptr<const EventPreFilter> filter = nullptr);
+      ParallelOptions options = {});
 
   ~ParallelPartitionedMatcher();
   ParallelPartitionedMatcher(ParallelPartitionedMatcher&&) noexcept;

@@ -130,21 +130,6 @@ Status Client::Flush() {
   return ExpectAck(frame, PacketType::kFlush);
 }
 
-Result<std::string> Client::Checkpoint() {
-  SES_ASSIGN_OR_RETURN(Frame frame, Transact(PacketType::kCheckpoint, ""));
-  if (frame.type == PacketType::kError) {
-    SES_ASSIGN_OR_RETURN(ErrorResponse error,
-                         ErrorResponse::Decode(frame.payload));
-    return error.ToStatus();
-  }
-  if (frame.type != PacketType::kAck) {
-    return Status::Internal("expected Ack for Checkpoint, got " +
-                            std::string(PacketTypeName(frame.type)));
-  }
-  SES_ASSIGN_OR_RETURN(AckResponse ack, AckResponse::Decode(frame.payload));
-  return ack.info;
-}
-
 Result<StatsResponse> Client::Stats() {
   SES_ASSIGN_OR_RETURN(Frame frame, Transact(PacketType::kStatsRequest, ""));
   if (frame.type == PacketType::kError) {

@@ -75,10 +75,6 @@ class Client {
   /// The next Push starts a new stream, whose timestamps may restart.
   Status Flush();
 
-  /// Asks the server to checkpoint this connection's engine, covering
-  /// every slab pushed before; returns the server-side file path.
-  Result<std::string> Checkpoint();
-
   /// This connection's statistics snapshot (catalog + per-plan executor
   /// stats), covering every slab pushed before.
   Result<StatsResponse> Stats();

@@ -64,7 +64,6 @@ bool IsKnownPacketType(uint8_t type) {
     case PacketType::kRemovePlan:
     case PacketType::kPushEvents:
     case PacketType::kFlush:
-    case PacketType::kCheckpoint:
     case PacketType::kStatsRequest:
     case PacketType::kHelloAck:
     case PacketType::kAck:
@@ -89,8 +88,6 @@ std::string_view PacketTypeName(PacketType type) {
       return "PushEvents";
     case PacketType::kFlush:
       return "Flush";
-    case PacketType::kCheckpoint:
-      return "Checkpoint";
     case PacketType::kStatsRequest:
       return "StatsRequest";
     case PacketType::kHelloAck:

@@ -52,7 +52,7 @@ namespace ses::net {
 /// match: an older or a future version is rejected with
 /// Error(InvalidArgument) before any other packet is interpreted, and the
 /// connection is closed cleanly.
-constexpr uint32_t kProtocolVersion = 3;
+constexpr uint32_t kProtocolVersion = 4;
 
 /// Hard ceiling on the frame body (type + payload + crc). Push larger
 /// streams as multiple PushEvents frames; a length beyond this is rejected
@@ -69,7 +69,7 @@ enum class PacketType : uint8_t {
   kRemovePlan = 3,    // unregister one of this connection's queries
   kPushEvents = 4,    // a slab of stream events (row or columnar payload)
   kFlush = 5,         // ends the connection's stream
-  kCheckpoint = 6,    // checkpoint the engine state to the server's dir
+  // 6 was Checkpoint, deleted in protocol 4; a frame of type 6 is unknown.
   kStatsRequest = 7,  // ask for the engine/catalog statistics snapshot
 
   // server → client
@@ -168,7 +168,7 @@ struct PushEventsRequest {
                                           const Schema& schema);
 };
 
-// Flush, Checkpoint, and StatsRequest carry empty payloads.
+// Flush and StatsRequest carry empty payloads.
 
 // --- Response payloads ---
 
@@ -183,7 +183,7 @@ struct HelloResponse {
 };
 
 /// Ack: the request of type `request` completed. `info` carries
-/// request-specific detail (the checkpoint file path for kCheckpoint).
+/// request-specific detail ("queued" for kPushEvents).
 struct AckResponse {
   PacketType request = PacketType::kHello;
   std::string info;

@@ -1,14 +1,12 @@
 #include "net/server.h"
 
 #include <chrono>
-#include <filesystem>
 #include <span>
 #include <utility>
 
 #include "common/logging.h"
 #include "plan/compiled_plan.h"
 #include "query/parser.h"
-#include "storage/checkpoint.h"
 
 namespace ses::net {
 
@@ -20,6 +18,11 @@ namespace {
 /// listener and every connection socket down, which wakes their polls at
 /// once.
 constexpr int kPollSliceMs = 25;
+
+/// Bound on a single stalled socket read (a peer that stops mid-frame) and
+/// on a single blocked write (a peer that stops draining matches).
+constexpr int kReadTimeoutMs = 10'000;
+constexpr int kWriteTimeoutMs = 10'000;
 
 /// A frame's bytes besides its payload: length prefix, type byte, crc.
 constexpr size_t kFrameOverhead = 4 + 1 + 4;
@@ -103,8 +106,8 @@ void Server::AcceptLoop() {
         auto conn = std::make_shared<Connection>(options_.queue_capacity);
         conn->sock = std::move(*sock);
         conn->last_activity_ms = NowMs();
-        SetRecvTimeout(conn->sock.fd(), options_.read_timeout_ms).ok();
-        SetSendTimeout(conn->sock.fd(), options_.write_timeout_ms).ok();
+        SetRecvTimeout(conn->sock.fd(), kReadTimeoutMs).ok();
+        SetSendTimeout(conn->sock.fd(), kWriteTimeoutMs).ok();
         {
           std::lock_guard<std::mutex> lock(conns_mu_);
           conns_.push_back(conn);
@@ -239,7 +242,6 @@ void Server::ServeLoop(Connection* conn) {
         HandlePushEvents(conn, *frame);
         break;
       case PacketType::kFlush:
-      case PacketType::kCheckpoint:
       case PacketType::kStatsRequest:
         // The worker answers these after every slab queued before them; a
         // full queue blocks the reader, as the client awaits the answer.
@@ -329,29 +331,6 @@ void Server::HandlePushEvents(Connection* conn, const Frame& frame) {
   SendAck(conn, PacketType::kPushEvents, "queued");
 }
 
-void Server::HandleCheckpoint(Connection* conn) {
-  if (options_.checkpoint_dir.empty()) {
-    SendError(conn, Status::FailedPrecondition(
-                        "server started without --checkpoint-dir"));
-    return;
-  }
-  storage::CheckpointWriter writer;
-  Status status = conn->engine->Checkpoint(&writer);
-  if (!status.ok()) {
-    SendError(conn, status);
-    return;
-  }
-  const int64_t seq = checkpoint_seq_.fetch_add(1) + 1;
-  const std::string path = options_.checkpoint_dir + "/SES_CKPT_" +
-                           std::to_string(seq) + ".sesckpt";
-  status = storage::WriteCheckpointFile(path, std::move(writer).Finish());
-  if (!status.ok()) {
-    SendError(conn, status);
-    return;
-  }
-  SendAck(conn, PacketType::kCheckpoint, path);
-}
-
 void Server::HandleStats(Connection* conn) {
   StatsResponse stats;
   stats.catalog = conn->engine->stats();
@@ -362,8 +341,8 @@ void Server::HandleStats(Connection* conn) {
 void Server::WorkerLoop(std::shared_ptr<Connection> conn) {
   catalog::CatalogEngine& engine = *conn->engine;
   // Set by a Flush: the stream has ended, and the next slab starts a new
-  // one. The reset waits for that slab, so Stats and Checkpoint in between
-  // still cover the finished stream.
+  // one. The reset waits for that slab, so a Stats in between still covers
+  // the finished stream.
   bool ended = false;
   while (std::optional<IngestItem> item = conn->queue.Pop()) {
     if (options_.eval_gate) options_.eval_gate();
@@ -407,9 +386,6 @@ void Server::WorkerLoop(std::shared_ptr<Connection> conn) {
         }
         break;
       }
-      case PacketType::kCheckpoint:
-        HandleCheckpoint(conn.get());
-        break;
       default:  // kStatsRequest; the reader queues nothing else
         HandleStats(conn.get());
         break;

@@ -36,13 +36,6 @@ struct ServerOptions {
   /// Close a connection that has sent nothing for this long (0 disables).
   /// Measured on `clock_ms`, so tests can drive it with a fake clock.
   int64_t idle_timeout_ms = 60'000;
-  /// Bound on a single stalled socket read (a peer that stops mid-frame)
-  /// and on a single blocked write (a peer that stops draining matches).
-  int read_timeout_ms = 10'000;
-  int write_timeout_ms = 10'000;
-  /// Directory for Checkpoint requests; empty rejects them with
-  /// FailedPrecondition.
-  std::string checkpoint_dir;
   /// Millisecond clock for idle-timeout decisions; defaults to the steady
   /// clock. Tests inject a fake clock to expire idle connections
   /// deterministically (real sockets stay untouched).
@@ -60,12 +53,12 @@ struct ServerOptions {
 ///
 /// Every connection is its own stream: it gets a private
 /// catalog::QueryCatalog and catalog::CatalogEngine built from the
-/// ServerOptions, so its plan ids, timestamp ordering, Flush, Stats and
-/// Checkpoint never see another connection. Per connection the server runs
+/// ServerOptions, so its plan ids, timestamp ordering, Flush and Stats
+/// never see another connection. Per connection the server runs
 /// two threads: a reader that speaks the protocol (handshake first, then
 /// request dispatch) and answers SubmitPlan/RemovePlan itself, and an
 /// ingest worker — the only thread that calls the engine — serving
-/// PushEvents, Flush, StatsRequest and Checkpoint from a bounded queue
+/// PushEvents, Flush and StatsRequest from a bounded queue
 /// (exec::BoundedQueue) in arrival order. A slow evaluation never stops the
 /// reader from answering, and a full queue becomes an explicit Busy
 /// response.
@@ -101,8 +94,8 @@ class Server {
 
  private:
   /// One queued request for the ingest worker: a decoded PushEvents slab,
-  /// or a Flush, StatsRequest or Checkpoint, which the worker answers
-  /// itself — so each answer covers every slab queued before it.
+  /// or a Flush or StatsRequest, which the worker answers itself — so each
+  /// answer covers every slab queued before it.
   struct IngestItem {
     PacketType request = PacketType::kPushEvents;
     /// The slab, for kPushEvents.
@@ -174,7 +167,6 @@ class Server {
   void HandlePushEvents(Connection* conn, const Frame& frame);
 
   /// Run on the worker, in queue order.
-  void HandleCheckpoint(Connection* conn);
   void HandleStats(Connection* conn);
 
   /// Writes the engine's pending matches as MatchBatch frames, coalesced
@@ -193,8 +185,6 @@ class Server {
   ServerOptions options_;
   Socket listener_;
   uint16_t port_ = 0;
-  /// Numbers checkpoint files server-wide, so connections never collide.
-  std::atomic<int64_t> checkpoint_seq_{0};
 
   mutable std::mutex conns_mu_;
   std::vector<std::shared_ptr<Connection>> conns_;

@@ -49,18 +49,14 @@ Result<std::shared_ptr<const CompiledPlan>> CompilePlan(const Pattern& pattern,
 
   std::shared_ptr<const SesAutomaton> automaton = CompileAutomaton(pattern);
   std::shared_ptr<const EventPreFilter> prefilter;
-  std::shared_ptr<const VectorizedPreFilter> vector_prefilter;
   if (options.enable_prefilter) {
     // Built against the automaton's own pattern copy, so the filter's
     // condition references stay valid for the plan's whole lifetime.
     prefilter =
         std::make_shared<const EventPreFilter>(automaton->pattern());
-    vector_prefilter =
-        std::make_shared<const VectorizedPreFilter>(automaton->pattern());
   }
   return std::shared_ptr<const CompiledPlan>(new CompiledPlan(
-      std::move(automaton), std::move(prefilter), std::move(vector_prefilter),
-      attribute, options));
+      std::move(automaton), std::move(prefilter), attribute, options));
 }
 
 }  // namespace ses::plan

@@ -15,9 +15,9 @@ namespace ses::plan {
 /// Compile-time choices, fixed when the plan is built.
 struct PlanOptions {
   /// Enables the §4.5 event pre-filter. The filter is built (and its
-  /// constant-condition scan run) once per plan; engines share it across
-  /// partitions and shards. When disabled, no filter is built and engines
-  /// process every event.
+  /// constant-condition scan run) once per plan, and each engine's stream
+  /// stage applies it once per event. When disabled, no filter is built
+  /// and engines process every event.
   bool enable_prefilter = true;
 };
 
@@ -41,21 +41,14 @@ class CompiledPlan {
   const std::shared_ptr<const SesAutomaton>& shared_automaton() const {
     return automaton_;
   }
-  /// Null when options().enable_prefilter is false. May be non-null but
-  /// inactive (filter->active() == false) when the pattern has a variable
-  /// without constant conditions — engines then pass every event through.
+  /// The plan's one §4.5 filter, answering per event and per column
+  /// (core/filter.h): every engine's stream stage applies it, and the
+  /// catalog's shared index reads its conditions. Null when
+  /// options().enable_prefilter is false. May be non-null but inactive
+  /// (filter->active() == false) when the pattern has a variable without
+  /// constant conditions — every event then passes.
   const std::shared_ptr<const EventPreFilter>& shared_prefilter() const {
     return prefilter_;
-  }
-  /// The batch twin of shared_prefilter(): same §4.5 conditions,
-  /// deduplicated and evaluated per column into a pass-bitmap
-  /// (core/filter.h). Null exactly when shared_prefilter() is null;
-  /// inactive exactly when it is inactive. Engines use it on the columnar
-  /// ingest path (engine::Engine::PushColumnar) and fall back to the
-  /// scalar filter row-wise.
-  const std::shared_ptr<const VectorizedPreFilter>& shared_vector_prefilter()
-      const {
-    return vector_prefilter_;
   }
 
   /// True when the pattern admits partition-pure execution (a complete
@@ -87,8 +80,10 @@ class CompiledPlan {
   /// per event.
   std::optional<std::vector<Value>> EqualityAlphabet(int attribute) const;
 
-  /// The per-evaluator options every engine built from this plan must
-  /// forward to its Matchers, derived from the plan options.
+  /// The options of a core::Matcher that evaluates this plan with its own
+  /// filter, derived from the plan options. The engines and the catalog do
+  /// not use them: they filter in their stream stage and run their
+  /// evaluators with the filter off.
   MatcherOptions matcher_options() const {
     MatcherOptions options;
     options.enable_prefilter = options_.enable_prefilter;
@@ -101,17 +96,14 @@ class CompiledPlan {
 
   CompiledPlan(std::shared_ptr<const SesAutomaton> automaton,
                std::shared_ptr<const EventPreFilter> prefilter,
-               std::shared_ptr<const VectorizedPreFilter> vector_prefilter,
                int partition_attribute, PlanOptions options)
       : automaton_(std::move(automaton)),
         prefilter_(std::move(prefilter)),
-        vector_prefilter_(std::move(vector_prefilter)),
         partition_attribute_(partition_attribute),
         options_(options) {}
 
   std::shared_ptr<const SesAutomaton> automaton_;
   std::shared_ptr<const EventPreFilter> prefilter_;
-  std::shared_ptr<const VectorizedPreFilter> vector_prefilter_;
   int partition_attribute_;
   PlanOptions options_;
 };

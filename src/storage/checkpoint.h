@@ -43,7 +43,7 @@ namespace ses::storage {
 /// state per plan under "plan/<id>").
 
 constexpr uint32_t kCheckpointMagic = 0x53455343;  // "SESC"
-constexpr uint32_t kCheckpointVersion = 5;
+constexpr uint32_t kCheckpointVersion = 6;
 
 /// Builds a checkpoint: named sections appended in order, each framed with
 /// a masked CRC-32C. Components append their serialized state under a

@@ -30,6 +30,7 @@
 #include "catalog/query_catalog.h"
 #include "core/match.h"
 #include "engine/registry.h"
+#include "engine_counters.h"
 #include "plan/compiled_plan.h"
 #include "query/parser.h"
 #include "storage/checkpoint.h"
@@ -154,19 +155,6 @@ std::vector<Match> RunCrashRestore(
   EXPECT_TRUE((*second)->Flush().ok());
   if (stats != nullptr) *stats = (*second)->stats();
   return matches;
-}
-
-/// Counter names whose values depend on worker scheduling or push
-/// granularity, not stream content: a restored parallel run may buffer and
-/// batch differently than the uninterrupted one while delivering the
-/// identical match set. The partition-lifecycle counters are in this set
-/// because the checkpoint quiesce barrier flushes pending ingest slabs,
-/// advancing shard watermarks slightly early and thereby shifting idle
-/// partition eviction (and subsequent re-creation) timing.
-std::vector<std::string> ParallelExclusions() {
-  return {"max_queue_depth",  "max_buffered_matches",
-          "matches_emitted_early", "batches_enqueued",
-          "num_partitions",   "partitions_evicted"};
 }
 
 void ExpectStatsMatch(const EngineStats& reference, const EngineStats& got,

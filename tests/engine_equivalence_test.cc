@@ -450,35 +450,78 @@ void AppendEvent(EventRelation* relation, Timestamp t, int64_t id,
 /// The serial engine and the engine that evaluates each key alone.
 constexpr const char* kInlineEngines[] = {"serial", "partitioned"};
 
-TEST(EngineEviction, IdleKeysFinishedMatchArrivesBeforeFlush) {
-  // Key 7 completes a match at 10 min and never sends again; key 8 keeps
-  // the stream going. The serial engine delivers the match once the
-  // window has passed; the partitioned engine must too, by evicting key 7,
-  // not hold it until Flush.
-  std::shared_ptr<const CompiledPlan> plan = OneHourPairPlan();
+/// Pushes the whole of `stream` in one call: PushBatch, or PushColumnar.
+Status PushWhole(Engine& engine, const EventRelation& stream, bool columnar) {
+  std::span<const Event> events(stream.events());
+  if (!columnar) return engine.PushBatch(events);
+  return engine.PushColumnar(
+      ColumnarBatch::FromEvents(stream.schema(), events));
+}
+
+/// Key 7 completes a match at 10 min and never sends again; then 1 000
+/// events follow, one every 6 min, of keys `first_key`..`last_key` in turn.
+/// The plan's filter drops all of them ('C' binds no variable).
+EventRelation IdleKeyStream(int64_t first_key, int64_t last_key) {
   EventRelation stream(ChemotherapySchema());
   AppendEvent(&stream, 0, 7, "A");
   AppendEvent(&stream, duration::Minutes(10), 7, "B");
   for (int64_t i = 1; i <= 1000; ++i) {
-    AppendEvent(&stream, duration::Minutes(10 + 6 * i), 8, "C");
+    AppendEvent(&stream, duration::Minutes(10 + 6 * i),
+                first_key + i % (last_key - first_key + 1), "C");
   }
+  return stream;
+}
+
+TEST(EngineEviction, IdleKeysFinishedMatchArrivesBeforeFlush) {
+  // Key 8 keeps the stream going with events the filter drops. The serial
+  // engine delivers key 7's match once the window has passed; the
+  // partitioned engine must too, by evicting key 7, not hold it until
+  // Flush. Both ingest layouts advance the clock on a dropped event.
+  std::shared_ptr<const CompiledPlan> plan = OneHourPairPlan();
+  EventRelation stream = IdleKeyStream(8, 8);
   for (const std::string name : kInlineEngines) {
+    for (bool columnar : {false, true}) {
+      const std::string label =
+          name + (columnar ? " PushColumnar" : " PushBatch");
+      std::vector<Match> matches;
+      EngineOptions options;
+      options.sink = CollectInto(&matches);
+      Result<std::unique_ptr<Engine>> engine =
+          CreateEngine(name, plan, std::move(options));
+      ASSERT_TRUE(engine.ok()) << label << ": " << engine.status().ToString();
+      ASSERT_TRUE(PushWhole(**engine, stream, columnar).ok()) << label;
+      EXPECT_EQ(matches.size(), 1u) << label << " held the match until Flush";
+      EngineStats before_flush = (*engine)->stats();
+      EXPECT_LE(before_flush.num_partitions, 1) << label;
+      ASSERT_TRUE((*engine)->Flush().ok());
+      EXPECT_EQ(matches.size(), 1u) << label;
+      EngineStats stats = (*engine)->stats();
+      EXPECT_EQ(stats.matches_emitted_early, 1) << label;
+      EXPECT_LE(stats.max_buffered_matches, 1) << label;
+    }
+  }
+}
+
+TEST(EngineEviction, DroppedEventsMakeNoPartition) {
+  // The events of keys 8–57 are all dropped by the plan's filter: they
+  // must neither create nor refresh a partition, on either layout, yet
+  // their timestamps still evict key 7 with its match before Flush.
+  std::shared_ptr<const CompiledPlan> plan = OneHourPairPlan();
+  EventRelation stream = IdleKeyStream(8, 57);
+  for (bool columnar : {false, true}) {
+    const std::string label = columnar ? "PushColumnar" : "PushBatch";
     std::vector<Match> matches;
     EngineOptions options;
     options.sink = CollectInto(&matches);
     Result<std::unique_ptr<Engine>> engine =
-        CreateEngine(name, plan, std::move(options));
-    ASSERT_TRUE(engine.ok()) << name << ": " << engine.status().ToString();
-    ASSERT_TRUE(
-        (*engine)->PushBatch(std::span<const Event>(stream.events())).ok());
-    EXPECT_EQ(matches.size(), 1u) << name << " held the match until Flush";
-    EngineStats before_flush = (*engine)->stats();
-    EXPECT_LE(before_flush.num_partitions, 1) << name;
-    ASSERT_TRUE((*engine)->Flush().ok());
-    EXPECT_EQ(matches.size(), 1u) << name;
+        CreateEngine("partitioned", plan, std::move(options));
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    ASSERT_TRUE(PushWhole(**engine, stream, columnar).ok()) << label;
+    EXPECT_EQ(matches.size(), 1u) << label << " held the match until Flush";
     EngineStats stats = (*engine)->stats();
-    EXPECT_EQ(stats.matches_emitted_early, 1) << name;
-    EXPECT_LE(stats.max_buffered_matches, 1) << name;
+    EXPECT_EQ(stats.events_filtered, 1000) << label;
+    EXPECT_EQ(stats.num_partitions, 0) << label;
+    EXPECT_EQ(stats.partitions_evicted, 1) << label << ": only key 7";
   }
 }
 

@@ -136,12 +136,15 @@ TEST(FrameCodec, WriteFrameRejectsOversizedPayloadBeforeWriting) {
 }
 
 TEST(FrameCodec, RejectsUnknownPacketType) {
-  std::string wire;
-  EncodeFrame(static_cast<PacketType>(42), "payload", &wire);
-  size_t consumed = 0;
-  Result<Frame> frame = DecodeFrame(wire, &consumed);
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
+  // 6 was the Checkpoint request of protocol 3.
+  for (uint8_t type : {6, 42}) {
+    std::string wire;
+    EncodeFrame(static_cast<PacketType>(type), "payload", &wire);
+    size_t consumed = 0;
+    Result<Frame> frame = DecodeFrame(wire, &consumed);
+    ASSERT_FALSE(frame.ok()) << "type " << int{type};
+    EXPECT_EQ(frame.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(FrameCodec, DecodesFrameAtHeadOfLargerBuffer) {
@@ -336,11 +339,11 @@ TEST(PayloadCodec, PushEventsColumnarRoundTrip) {
 
 TEST(PayloadCodec, AckErrorBusyRoundTrip) {
   AckResponse ack;
-  ack.request = PacketType::kCheckpoint;
-  ack.info = "/tmp/SES_CKPT_1.sesckpt";
+  ack.request = PacketType::kPushEvents;
+  ack.info = "queued";
   Result<AckResponse> a = AckResponse::Decode(ack.Encode());
   ASSERT_TRUE(a.ok()) << a.status().ToString();
-  EXPECT_EQ(a->request, PacketType::kCheckpoint);
+  EXPECT_EQ(a->request, PacketType::kPushEvents);
   EXPECT_EQ(a->info, ack.info);
 
   ErrorResponse error;

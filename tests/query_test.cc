@@ -75,7 +75,8 @@ TEST(Condition, ReferencesAndOtherVariable) {
   EXPECT_EQ(*c.OtherVariable(5), 3);
   EXPECT_FALSE(c.OtherVariable(4).has_value());
 
-  Condition k(AttributeRef{3, 0}, ComparisonOp::kEq, Value(int64_t{1}));
+  const Value one(int64_t{1});
+  Condition k(AttributeRef{3, 0}, ComparisonOp::kEq, one);
   EXPECT_TRUE(k.References(3));
   EXPECT_FALSE(k.OtherVariable(3).has_value());
 }

@@ -20,7 +20,7 @@
 #   SES_CLI          path to the ses_cli binary
 #                    (default ./build/examples/ses_cli)
 #   SES_EXTRA_FLAGS  extra CLI flags appended to every run, e.g.
-#                    "--columnar on"
+#                    "--columnar on --batch-rows 50"
 #
 # Exit status: 0 when every restored run reproduced the reference output,
 # non-zero otherwise. Run from the repository root. Used by the
@@ -44,20 +44,22 @@ workdir=$(mktemp -d)
 trap 'rm -rf "$workdir"' EXIT
 
 # Deterministic keyed stream: 50 rounds of the chemotherapy-style
-# C P P P D B episode across 8 interleaved keys = 2400 events, dense in
-# matches so buffered state is non-trivial at every kill offset.
+# C P X P P D B episode across 8 interleaved keys = 2800 events, dense in
+# matches so buffered state is non-trivial at every kill offset. The
+# query's §4.5 filter drops each X, so every kill offset also has dropped
+# events before and after it.
 csv="$workdir/events.csv"
 {
   echo "T,ID,L"
   awk 'BEGIN {
     t = 0
-    split("C P P P D B", seq, " ")
+    split("C P X P P D B", seq, " ")
     for (rep = 0; rep < 50; ++rep)
       for (key = 1; key <= 8; ++key)
-        for (i = 1; i <= 6; ++i) { ++t; printf "%d,%d,%s\n", t, key, seq[i] }
+        for (i = 1; i <= 7; ++i) { ++t; printf "%d,%d,%s\n", t, key, seq[i] }
   }'
 } > "$csv"
-TOTAL=2400
+TOTAL=2800
 
 # The paper's episode pattern with a complete equality graph on ID, so
 # every engine (partition-pure ones included) accepts it.

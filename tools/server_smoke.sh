@@ -96,7 +96,8 @@ for bad in "--port 70000" "--port abc" "--queue-capacity 0" \
     exit 1
   fi
 done
-for removed in "--engine parallel" "--threads 4"; do
+for removed in "--engine parallel" "--threads 4" \
+  "--checkpoint-dir $workdir/ckpt"; do
   code=0
   # shellcheck disable=SC2086  # split "--flag value"
   timeout 20 "$SERVER" --schema "$SCHEMA" $removed > /dev/null \
