@@ -1,23 +1,28 @@
 // Server connection-scale sweep: how the network server behaves as the
 // number of concurrent client connections grows. For each client count N
-// in {1, 8, 64, 256} an in-process net::Server (serial per-plan engines,
-// loopback TCP) serves N connections, each submitting one plan over a
-// client-namespaced label alphabet, pushing a fixed per-client stream and
-// flushing it — so total offered load grows with N while every client's
-// match set stays that of a standalone single-pattern run (the ses_loadgen
-// workload shape, docs/SERVER.md).
+// in {1, 8, 64, 256} an in-process net::Server (one catalog per
+// connection, loopback TCP) serves N connections, each submitting one plan
+// over a client-namespaced label alphabet, pushing a fixed per-client
+// stream and flushing it — so total offered load grows with N while every
+// client's match set stays that of a standalone single-pattern run (the
+// ses_loadgen workload shape, docs/SERVER.md).
 //
-// Reported per N: wall time, aggregate events/sec through the wire, and
-// the exact total match count (gated by the committed baseline —
-// bench/baselines/BENCH_server.json — in the perf-smoke CI job). Every
-// repetition starts a fresh server, so repetitions stay independent.
+// Reported per N: wall time, aggregate events/sec through the wire, the
+// exact total match count (gated by the committed baseline —
+// bench/baselines/BENCH_server.json — in the perf-smoke CI job), and the
+// slowest client connect (TCP connect plus Hello/HelloAck) over the timed
+// runs, an ungated counter in which an accept-loop or listen-backlog
+// regression shows directly. Every repetition starts a fresh server, so
+// repetitions stay independent.
 //
 // Caveat for absolute numbers: clients, server readers, and ingest
 // workers all share the machine; on a single-core CI runner the sweep
 // measures protocol + scheduling overhead, not parallel speedup (see
 // EXPERIMENTS.md, "Server connection scale").
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <span>
@@ -65,10 +70,15 @@ std::string ClientQuery(int index) {
          "' AND a.ID = b.ID\nWITHIN 1000s";
 }
 
+/// What one load delivered and how long its slowest connect took.
+struct LoadResult {
+  int64_t matches = 0;
+  int64_t max_connect_us = 0;
+};
+
 /// One full load: fresh server, N concurrent clients, each flushing its
-/// own stream once pushed. Returns the total matches delivered over the
-/// wire.
-int64_t RunLoad(int clients, int64_t events_per_client, int64_t batch) {
+/// own stream once pushed.
+LoadResult RunLoad(int clients, int64_t events_per_client, int64_t batch) {
   net::ServerOptions options;
   options.schema = ServedSchema();
   Result<std::unique_ptr<net::Server>> server =
@@ -82,6 +92,7 @@ int64_t RunLoad(int clients, int64_t events_per_client, int64_t batch) {
   }
 
   std::atomic<int64_t> matches{0};
+  std::atomic<int64_t> max_connect_us{0};
   std::vector<std::thread> threads;
   threads.reserve(clients);
   for (int c = 0; c < clients; ++c) {
@@ -95,9 +106,18 @@ int64_t RunLoad(int clients, int64_t events_per_client, int64_t batch) {
           [&local](const net::MatchBatchResponse& batch_frame) {
             local += static_cast<int64_t>(batch_frame.matches.size());
           };
+      const auto connect_start = std::chrono::steady_clock::now();
       Result<std::unique_ptr<net::Client>> client =
           net::Client::Connect(std::move(client_options));
       SES_CHECK(client.ok()) << client.status().ToString();
+      const int64_t connect_us =
+          std::chrono::duration_cast<std::chrono::microseconds>(
+              std::chrono::steady_clock::now() - connect_start)
+              .count();
+      int64_t seen = max_connect_us.load();
+      while (connect_us > seen &&
+             !max_connect_us.compare_exchange_weak(seen, connect_us)) {
+      }
       SES_CHECK(
           (*client)->SubmitPlan("scale-" + std::to_string(c), ClientQuery(c))
               .ok());
@@ -117,7 +137,7 @@ int64_t RunLoad(int clients, int64_t events_per_client, int64_t batch) {
   }
   for (std::thread& thread : threads) thread.join();
   (*server)->Stop();
-  return matches.load();
+  return {matches.load(), max_connect_us.load()};
 }
 
 }  // namespace
@@ -134,20 +154,26 @@ int main(int argc, char** argv) {
   Harness harness(DefaultHarnessOptions(args));
   BenchReport report("server");
 
-  std::printf("%-10s %12s %14s %10s\n", "clients", "wall [s]", "events/s",
-              "matches");
+  std::printf("%-10s %12s %18s %14s %10s\n", "clients", "wall [s]",
+              "max connect [ms]", "events/s", "matches");
   for (int clients : client_counts) {
     int64_t matches = 0;
+    int64_t max_connect_us = 0;
     CaseResult result = harness.Run(
         "clients" + std::to_string(clients),
         static_cast<int64_t>(clients) * events_per_client,
         [&](CaseRun& run) {
-          matches = RunLoad(clients, events_per_client, batch);
+          const LoadResult load = RunLoad(clients, events_per_client, batch);
+          matches = load.matches;
           run.SetCounter("matches", matches, /*exact=*/true);
+          if (!run.warmup()) {
+            max_connect_us = std::max(max_connect_us, load.max_connect_us);
+          }
+          run.SetCounter("max_connect_us", max_connect_us);
         });
-    std::printf("%-10d %12.4f %14.0f %10lld\n", clients,
-                result.wall_seconds.mean, result.events_per_sec,
-                static_cast<long long>(matches));
+    std::printf("%-10d %12.4f %18.3f %14.0f %10lld\n", clients,
+                result.wall_seconds.mean, max_connect_us / 1e3,
+                result.events_per_sec, static_cast<long long>(matches));
     report.Add(std::move(result));
   }
   std::printf(

@@ -46,6 +46,8 @@ class FatalLogMessage {
   std::ostringstream stream_;
 };
 
+/// Turns SES_CHECK's streamed message into a void expression, so both arms
+/// of the macro's conditional have type void.
 struct Voidify {
   // Lowest-precedence operator so it can swallow the stream expression.
   void operator&(std::ostream&) {}

@@ -258,7 +258,7 @@ Status SesExecutor::Restore(const char** p, const char* limit) {
   Reset();
   const Schema& schema = automaton_->pattern().schema();
   uint64_t num_instances = 0;
-  SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &num_instances));
+  SES_RETURN_IF_ERROR(storage::GetItemCount(p, limit, &num_instances));
   instances_.reserve(num_instances);
   for (uint64_t i = 0; i < num_instances; ++i) {
     int64_t state = 0;

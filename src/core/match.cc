@@ -105,7 +105,7 @@ void CheckpointMatch(const Match& match, const Schema& schema,
 Status RestoreMatch(const char** p, const char* limit, const Schema& schema,
                     Match* match) {
   uint64_t num_bindings = 0;
-  SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &num_bindings));
+  SES_RETURN_IF_ERROR(storage::GetItemCount(p, limit, &num_bindings));
   if (num_bindings == 0) {
     return Status::Corruption("checkpoint match has no bindings");
   }

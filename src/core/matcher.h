@@ -13,6 +13,12 @@
 
 namespace ses {
 
+/// Compiles `pattern` into an immutable, shareable automaton. The powerset
+/// construction is exponential in the largest event-set size, so callers
+/// that run many matchers over the same pattern (one per partition, one per
+/// shard) must compile once and hand the result to every Matcher.
+std::shared_ptr<const SesAutomaton> CompileAutomaton(const Pattern& pattern);
+
 /// The public entry point of libses: matches a SES pattern against a stream
 /// or relation of events.
 ///
@@ -30,12 +36,6 @@ namespace ses {
 /// expires (or at Flush). Events must arrive in strictly increasing
 /// timestamp order (the paper assumes T defines a total order, §3.1);
 /// Push returns FailedPrecondition otherwise.
-/// Compiles `pattern` into an immutable, shareable automaton. The powerset
-/// construction is exponential in the largest event-set size, so callers
-/// that run many matchers over the same pattern (one per partition, one per
-/// shard) must compile once and hand the result to every Matcher.
-std::shared_ptr<const SesAutomaton> CompileAutomaton(const Pattern& pattern);
-
 class Matcher {
  public:
   explicit Matcher(const Pattern& pattern, MatcherOptions options = {});

@@ -561,7 +561,7 @@ struct ParallelPartitionedMatcher::Impl {
       SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &num_runs));
       for (uint64_t i = 0; i < num_runs; ++i) {
         uint64_t run_size = 0;
-        SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &run_size));
+        SES_RETURN_IF_ERROR(storage::GetItemCount(p, limit, &run_size));
         std::vector<Match> run;
         run.reserve(run_size);
         for (uint64_t j = 0; j < run_size; ++j) {
@@ -583,7 +583,7 @@ struct ParallelPartitionedMatcher::Impl {
         shard->published.store(published, std::memory_order_release);
         SES_RETURN_IF_ERROR(shard->matcher.Restore(p, limit));
         uint64_t num_matches = 0;
-        SES_RETURN_IF_ERROR(storage::GetCount(p, limit, &num_matches));
+        SES_RETURN_IF_ERROR(storage::GetItemCount(p, limit, &num_matches));
         shard->matches.reserve(num_matches);
         for (uint64_t i = 0; i < num_matches; ++i) {
           Match match;

@@ -23,7 +23,7 @@ namespace ses::net {
 struct ClientOptions {
   /// Server port on 127.0.0.1.
   uint16_t port = 0;
-  /// Free-form name announced in the Hello (shows up in server logs).
+  /// Free-form name announced in the Hello; the server ignores it.
   std::string client_name = "ses-client";
   /// Bound on a single blocked read while waiting for a response.
   int recv_timeout_ms = 30'000;

@@ -283,15 +283,7 @@ Result<PushEventsRequest> PushEventsRequest::Decode(std::string_view payload,
   if (layout == static_cast<uint8_t>(Layout::kRow)) {
     out.layout = Layout::kRow;
     uint64_t count = 0;
-    SES_RETURN_IF_ERROR(storage::GetCount(&p, limit, &count));
-    // Each event record occupies at least one byte, so a count beyond the
-    // payload size is corrupt; checking first keeps reserve() from throwing
-    // on a crafted frame.
-    if (count > payload.size()) {
-      return Status::Corruption("PushEvents row count " +
-                                std::to_string(count) +
-                                " exceeds the payload size");
-    }
+    SES_RETURN_IF_ERROR(storage::GetItemCount(&p, limit, &count));
     out.events.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       Event event;
@@ -307,14 +299,8 @@ Result<PushEventsRequest> PushEventsRequest::Decode(std::string_view payload,
   }
   out.layout = Layout::kColumnar;
   uint64_t rows = 0;
-  SES_RETURN_IF_ERROR(storage::GetCount(&p, limit, &rows));
-  // Each row carries at least one byte per column in every encoding, so an
-  // absurd row count on a short payload fails fast instead of reserving.
-  if (rows > payload.size()) {
-    return Status::Corruption("PushEvents columnar row count " +
-                              std::to_string(rows) +
-                              " exceeds the payload size");
-  }
+  // Each row carries at least one byte per column in every encoding.
+  SES_RETURN_IF_ERROR(storage::GetItemCount(&p, limit, &rows));
   ColumnarBatch batch(schema);
   std::vector<int64_t> ids(rows), timestamps(rows);
   for (uint64_t r = 0; r < rows; ++r) {
@@ -344,12 +330,7 @@ Result<PushEventsRequest> PushEventsRequest::Decode(std::string_view payload,
         break;
       case ValueType::kString: {
         uint64_t dict_size = 0;
-        SES_RETURN_IF_ERROR(storage::GetCount(&p, limit, &dict_size));
-        if (dict_size > payload.size()) {
-          return Status::Corruption("PushEvents dictionary size " +
-                                    std::to_string(dict_size) +
-                                    " exceeds the payload size");
-        }
+        SES_RETURN_IF_ERROR(storage::GetItemCount(&p, limit, &dict_size));
         std::vector<std::string> dict(dict_size);
         for (uint64_t d = 0; d < dict_size; ++d) {
           SES_RETURN_IF_ERROR(storage::GetString(&p, limit, &dict[d]));
@@ -474,12 +455,7 @@ Result<MatchBatchResponse> MatchBatchResponse::Decode(
   const char* limit = p + payload.size();
   SES_RETURN_IF_ERROR(storage::GetString(&p, limit, &out.plan_id));
   uint64_t count = 0;
-  SES_RETURN_IF_ERROR(storage::GetCount(&p, limit, &count));
-  if (count > payload.size()) {
-    return Status::Corruption("MatchBatch match count " +
-                              std::to_string(count) +
-                              " exceeds the payload size");
-  }
+  SES_RETURN_IF_ERROR(storage::GetItemCount(&p, limit, &count));
   out.matches.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     Match match;
@@ -580,12 +556,7 @@ Result<StatsResponse> StatsResponse::Decode(std::string_view payload) {
       &p, limit, &out.catalog.events_skipped_by_prefilter));
   SES_RETURN_IF_ERROR(storage::GetSigned(&p, limit, &out.catalog.matches));
   uint64_t num_plans = 0;
-  SES_RETURN_IF_ERROR(storage::GetCount(&p, limit, &num_plans));
-  if (num_plans > payload.size()) {
-    return Status::Corruption("Stats plan count " +
-                              std::to_string(num_plans) +
-                              " exceeds the payload size");
-  }
+  SES_RETURN_IF_ERROR(storage::GetItemCount(&p, limit, &num_plans));
   out.plans.resize(num_plans);
   for (uint64_t i = 0; i < num_plans; ++i) {
     catalog::PlanStats& plan = out.plans[i];

@@ -117,7 +117,7 @@ StatusCode StatusCodeFromWire(uint8_t wire);
 /// Hello: the version handshake, first packet on every connection.
 struct HelloRequest {
   uint32_t version = kProtocolVersion;
-  /// Free-form client name, echoed in server logs ("loadgen-3").
+  /// Free-form client name ("loadgen-3"); the server does not use it.
   std::string client_name;
 
   std::string Encode() const;

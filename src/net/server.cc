@@ -1,6 +1,6 @@
 #include "net/server.h"
 
-#include <chrono>
+#include <algorithm>
 #include <span>
 #include <utility>
 
@@ -11,13 +11,6 @@
 namespace ses::net {
 
 namespace {
-
-/// Poll slice of the accept and reader loops: short enough that fake-clock
-/// idle expiry is observed promptly, long enough to stay off the CPU when a
-/// connection is quiet. Stop() never waits a slice out: it shuts the
-/// listener and every connection socket down, which wakes their polls at
-/// once.
-constexpr int kPollSliceMs = 25;
 
 /// Bound on a single stalled socket read (a peer that stops mid-frame) and
 /// on a single blocked write (a peer that stops draining matches).
@@ -31,12 +24,6 @@ constexpr size_t kFrameOverhead = 4 + 1 + 4;
 /// the type byte and crc too).
 constexpr size_t kMaxMatchPayload = kMaxFrameBody - 1 - 4;
 
-int64_t SteadyNowMs() {
-  return std::chrono::duration_cast<std::chrono::milliseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 }  // namespace
 
 Server::Server(ServerOptions options) : options_(std::move(options)) {}
@@ -45,7 +32,6 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
   if (options.schema.num_attributes() == 0) {
     return Status::InvalidArgument("server needs a non-empty stream schema");
   }
-  if (!options.clock_ms) options.clock_ms = SteadyNowMs;
 
   std::unique_ptr<Server> server(new Server(std::move(options)));
   SES_ASSIGN_OR_RETURN(server->listener_,
@@ -56,12 +42,10 @@ Result<std::unique_ptr<Server>> Server::Start(ServerOptions options) {
 
 Server::~Server() { Stop(); }
 
-int64_t Server::NowMs() const { return options_.clock_ms(); }
-
 void Server::Stop() {
   if (stop_.exchange(true)) return;
-  // Wake the accept loop's poll now (shutdown(2) on a listening socket
-  // reports POLLHUP) instead of letting it time out its slice.
+  // Wake the accept loop's poll (shutdown(2) on a listening socket reports
+  // POLLHUP).
   listener_.ShutdownBoth();
   if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::shared_ptr<Connection>> conns;
@@ -72,88 +56,63 @@ void Server::Stop() {
   // Wake every reader blocked in poll/recv; readers tear down their own
   // worker, stream, and queue on the way out.
   for (const auto& conn : conns) conn->sock.ShutdownBoth();
-  for (const auto& conn : conns) {
-    if (conn->reader.joinable()) conn->reader.join();
-  }
+  for (const auto& conn : conns) conn->reader.join();
+  JoinExited();
   listener_.Reset();
 }
 
 size_t Server::num_connections() const {
   std::lock_guard<std::mutex> lock(conns_mu_);
-  size_t live = 0;
-  for (const auto& conn : conns_) {
-    if (!conn->done.load()) ++live;
-  }
-  return live;
+  return conns_.size();
 }
 
 size_t Server::num_plans() const {
   std::lock_guard<std::mutex> lock(conns_mu_);
   size_t plans = 0;
-  for (const auto& conn : conns_) {
-    if (!conn->done.load()) plans += conn->catalog->size();
-  }
+  for (const auto& conn : conns_) plans += conn->catalog->size();
   return plans;
 }
 
 void Server::AcceptLoop() {
-  while (!stop_.load()) {
-    Result<bool> readable = WaitReadable(listener_.fd(), kPollSliceMs);
-    if (!readable.ok()) break;
-    if (*readable && !stop_.load()) {
-      Result<Socket> sock = Accept(listener_);
-      if (sock.ok()) {
-        auto conn = std::make_shared<Connection>(options_.queue_capacity);
-        conn->sock = std::move(*sock);
-        conn->last_activity_ms = NowMs();
-        SetRecvTimeout(conn->sock.fd(), kReadTimeoutMs).ok();
-        SetSendTimeout(conn->sock.fd(), kWriteTimeoutMs).ok();
-        {
-          std::lock_guard<std::mutex> lock(conns_mu_);
-          conns_.push_back(conn);
-        }
-        conn->reader = std::thread(&Server::ReaderLoop, this, conn);
-      }
+  for (;;) {
+    Result<bool> readable = WaitReadable(listener_.fd(), -1);
+    if (!readable.ok() || stop_.load()) break;
+    Result<Socket> sock = Accept(listener_);
+    if (sock.ok()) {
+      auto conn = std::make_shared<Connection>(options_.queue_capacity);
+      conn->sock = std::move(*sock);
+      SetRecvTimeout(conn->sock.fd(), kReadTimeoutMs).ok();
+      SetSendTimeout(conn->sock.fd(), kWriteTimeoutMs).ok();
+      std::lock_guard<std::mutex> lock(conns_mu_);
+      conn->reader = std::thread(&Server::ReaderLoop, this, conn);
+      conns_.push_back(std::move(conn));
     }
-    ReapFinished();
+    JoinExited();
   }
 }
 
-void Server::ReapFinished() {
-  std::vector<std::shared_ptr<Connection>> finished;
+void Server::JoinExited() {
+  std::vector<std::thread> exited;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
-    auto it = conns_.begin();
-    while (it != conns_.end()) {
-      if ((*it)->done.load()) {
-        finished.push_back(std::move(*it));
-        it = conns_.erase(it);
-      } else {
-        ++it;
-      }
-    }
+    exited.swap(exited_);
   }
-  for (const auto& conn : finished) {
-    if (conn->reader.joinable()) conn->reader.join();
-  }
+  for (std::thread& reader : exited) reader.join();
 }
 
 Result<Frame> Server::ReadFrameIdle(Connection* conn) {
-  for (;;) {
-    if (stop_.load()) return Status::IoError("server stopping");
-    SES_ASSIGN_OR_RETURN(bool readable,
-                         WaitReadable(conn->sock.fd(), kPollSliceMs));
-    if (readable) {
-      conn->last_activity_ms = NowMs();
-      return ReadFrame(conn->sock.fd());
-    }
-    if (options_.idle_timeout_ms > 0 &&
-        NowMs() - conn->last_activity_ms >= options_.idle_timeout_ms) {
-      return Status::FailedPrecondition(
-          "connection idle for " + std::to_string(options_.idle_timeout_ms) +
-          "ms; closing");
-    }
+  // Stop() shuts the socket down, which makes it readable at once.
+  SES_ASSIGN_OR_RETURN(
+      bool readable,
+      WaitReadable(conn->sock.fd(), options_.idle_timeout_ms > 0
+                                        ? options_.idle_timeout_ms
+                                        : -1));
+  if (!readable) {
+    return Status::FailedPrecondition(
+        "connection idle for " + std::to_string(options_.idle_timeout_ms) +
+        "ms; closing");
   }
+  return ReadFrame(conn->sock.fd());
 }
 
 void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
@@ -162,13 +121,20 @@ void Server::ReaderLoop(std::shared_ptr<Connection> conn) {
     ServeLoop(conn.get());
   }
   // Teardown, in dependency order: stop feeding the worker, wait for it to
-  // finish every admitted slab, then release this connection's stream and
-  // signal the peer.
+  // finish every admitted request, then release this connection's stream
+  // and signal the peer.
   conn->queue.Close();
   if (conn->worker.joinable()) conn->worker.join();
   conn->engine.reset();
   conn->sock.ShutdownBoth();
-  conn->done.store(true);
+  // Leave the connection list, unless Stop() has taken it. This thread's
+  // `conn` is then the last reference, so the catalog and its plans are
+  // freed as it returns.
+  std::lock_guard<std::mutex> lock(conns_mu_);
+  auto it = std::find(conns_.begin(), conns_.end(), conn);
+  if (it == conns_.end()) return;  // Stop() joins this thread
+  conns_.erase(it);
+  exited_.push_back(std::move(conn->reader));
 }
 
 bool Server::Handshake(Connection* conn) {
@@ -197,7 +163,6 @@ bool Server::Handshake(Connection* conn) {
                         std::to_string(kProtocolVersion)));
     return false;
   }
-  conn->name = hello->client_name;
   // The connection's private stream, built before the HelloAck so every
   // plan the client submits is registered after the engine exists.
   catalog::CatalogOptions catalog_options;
@@ -232,20 +197,19 @@ void Server::ServeLoop(Connection* conn) {
       return;
     }
     switch (frame->type) {
-      case PacketType::kSubmitPlan:
-        HandleSubmitPlan(conn, *frame);
-        break;
-      case PacketType::kRemovePlan:
-        HandleRemovePlan(conn, *frame);
-        break;
       case PacketType::kPushEvents:
         HandlePushEvents(conn, *frame);
         break;
+      case PacketType::kSubmitPlan:
+      case PacketType::kRemovePlan:
       case PacketType::kFlush:
       case PacketType::kStatsRequest:
-        // The worker answers these after every slab queued before them; a
-        // full queue blocks the reader, as the client awaits the answer.
-        if (!conn->queue.Push(IngestItem{frame->type, {}})) return;
+        // The worker answers these after every request queued before them;
+        // a full queue blocks the reader, as the client awaits the answer.
+        if (!conn->queue.Push(
+                IngestItem{frame->type, {}, std::move(frame->payload)})) {
+          return;
+        }
         break;
       case PacketType::kHello:
         SendError(conn, Status::FailedPrecondition(
@@ -263,8 +227,32 @@ void Server::ServeLoop(Connection* conn) {
   }
 }
 
-void Server::HandleSubmitPlan(Connection* conn, const Frame& frame) {
-  Result<SubmitPlanRequest> req = SubmitPlanRequest::Decode(frame.payload);
+void Server::HandlePushEvents(Connection* conn, const Frame& frame) {
+  {
+    std::lock_guard<std::mutex> lock(conn->status_mu);
+    if (!conn->stream_status.ok()) {
+      SendError(conn, conn->stream_status);
+      return;
+    }
+  }
+  Result<PushEventsRequest> req =
+      PushEventsRequest::Decode(frame.payload, options_.schema);
+  if (!req.ok()) {
+    SendError(conn, req.status());
+    return;
+  }
+  IngestItem item{PacketType::kPushEvents, std::move(*req), {}};
+  if (!conn->queue.TryPush(std::move(item))) {
+    SendBusy(conn);
+    return;
+  }
+  // Admission ack: evaluation happens on the worker; an evaluation error
+  // surfaces as the Error reply to the next request on this connection.
+  SendAck(conn, PacketType::kPushEvents, "queued");
+}
+
+void Server::HandleSubmitPlan(Connection* conn, std::string_view payload) {
+  Result<SubmitPlanRequest> req = SubmitPlanRequest::Decode(payload);
   if (!req.ok()) {
     SendError(conn, req.status());
     return;
@@ -294,8 +282,8 @@ void Server::HandleSubmitPlan(Connection* conn, const Frame& frame) {
   SendAck(conn, PacketType::kSubmitPlan, req->plan_id);
 }
 
-void Server::HandleRemovePlan(Connection* conn, const Frame& frame) {
-  Result<RemovePlanRequest> req = RemovePlanRequest::Decode(frame.payload);
+void Server::HandleRemovePlan(Connection* conn, std::string_view payload) {
+  Result<RemovePlanRequest> req = RemovePlanRequest::Decode(payload);
   if (!req.ok()) {
     SendError(conn, req.status());
     return;
@@ -305,30 +293,6 @@ void Server::HandleRemovePlan(Connection* conn, const Frame& frame) {
     return;
   }
   SendAck(conn, PacketType::kRemovePlan, req->plan_id);
-}
-
-void Server::HandlePushEvents(Connection* conn, const Frame& frame) {
-  {
-    std::lock_guard<std::mutex> lock(conn->status_mu);
-    if (!conn->stream_status.ok()) {
-      SendError(conn, conn->stream_status);
-      return;
-    }
-  }
-  Result<PushEventsRequest> req =
-      PushEventsRequest::Decode(frame.payload, options_.schema);
-  if (!req.ok()) {
-    SendError(conn, req.status());
-    return;
-  }
-  IngestItem item{PacketType::kPushEvents, std::move(*req)};
-  if (!conn->queue.TryPush(std::move(item))) {
-    SendBusy(conn);
-    return;
-  }
-  // Admission ack: evaluation happens on the worker; an evaluation error
-  // surfaces as the Error reply to the next request on this connection.
-  SendAck(conn, PacketType::kPushEvents, "queued");
 }
 
 void Server::HandleStats(Connection* conn) {
@@ -386,6 +350,12 @@ void Server::WorkerLoop(std::shared_ptr<Connection> conn) {
         }
         break;
       }
+      case PacketType::kSubmitPlan:
+        HandleSubmitPlan(conn.get(), item->payload);
+        break;
+      case PacketType::kRemovePlan:
+        HandleRemovePlan(conn.get(), item->payload);
+        break;
       default:  // kStatsRequest; the reader queues nothing else
         HandleStats(conn.get());
         break;

@@ -29,17 +29,13 @@ struct ServerOptions {
   /// The stream schema every connection's plans and events encode against;
   /// announced in the HelloAck.
   Schema schema;
-  /// Per-connection ingest queue capacity, in PushEvents slabs. A full
+  /// Per-connection ingest queue capacity, in queued requests. A full
   /// queue turns the next PushEvents into a Busy response (backpressure)
-  /// instead of unbounded buffering.
+  /// instead of unbounded buffering; any other request waits for a slot.
   size_t queue_capacity = 64;
-  /// Close a connection that has sent nothing for this long (0 disables).
-  /// Measured on `clock_ms`, so tests can drive it with a fake clock.
+  /// Close a connection when no frame has arrived for this long while its
+  /// reader waits for the next one (0 waits without limit).
   int64_t idle_timeout_ms = 60'000;
-  /// Millisecond clock for idle-timeout decisions; defaults to the steady
-  /// clock. Tests inject a fake clock to expire idle connections
-  /// deterministically (real sockets stay untouched).
-  std::function<int64_t()> clock_ms;
   /// Test hook: when set, the ingest worker calls it before evaluating
   /// each queued item. Lets tests hold a worker mid-drain to fill the
   /// bounded queue and observe Busy deterministically.
@@ -54,20 +50,26 @@ struct ServerOptions {
 /// Every connection is its own stream: it gets a private
 /// catalog::QueryCatalog and catalog::CatalogEngine built from the
 /// ServerOptions, so its plan ids, timestamp ordering, Flush and Stats
-/// never see another connection. Per connection the server runs
-/// two threads: a reader that speaks the protocol (handshake first, then
-/// request dispatch) and answers SubmitPlan/RemovePlan itself, and an
-/// ingest worker — the only thread that calls the engine — serving
-/// PushEvents, Flush and StatsRequest from a bounded queue
-/// (exec::BoundedQueue) in arrival order. A slow evaluation never stops the
-/// reader from answering, and a full queue becomes an explicit Busy
-/// response.
+/// never see another connection. Per connection the server runs two
+/// threads. The reader frames the socket: it does the handshake, admits
+/// PushEvents (answering Ack, Busy or the stream's pending Error), answers
+/// protocol errors, and queues every other request. The ingest worker
+/// drains a bounded queue (exec::BoundedQueue) and answers SubmitPlan,
+/// RemovePlan, PushEvents, Flush and StatsRequest in arrival order; it is
+/// the only thread that changes the catalog or calls the engine, so a plan
+/// sees exactly the slabs pushed after its SubmitPlan. A slow evaluation
+/// never stops the reader from answering, and a full queue becomes an
+/// explicit Busy response.
+///
+/// Every server thread blocks on what it waits for: the accept loop on the
+/// listener until Stop(), each reader on its socket until the next frame or
+/// the idle deadline, each worker on its queue.
 ///
 /// Flush ends the connection's stream; its next PushEvents starts a new one
 /// (timestamps may restart). A connection's plans — with any undelivered
-/// matches — are freed when it disconnects, times out idle, or sends a
-/// malformed frame (a corrupt stream cannot be resynchronized, so the
-/// server answers with a typed Error and closes).
+/// matches — are freed as soon as its reader exits: on disconnect, idle
+/// expiry, or a malformed frame (a corrupt stream cannot be
+/// resynchronized, so the server answers with a typed Error and closes).
 class Server {
  public:
   /// Validates the options (schema non-empty), binds the listening socket,
@@ -93,30 +95,30 @@ class Server {
   size_t num_plans() const;
 
  private:
-  /// One queued request for the ingest worker: a decoded PushEvents slab,
-  /// or a Flush or StatsRequest, which the worker answers itself — so each
-  /// answer covers every slab queued before it.
+  /// One queued request for the ingest worker, which answers it after
+  /// every request queued before it: a decoded PushEvents slab, a
+  /// SubmitPlan or RemovePlan with its payload still encoded, or a Flush
+  /// or StatsRequest.
   struct IngestItem {
     PacketType request = PacketType::kPushEvents;
     /// The slab, for kPushEvents.
     PushEventsRequest push;
+    /// The request payload, for kSubmitPlan and kRemovePlan.
+    std::string payload;
   };
 
   /// Per-connection state. Thread roles: `reader` owns the socket's read
-  /// side and the synchronous replies; `worker` drains `queue` and alone
-  /// touches `engine` and `pending`. Both write frames under `write_mu`;
-  /// `stream_status` is guarded by `status_mu`.
+  /// side and the admission replies; `worker` drains `queue` and alone
+  /// touches `catalog`'s plans, `engine` and `pending`. Both write frames
+  /// under `write_mu`; `stream_status` is guarded by `status_mu`.
   struct Connection {
     explicit Connection(size_t queue_capacity) : queue(queue_capacity) {}
 
     Socket sock;
     std::mutex write_mu;
     exec::BoundedQueue<IngestItem> queue;
-    /// Reader finished (including worker join); the accept loop reaps it.
-    std::atomic<bool> done{false};
-    /// This connection's plans: the reader registers them, the engine
-    /// picks them up at its next batch boundary (QueryCatalog is
-    /// thread-safe).
+    /// This connection's plans, registered and removed by the worker in
+    /// queue order; the engine picks them up at its next call.
     std::shared_ptr<catalog::QueryCatalog> catalog =
         std::make_shared<catalog::QueryCatalog>();
     /// Built at the handshake, released at teardown.
@@ -129,31 +131,24 @@ class Server {
     /// as the Error reply to the connection's next PushEvents or Flush
     /// (admission Acks mean push errors are detected after the Ack).
     Status stream_status;
-    /// Client-announced name, for log lines.
-    std::string name;
-    /// When the last frame arrived (options_.clock_ms), set at accept and
-    /// on every received frame. Owned by the reader thread (the accept
-    /// loop's initial store happens-before the thread starts); the idle
-    /// timeout measures from here, NOT from when the reader resumes
-    /// waiting — so a fake clock advanced while the reader is between
-    /// frames still expires the connection.
-    int64_t last_activity_ms = 0;
+    /// Set by the accept loop under `conns_mu_`. A reader that leaves
+    /// `conns_` moves it to `exited_`; one whose entry Stop() took keeps it
+    /// for Stop() to join.
     std::thread reader;
     std::thread worker;
   };
 
   explicit Server(ServerOptions options);
 
-  int64_t NowMs() const;
-
   void AcceptLoop();
-  void ReapFinished();
+  /// Joins the readers that have left `conns_`.
+  void JoinExited();
 
   void ReaderLoop(std::shared_ptr<Connection> conn);
   void WorkerLoop(std::shared_ptr<Connection> conn);
 
-  /// Reads the next frame, polling in short slices so stop and the idle
-  /// deadline are observed; FailedPrecondition signals idle expiry.
+  /// Waits for the next frame until the idle deadline and reads it;
+  /// FailedPrecondition signals idle expiry.
   Result<Frame> ReadFrameIdle(Connection* conn);
 
   /// True when the handshake completed, the connection's engine is built,
@@ -162,11 +157,11 @@ class Server {
   /// Serves decoded frames until disconnect/error; returns on teardown.
   void ServeLoop(Connection* conn);
 
-  void HandleSubmitPlan(Connection* conn, const Frame& frame);
-  void HandleRemovePlan(Connection* conn, const Frame& frame);
   void HandlePushEvents(Connection* conn, const Frame& frame);
 
   /// Run on the worker, in queue order.
+  void HandleSubmitPlan(Connection* conn, std::string_view payload);
+  void HandleRemovePlan(Connection* conn, std::string_view payload);
   void HandleStats(Connection* conn);
 
   /// Writes the engine's pending matches as MatchBatch frames, coalesced
@@ -187,7 +182,11 @@ class Server {
   uint16_t port_ = 0;
 
   mutable std::mutex conns_mu_;
+  /// The live connections; each reader removes its own on exit.
   std::vector<std::shared_ptr<Connection>> conns_;
+  /// Threads of readers that have left `conns_`, for the accept loop (after
+  /// each accept) or Stop() to join.
+  std::vector<std::thread> exited_;
 
   std::thread accept_thread_;
   std::atomic<bool> stop_{false};

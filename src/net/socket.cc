@@ -8,7 +8,9 @@
 #include <sys/types.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 
 namespace ses::net {
@@ -136,14 +138,22 @@ Result<Socket> Accept(const Socket& listener) {
   }
 }
 
-Result<bool> WaitReadable(int fd, int timeout_ms) {
+Result<bool> WaitReadable(int fd, int64_t timeout_ms) {
   pollfd pfd{};
   pfd.fd = fd;
   pfd.events = POLLIN;
   for (;;) {
-    int r = ::poll(&pfd, 1, timeout_ms);
+    const int step =
+        timeout_ms < 0
+            ? -1
+            : static_cast<int>(std::min<int64_t>(timeout_ms, INT_MAX));
+    int r = ::poll(&pfd, 1, step);
     if (r > 0) return true;
-    if (r == 0) return false;
+    if (r == 0) {
+      if (timeout_ms <= step) return false;
+      timeout_ms -= step;  // a wait past INT_MAX ms goes on
+      continue;
+    }
     if (errno == EINTR) continue;
     return Status::IoError(Errno("poll"));
   }

@@ -51,10 +51,11 @@ Result<Socket> ConnectTcp(uint16_t port);
 /// to bound the wait).
 Result<Socket> Accept(const Socket& listener);
 
-/// Polls `fd` for readability for up to `timeout_ms`. Returns true when
-/// readable (data, EOF, or error pending — recv will not block), false on
-/// timeout.
-Result<bool> WaitReadable(int fd, int timeout_ms);
+/// Polls `fd` for readability for up to `timeout_ms`; a negative timeout
+/// waits without limit. Returns true when readable (data, EOF, or error
+/// pending — recv will not block), false on timeout. A timeout beyond
+/// poll(2)'s int range is waited out in full.
+Result<bool> WaitReadable(int fd, int64_t timeout_ms);
 
 /// Bounds how long a recv / send on `fd` may block (SO_RCVTIMEO /
 /// SO_SNDTIMEO): a peer that stops mid-frame or stops draining turns into

@@ -35,6 +35,8 @@ enum class TokenKind {
 
 std::string_view TokenKindToString(TokenKind kind);
 
+/// One lexed token of DSL input, with its 1-based source position for
+/// error messages.
 struct Token {
   TokenKind kind;
   std::string text;  // raw text; for kString the unquoted contents

@@ -169,6 +169,16 @@ Status GetCount(const char** p, const char* limit, uint64_t* v) {
   return Status::OK();
 }
 
+Status GetItemCount(const char** p, const char* limit, uint64_t* v) {
+  SES_RETURN_IF_ERROR(GetCount(p, limit, v));
+  if (*v > static_cast<uint64_t>(limit - *p)) {
+    return Status::Corruption("count " + std::to_string(*v) +
+                              " exceeds the " + std::to_string(limit - *p) +
+                              " bytes left");
+  }
+  return Status::OK();
+}
+
 Status GetSigned(const char** p, const char* limit, int64_t* v) {
   uint64_t raw = 0;
   SES_RETURN_IF_ERROR(GetCount(p, limit, &raw));

@@ -107,6 +107,10 @@ void PutEventRecord(std::string* dst, const Event& event,
                     const Schema& schema);
 
 Status GetCount(const char** p, const char* limit, uint64_t* v);
+/// GetCount for the number of items that follow, each at least one byte
+/// long: a count beyond the bytes left is Corruption, so the caller may
+/// reserve() it without trusting the input.
+Status GetItemCount(const char** p, const char* limit, uint64_t* v);
 Status GetSigned(const char** p, const char* limit, int64_t* v);
 Status GetDouble(const char** p, const char* limit, double* v);
 Status GetBool(const char** p, const char* limit, bool* v);

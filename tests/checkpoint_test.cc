@@ -28,6 +28,7 @@
 
 #include "catalog/catalog_engine.h"
 #include "catalog/query_catalog.h"
+#include "core/executor.h"
 #include "core/match.h"
 #include "engine/registry.h"
 #include "engine_counters.h"
@@ -692,6 +693,20 @@ TEST(CheckpointPrimitives, RoundtripAllScalarKinds) {
   EXPECT_EQ(p, limit);
   // One more read past the end must fail cleanly.
   EXPECT_EQ(storage::GetCount(&p, limit, &count).code(),
+            StatusCode::kCorruption);
+}
+
+TEST(CheckpointPrimitives, HugeInstanceCountIsCorruptionNotAlloc) {
+  // An executor state claiming 2^40 instances in a few bytes must fail
+  // against the bytes left, not reach the instances' reserve().
+  std::shared_ptr<const plan::CompiledPlan> plan =
+      MustCompile(CompletePattern());
+  SesExecutor executor(&plan->automaton(), MatcherOptions{});
+  std::string state;
+  storage::PutCount(&state, uint64_t{1} << 40);
+  storage::PutSigned(&state, 0);
+  const char* p = state.data();
+  EXPECT_EQ(executor.Restore(&p, state.data() + state.size()).code(),
             StatusCode::kCorruption);
 }
 

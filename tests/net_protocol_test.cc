@@ -318,6 +318,21 @@ TEST(PayloadCodec, PushEventsHugeColumnarRowCountIsCorruptionNotAlloc) {
   EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
 }
 
+TEST(PayloadCodec, MatchBatchHugeBindingCountIsCorruptionNotAlloc) {
+  // Nine bytes: plan id "p", one match, and a binding count of 2^40. The
+  // count must fail against the bytes left, not reach the bindings'
+  // reserve() (which would throw and kill the process).
+  std::string payload;
+  ses::storage::PutString(&payload, "p");
+  ses::storage::PutCount(&payload, 1);
+  ses::storage::PutCount(&payload, uint64_t{1} << 40);
+  ASSERT_EQ(payload.size(), 9u);
+  Result<MatchBatchResponse> decoded =
+      MatchBatchResponse::Decode(payload, TestSchema());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
 TEST(PayloadCodec, PushEventsColumnarRoundTrip) {
   const Schema schema = TestSchema();
   const EventRelation stream = TestStream(23);

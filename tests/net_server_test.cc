@@ -6,12 +6,14 @@
 // sharing one plan id, query and label alphabet — plus per-connection
 // stream scope: a Flush ends only its own connection's stream, a new
 // stream may follow with restarted timestamps, a backwards timestamp
-// fails the stream, and Stats answers in queue order. And the connection
-// lifecycle: disconnects free plans and pending matches, a full ingest
-// queue answers Busy without dropping admitted slabs, idle connections
-// are torn down on the injected clock, corrupt frames get a typed Error
-// and a clean close without hurting other connections, Stop() returns
-// without waiting out a poll slice, and the Stats packet carries
+// fails the stream, and Stats answers in queue order. Plan requests are
+// served in queue order too: a plan submitted behind an Acked slab misses
+// it, and one removed behind it still delivers its matches. And the
+// connection lifecycle: disconnects free plans and pending matches, a
+// full ingest queue answers Busy without dropping admitted slabs, a
+// connection silent for the idle timeout is torn down, corrupt frames get
+// a typed Error and a clean close without hurting other connections,
+// Stop() wakes every blocked wait at once, and the Stats packet carries
 // field-for-field parity with the in-process engine. Also delivery and
 // admission: a finished match arrives before the client flushes, and a
 // plan over the automaton state limit gets a typed Error while the
@@ -21,6 +23,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <map>
 #include <memory>
 #include <semaphore>
@@ -94,6 +97,16 @@ std::string EncodeMatchSet(std::vector<Match> matches,
   return out;
 }
 
+std::shared_ptr<const plan::CompiledPlan> CompileQuery(
+    const std::string& query) {
+  Result<Pattern> pattern = ParsePattern(query, TestSchema());
+  EXPECT_TRUE(pattern.ok()) << pattern.status().ToString();
+  Result<std::shared_ptr<const plan::CompiledPlan>> plan =
+      plan::CompilePlan(*pattern, plan::PlanOptions{});
+  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+  return *plan;
+}
+
 /// The reference: a standalone in-process CatalogEngine running one plan
 /// over one connection's stream, as the canonical match-set encoding.
 std::string StandaloneReference(const std::string& query,
@@ -105,12 +118,7 @@ std::string StandaloneReference(const std::string& query,
   options.sink = [&](std::string_view, Match&& match) {
     matches.push_back(std::move(match));
   };
-  Result<Pattern> pattern = ParsePattern(query, schema);
-  EXPECT_TRUE(pattern.ok()) << pattern.status().ToString();
-  Result<std::shared_ptr<const plan::CompiledPlan>> plan =
-      plan::CompilePlan(*pattern, plan::PlanOptions{});
-  EXPECT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_TRUE(catalog->Add("plan", std::move(*plan)).ok());
+  EXPECT_TRUE(catalog->Add("plan", CompileQuery(query)).ok());
   Result<std::unique_ptr<CatalogEngine>> built =
       CatalogEngine::Create(catalog, std::move(options));
   EXPECT_TRUE(built.ok()) << built.status().ToString();
@@ -342,38 +350,52 @@ TEST(ServerLifecycle, FullQueueAnswersBusyAndDropsNothing) {
   server->Stop();
 }
 
-TEST(ServerLifecycle, IdleConnectionIsTornDownOnFakeClock) {
-  std::atomic<int64_t> now_ms{0};
+/// Idle means no frame for the timeout while the reader waits for one:
+/// frames that come more often keep the connection open for longer than
+/// the timeout, and silence past it closes the connection and frees its
+/// plan.
+TEST(ServerLifecycle, IdleConnectionIsTornDownAfterTheTimeout) {
   net::ServerOptions options;
-  options.idle_timeout_ms = 1000;
-  options.clock_ms = [&] { return now_ms.load(); };
+  options.idle_timeout_ms = 300;
   std::unique_ptr<net::Server> server = StartServer(std::move(options));
 
   Result<std::unique_ptr<net::Client>> client = ConnectClient(server->port());
   ASSERT_TRUE(client.ok()) << client.status().ToString();
   ASSERT_TRUE((*client)->SubmitPlan("plan-0", ClientQuery(0)).ok());
+  for (int i = 0; i < 8; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    Result<net::StatsResponse> stats = (*client)->Stats();
+    ASSERT_TRUE(stats.ok()) << "frame " << i << ": "
+                            << stats.status().ToString();
+  }
   EXPECT_EQ(server->num_connections(), 1u);
 
-  // Advance the fake clock past the idle bound; the reader polls in 25ms
-  // slices of real time, so expiry is observed promptly.
-  now_ms.store(60'000);
+  const auto quiet = std::chrono::steady_clock::now();
   for (int i = 0; i < 500 && server->num_connections() != 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(server->num_connections(), 0u);
   EXPECT_EQ(server->num_plans(), 0u);
+  EXPECT_GE(std::chrono::steady_clock::now() - quiet,
+            std::chrono::milliseconds(250));
   server->Stop();
 }
 
-TEST(ServerLifecycle, StopDoesNotWaitOutThePollSlice) {
+/// Stop() wakes every blocked wait at once: the accept loop's and that of
+/// a reader whose idle deadline is a minute away.
+TEST(ServerLifecycle, StopWakesEveryBlockedWait) {
   std::unique_ptr<net::Server> server = StartServer({});
-  // Let the accept loop settle into its poll slice (25 ms) first.
+  Result<std::unique_ptr<net::Client>> client = ConnectClient(server->port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE((*client)->SubmitPlan("plan-0", ClientQuery(0)).ok());
+  // Let the reader settle into its wait for the next frame.
   std::this_thread::sleep_for(std::chrono::milliseconds(3));
   auto start = std::chrono::steady_clock::now();
   server->Stop();
   auto elapsed = std::chrono::steady_clock::now() - start;
   EXPECT_LT(elapsed, std::chrono::milliseconds(10))
       << std::chrono::duration<double, std::milli>(elapsed).count() << " ms";
+  EXPECT_EQ(server->num_connections(), 0u);
 }
 
 TEST(ServerLifecycle, CorruptFrameGetsTypedErrorAndCleanClose) {
@@ -643,6 +665,201 @@ TEST(ServerFlush, BackwardsTimestampFailsTheStreamAtFlush) {
   }
   (*client)->Close();
   server->Stop();
+}
+
+// --- Arrival order: plan requests queue behind Acked slabs ---
+
+/// A hand-driven connection that sends requests without waiting for their
+/// answers, which net::Client never does: a test can queue a request
+/// behind a slab held at the gate. MatchBatch frames are collected per
+/// plan.
+class PipelinedConnection {
+ public:
+  /// Connects and completes the handshake.
+  Status Open(uint16_t port) {
+    SES_ASSIGN_OR_RETURN(sock_, net::ConnectTcp(port));
+    SES_RETURN_IF_ERROR(
+        Send(net::PacketType::kHello, net::HelloRequest{}.Encode()));
+    SES_ASSIGN_OR_RETURN(net::Frame ack, net::ReadFrame(sock_.fd()));
+    if (ack.type != net::PacketType::kHelloAck) {
+      return Status::Internal("no HelloAck");
+    }
+    return Status::OK();
+  }
+
+  Status SubmitPlan(const std::string& id, const std::string& query) {
+    net::SubmitPlanRequest req;
+    req.plan_id = id;
+    req.query = query;
+    return Send(net::PacketType::kSubmitPlan, req.Encode());
+  }
+
+  Status RemovePlan(const std::string& id) {
+    net::RemovePlanRequest req;
+    req.plan_id = id;
+    return Send(net::PacketType::kRemovePlan, req.Encode());
+  }
+
+  Status Push(std::span<const Event> events) {
+    return Send(net::PacketType::kPushEvents,
+                net::PushEventsRequest::EncodeRows(events, TestSchema()));
+  }
+
+  Status Flush() { return Send(net::PacketType::kFlush, ""); }
+
+  /// Reads up to the next answer and names the request it acknowledges, or
+  /// describes the answer when it is not an Ack.
+  std::string NextAnswer() {
+    for (;;) {
+      Result<net::Frame> frame = net::ReadFrame(sock_.fd());
+      if (!frame.ok()) return frame.status().ToString();
+      if (frame->type == net::PacketType::kMatchBatch) {
+        Result<net::MatchBatchResponse> batch =
+            net::MatchBatchResponse::Decode(frame->payload, TestSchema());
+        if (!batch.ok()) return batch.status().ToString();
+        for (Match& match : batch->matches) {
+          matches[batch->plan_id].push_back(std::move(match));
+        }
+        continue;
+      }
+      if (frame->type != net::PacketType::kAck) {
+        return std::string(net::PacketTypeName(frame->type));
+      }
+      Result<net::AckResponse> ack = net::AckResponse::Decode(frame->payload);
+      if (!ack.ok()) return ack.status().ToString();
+      return std::string(net::PacketTypeName(ack->request));
+    }
+  }
+
+  std::map<std::string, std::vector<Match>> matches;
+
+ private:
+  Status Send(net::PacketType type, std::string_view payload) {
+    return net::WriteFrame(sock_.fd(), type, payload);
+  }
+
+  net::Socket sock_;
+};
+
+/// Sends `request` while slab 1 (the first half of `stream`) is Acked and
+/// held at the gate, then slab 2 and a Flush, and returns the matches the
+/// connection received. Slab 2's admission Ack shows that the reader read
+/// `request` first; only then does the worker go on.
+std::map<std::string, std::vector<Match>> RunBehindAHeldSlab(
+    const std::string& first_plan, const std::string& first_query,
+    const std::function<Status(PipelinedConnection&)>& request,
+    std::span<const Event> stream) {
+  HoldGate gate;
+  net::ServerOptions options;
+  options.eval_gate = [&gate] { gate.Enter(); };
+  std::unique_ptr<net::Server> server = StartServer(std::move(options));
+  PipelinedConnection conn;
+  EXPECT_TRUE(conn.Open(server->port()).ok());
+  EXPECT_TRUE(conn.SubmitPlan(first_plan, first_query).ok());
+  EXPECT_EQ(conn.NextAnswer(), "SubmitPlan");
+
+  const size_t half = stream.size() / 2;
+  gate.Arm();
+  EXPECT_TRUE(conn.Push(stream.first(half)).ok());
+  EXPECT_EQ(conn.NextAnswer(), "PushEvents");
+  EXPECT_TRUE(gate.WaitHeld()) << "worker never popped slab 1";
+  EXPECT_TRUE(request(conn).ok());
+  EXPECT_TRUE(conn.Push(stream.subspan(half)).ok());
+  std::vector<std::string> answers;
+  while (answers.size() < 4 &&
+         (answers.empty() || answers.back() != "PushEvents")) {
+    answers.push_back(conn.NextAnswer());
+  }
+  gate.Open();
+  EXPECT_TRUE(conn.Flush().ok());
+  while (answers.size() < 4 && answers.back() != "Flush") {
+    answers.push_back(conn.NextAnswer());
+  }
+  // The plan request is answered by the worker after slab 1, so after the
+  // reader's admission Ack of slab 2.
+  EXPECT_EQ(answers.size(), 3u);
+  EXPECT_EQ(answers.front(), "PushEvents");
+  EXPECT_EQ(answers.back(), "Flush");
+  EXPECT_FALSE(gate.timed_out());
+  server->Stop();
+  return std::move(conn.matches);
+}
+
+/// The in-process reference for RunBehindAHeldSlab: one CatalogEngine that
+/// registers `first_plan`, evaluates the first half of `stream`, applies
+/// `between` to its catalog, then evaluates the rest and flushes.
+std::map<std::string, std::vector<Match>> ReferenceAroundTheSlab(
+    const std::string& first_plan, const std::string& first_query,
+    const std::function<Status(QueryCatalog&)>& between,
+    std::span<const Event> stream) {
+  auto catalog = std::make_shared<QueryCatalog>();
+  std::map<std::string, std::vector<Match>> matches;
+  CatalogOptions options;
+  options.sink = [&](std::string_view plan_id, Match&& match) {
+    matches[std::string(plan_id)].push_back(std::move(match));
+  };
+  Result<std::unique_ptr<CatalogEngine>> engine =
+      CatalogEngine::Create(catalog, std::move(options));
+  EXPECT_TRUE(engine.ok()) << engine.status().ToString();
+  const size_t half = stream.size() / 2;
+  EXPECT_TRUE(catalog->Add(first_plan, CompileQuery(first_query)).ok());
+  EXPECT_TRUE((*engine)->PushBatch(stream.first(half)).ok());
+  EXPECT_TRUE(between(*catalog).ok());
+  EXPECT_TRUE((*engine)->PushBatch(stream.subspan(half)).ok());
+  EXPECT_TRUE((*engine)->Flush().ok());
+  return matches;
+}
+
+/// A plan submitted while an Acked slab is held sees only the later slab,
+/// as on an in-process catalog that adds it between the two slabs.
+TEST(ServerOrder, PlanSubmittedBehindAHeldSlabSeesOnlyLaterSlabs) {
+  const EventRelation stream = ClientStream(0, 40);
+  std::span<const Event> all(stream.events());
+  std::map<std::string, std::vector<Match>> got = RunBehindAHeldSlab(
+      "early", ClientQuery(0),
+      [](PipelinedConnection& conn) {
+        return conn.SubmitPlan("late", ClientQuery(0));
+      },
+      all);
+  std::map<std::string, std::vector<Match>> want = ReferenceAroundTheSlab(
+      "early", ClientQuery(0),
+      [](QueryCatalog& catalog) {
+        return catalog.Add("late", CompileQuery(ClientQuery(0)));
+      },
+      all);
+  ASSERT_EQ(want["early"].size(), 20u);
+  ASSERT_EQ(want["late"].size(), 10u);
+
+  const Schema schema = TestSchema();
+  EXPECT_EQ(got["late"].size(), 10u);
+  for (const std::string id : {"early", "late"}) {
+    EXPECT_EQ(EncodeMatchSet(std::move(got[id]), schema),
+              EncodeMatchSet(std::move(want[id]), schema))
+        << id;
+  }
+}
+
+/// A plan removed while an Acked slab is held still delivers the matches
+/// that slab finishes, as on an in-process catalog that removes it between
+/// the two slabs. Its short window lets slab 1 finish matches.
+TEST(ServerOrder, PlanRemovedBehindAHeldSlabStillDeliversIt) {
+  const std::string query =
+      "PATTERN {a} -> {b} WHERE a.L = 'A0' AND b.L = 'B0' AND a.ID = b.ID "
+      "WITHIN 3s";
+  const EventRelation stream = ClientStream(0, 40);
+  std::span<const Event> all(stream.events());
+  std::map<std::string, std::vector<Match>> got = RunBehindAHeldSlab(
+      "gone", query,
+      [](PipelinedConnection& conn) { return conn.RemovePlan("gone"); },
+      all);
+  std::map<std::string, std::vector<Match>> want = ReferenceAroundTheSlab(
+      "gone", query,
+      [](QueryCatalog& catalog) { return catalog.Remove("gone"); }, all);
+  ASSERT_FALSE(want["gone"].empty());
+
+  EXPECT_EQ(got["gone"].size(), want["gone"].size());
+  EXPECT_EQ(EncodeMatchSet(std::move(got["gone"]), TestSchema()),
+            EncodeMatchSet(std::move(want["gone"]), TestSchema()));
 }
 
 /// A finished match reaches the client before it sends Flush, even when no

@@ -1,12 +1,9 @@
 #!/usr/bin/env bash
 # Doc-comment lint for the runtime's public headers.
 #
-# Fails (exit 1) if a public header under src/exec/, src/metrics/,
-# src/plan/, src/engine/, src/catalog/, src/event/, src/storage/,
-# src/bench/, or src/net/ declares a top-level class or struct that is not
-# immediately preceded by a `///` doc comment. These
-# are the headers an operator reads first (see docs/RUNTIME.md and
-# EXPERIMENTS.md), so every public type must say what it is for.
+# Fails (exit 1) if a header under src/<module>/ declares a top-level
+# class or struct that is not immediately preceded by a `///` doc comment:
+# every public type must say what it is for.
 #
 # Heuristics, kept deliberately simple (grep/awk only):
 #   * only column-0 `class X {` / `struct X {` declarations are checked
@@ -22,9 +19,7 @@ set -u
 
 fail=0
 shopt -s nullglob
-for header in src/exec/*.h src/metrics/*.h src/plan/*.h src/engine/*.h \
-              src/catalog/*.h src/bench/*.h src/event/*.h src/storage/*.h \
-              src/net/*.h; do
+for header in src/*/*.h; do
   out=$(awk '
     /^(class|struct)[ \t]+[A-Za-z_]/ {
       # Skip pure forward declarations: "class X;" with no brace.
@@ -46,7 +41,7 @@ for header in src/exec/*.h src/metrics/*.h src/plan/*.h src/engine/*.h \
 done
 
 if [ "$fail" -ne 0 ]; then
-  echo "error: public types in src/exec/, src/metrics/, src/plan/, src/engine/, src/catalog/, src/event/, src/storage/, src/bench/, and src/net/ need /// doc comments" >&2
+  echo "error: public types in src/*/*.h need /// doc comments" >&2
   exit 1
 fi
 echo "doc-comment lint: OK"
